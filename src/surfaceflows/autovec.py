@@ -35,8 +35,6 @@ import numpy as np
 
 from .errors import DenominatorVanishes, NearPole
 from .moebius import (
-    BALL_CAP,
-    DEDUP_TOL,
     GroupBall,
     MoebiusMap,
     apply,
@@ -46,7 +44,7 @@ from .moebius import (
     inverse,
 )
 
-DEFAULT_POLE_GUARD = 1e-6
+POLE_GUARD = 1e-6
 DENOMINATOR_TOL = 1e-10
 RESIDUAL_EPS = 1e-9
 DEFAULT_WEIGHTS = (2, 3)
@@ -97,20 +95,20 @@ class ThetaSeries:
         return theta_eval(self, z)
 
 
-def theta_eval(ts: ThetaSeries, z: complex, pole_guard: float = DEFAULT_POLE_GUARD) -> complex:
+def theta_eval(ts: ThetaSeries, z: complex) -> complex:
     """Sum of H(Tz) * (T'(z))^weight over the ball, in canonical ball order.
 
-    Raises NearPole when z sits within ``pole_guard`` of a singularity of
-    any term (a map's pole line or a preimage of the seed pole).
+    Raises NearPole when z sits within POLE_GUARD of a singularity of any
+    term (a map's pole line or a preimage of the seed pole).
     """
     a, b, c, d, det = ts._arrays
     den = c * z + d
-    if np.abs(den).min() < pole_guard:
-        raise NearPole(f"z={z} is within {pole_guard} of a ball element's pole line")
+    if np.abs(den).min() < POLE_GUARD:
+        raise NearPole(f"z={z} is within {POLE_GUARD} of a ball element's pole line")
     moved = (a * z + b) / den
     gap = moved - ts.seed.pole
-    if np.abs(gap).min() < pole_guard:
-        raise NearPole(f"z={z} is within {pole_guard} of an orbit preimage of the seed pole")
+    if np.abs(gap).min() < POLE_GUARD:
+        raise NearPole(f"z={z} is within {POLE_GUARD} of an orbit preimage of the seed pole")
     terms = (det / (den * den)) ** ts.weight / gap
     return complex(terms.sum())
 
@@ -141,12 +139,7 @@ class AutomorphicField:
         return field_eval(self, z)
 
 
-def field_eval(
-    f: AutomorphicField,
-    z: complex,
-    pole_guard: float = DEFAULT_POLE_GUARD,
-    denominator_tol: float = DENOMINATOR_TOL,
-) -> complex:
+def field_eval(f: AutomorphicField, z: complex) -> complex:
     """Evaluate the series ratio, in stabilized coordinates when present."""
     if f.conjugation is not None:
         w = apply(f.conjugation, z)
@@ -154,24 +147,18 @@ def field_eval(
     else:
         w = z
         scale = 1.0
-    num = theta_eval(f.numerator, w, pole_guard)
-    den = theta_eval(f.denominator, w, pole_guard)
-    if abs(den) < denominator_tol:
+    num = theta_eval(f.numerator, w)
+    den = theta_eval(f.denominator, w)
+    if abs(den) < DENOMINATOR_TOL:
         raise DenominatorVanishes(f"denominator series ~ {abs(den):.3g} at z={z}")
     return num / den / scale
 
 
-def equivariance_residual(
-    f: AutomorphicField,
-    m: MoebiusMap,
-    z: complex,
-    eps: float = RESIDUAL_EPS,
-    pole_guard: float = DEFAULT_POLE_GUARD,
-) -> float:
+def equivariance_residual(f: AutomorphicField, m: MoebiusMap, z: complex) -> float:
     """Relative defect of the transformation law F(mz) = m'(z) F(z) at z."""
-    fz = field_eval(f, z, pole_guard)
-    fmz = field_eval(f, apply(m, z), pole_guard)
-    return abs(fmz - derivative(m, z) * fz) / (abs(fz) + eps)
+    fz = field_eval(f, z)
+    fmz = field_eval(f, apply(m, z))
+    return abs(fmz - derivative(m, z) * fz) / (abs(fz) + RESIDUAL_EPS)
 
 
 def _is_affine(m: MoebiusMap) -> bool:
@@ -190,31 +177,19 @@ def build_automorphic_field(
     denominator_pole: complex,
     weights: tuple[int, int] = DEFAULT_WEIGHTS,
     truncation: int = DEFAULT_TRUNCATION,
-    stabilize: bool | str = "auto",
-    dedup_tol: float = DEDUP_TOL,
-    cap: int = BALL_CAP,
 ) -> AutomorphicField:
     """Enumerate the ball and assemble the two-series field.
 
-    ``stabilize`` is "auto" (conjugate to the disk exactly when the raw
-    ball contains an affine non-identity element), True (always), or False
-    (never; the raw sum may then be truncation-dominated, which the
-    equivariance report will show).
+    The series are summed in the disk model (conjugated by the Cayley map)
+    exactly when the raw ball contains an affine non-identity element.
     """
     generators = tuple(generators)
-    raw_ball = enumerate_ball(generators, truncation, dedup_tol=dedup_tol, cap=cap)
-    if stabilize is True:
-        conjugate = True
-    elif stabilize == "auto":
-        conjugate = ball_has_affine_element(raw_ball)
-    else:
-        conjugate = False
-
-    if conjugate:
+    raw_ball = enumerate_ball(generators, truncation)
+    if ball_has_affine_element(raw_ball):
         cay = CAYLEY_DISK
         cay_inv = inverse(cay)
         moved = tuple(compose(compose(cay, g), cay_inv) for g in generators)
-        ball = enumerate_ball(moved, truncation, dedup_tol=dedup_tol, cap=cap)
+        ball = enumerate_ball(moved, truncation)
         s1 = apply(cay, complex(numerator_pole))
         s2 = apply(cay, complex(denominator_pole))
         conjugation = cay
@@ -238,9 +213,6 @@ def equivariance_report(
     weights: tuple[int, int] = DEFAULT_WEIGHTS,
     truncation: int = DEFAULT_TRUNCATION,
     sample_points=None,
-    stabilize: bool | str = "auto",
-    dedup_tol: float = DEDUP_TOL,
-    cap: int = BALL_CAP,
 ) -> dict:
     """Per-generator median residuals at the requested truncation and one below.
 
@@ -259,14 +231,7 @@ def equivariance_report(
     }
     for radius in radii:
         f = build_automorphic_field(
-            generators,
-            numerator_pole,
-            denominator_pole,
-            weights,
-            radius,
-            stabilize=stabilize,
-            dedup_tol=dedup_tol,
-            cap=cap,
+            generators, numerator_pole, denominator_pole, weights, radius
         )
         per_gen = {}
         for gi, g in enumerate(generators, 1):  # residuals measured against the original maps

@@ -2,8 +2,8 @@
 
 Numerical failures (pole proximity, contour degeneracy, diverging
 refinement) are distinct from caller mistakes (bad plans, missing
-equilibria), but both derive from :class:`SurfaceFlowsError` so the CLI
-can map them onto exit codes in one place.
+equilibria), but both derive from :class:`SurfaceFlowsError` so a caller
+can catch every package failure in one place.
 """
 
 
@@ -68,6 +68,3 @@ class NotInverse(SurfaceFlowsError):
 class TooManyEquilibria(SurfaceFlowsError):
     """Index set too large for exhaustive feasibility enumeration."""
 
-
-class ConfigError(SurfaceFlowsError):
-    """Malformed configuration file or CLI input."""

@@ -33,9 +33,13 @@ _POLE_ERRORS = (NearPole, PoleHit, DenominatorVanishes)
 ZERO_TOL = 1e-8
 DEFAULT_MAX_DISP = 0.1
 DEFAULT_H0 = 0.01
+MAX_STEPS = 200_000
 WINDING_SAMPLES = 1024
 WINDING_AGREE_TOL = 0.01
+WINDING_MAX_SAMPLES = 1 << 17
 WINDING_INTEGER_TOL = 0.05
+NEWTON_MAX_ITER = 50
+COVARIANCE_SAMPLES = 32
 
 CLASS_HYPERBOLIC = "hyperbolic-like"
 CLASS_ELLIPTIC = "elliptic/center-like"
@@ -79,10 +83,6 @@ class Trajectory:
                     raise ValueError("times must be strictly monotone")
 
     @property
-    def samples(self) -> tuple[tuple[float, complex], ...]:
-        return tuple(zip(self.times, self.points))
-
-    @property
     def end_point(self) -> complex:
         return self.points[-1]
 
@@ -104,89 +104,34 @@ def _inside(region, z: complex) -> bool:
     return x0 <= z.real <= x1 and y0 <= z.imag <= y1
 
 
-def integrate(
-    field,
-    z0: complex,
-    t_end: float,
-    h0: float = DEFAULT_H0,
-    region=None,
-    max_disp: float = DEFAULT_MAX_DISP,
-    max_steps: int = 200_000,
-) -> Trajectory:
-    """Classical fourth-order single-step integration with step halving.
+def _flow(field, z0, targets, region=None, h0=DEFAULT_H0, max_disp=DEFAULT_MAX_DISP):
+    """Adaptive RK4 from time 0 through ``targets``, landing exactly on each.
 
-    A step whose displacement exceeds ``max_disp`` is retried at half the
-    step size; steps shrink without bound near poles, which terminates the
-    run with reason "pole-proximity".  Negative ``t_end`` integrates in
-    reverse time.  Exhausting ``max_steps`` reports "time-limit" (the
-    budget, like the horizon, caps the time actually reached).
+    Targets are nonzero, of one sign, and strictly monotone away from 0.
+    Each step is the classical fourth-order step; one whose displacement
+    exceeds ``max_disp``, or whose stages are not evaluable, is retried at
+    half the size.  With s = max(1, |target|) for the target being
+    approached, the target counts as reached within 1e-15 * s, and a step
+    size below 1e-14 * s ends the run with "pole-proximity".  Leaving
+    ``region`` after a step ends it with "region-exit"; reaching every
+    target, or taking MAX_STEPS steps, with "time-limit".
 
-    Raises NearPole (or kin) only if the starting point itself is not
-    evaluable.
+    Returns (times, points, hits, termination): every accepted step,
+    starting with (0, z0), and for each target reached the index of its
+    point in ``points``.
     """
-    z0 = complex(z0)
-    if t_end == 0:
-        raise ValueError("t_end must be nonzero")
-    if h0 <= 0:
-        raise ValueError("h0 must be positive")
-    field(z0)  # not evaluable at the seed -> propagate
-
-    direction = 1.0 if t_end > 0 else -1.0
-    horizon = abs(t_end)
-    times = [0.0]
-    points = [z0]
-    termination = "time-limit"
+    direction = 1.0 if targets[-1] > 0 else -1.0
     t = 0.0
     z = z0
-    h = min(h0, horizon)
-
-    for _ in range(max_steps):
-        remaining = horizon - abs(t)
-        if remaining <= 1e-15 * horizon:
-            break
-        step = min(h, remaining)
-        dz = None
-        while True:
-            try:
-                dz = _rk4_step(field, z, direction * step)
-            except _POLE_ERRORS:
-                dz = None
-            if dz is not None and abs(dz) <= max_disp:
-                break
-            step *= 0.5
-            if step < 1e-14 * horizon:
-                termination = "pole-proximity"
-                dz = None
-                break
-        if dz is None:
-            break
-        z = z + dz
-        t = t + direction * step
-        times.append(t)
-        points.append(z)
-        h = min(step * 2.0, h0) if abs(dz) < 0.25 * max_disp else step
-        if region is not None and not _inside(region, z):
-            termination = "region-exit"
-            break
-
-    return Trajectory(tuple(times), tuple(points), termination)
-
-
-def _flow_to_times(field, z0, targets, h0=DEFAULT_H0, max_disp=DEFAULT_MAX_DISP,
-                   max_steps=200_000):
-    """Integrate, landing exactly on each target time; truncates at poles.
-
-    Targets must be strictly monotone, all nonzero and of one sign.
-    Returns (points, truncated_flag).
-    """
-    z = complex(z0)
-    t = 0.0
-    direction = 1.0 if targets[-1] > 0 else -1.0
     h = h0
-    out = []
-    steps = 0
+    times = [t]
+    points = [z]
+    hits = []
     for target in targets:
-        while (target - t) * direction > 1e-15 * max(1.0, abs(target)):
+        scale = max(1.0, abs(target))
+        while (target - t) * direction > 1e-15 * scale:
+            if len(points) > MAX_STEPS:
+                return times, points, hits, "time-limit"
             step = min(h, abs(target - t))
             try:
                 dz = _rk4_step(field, z, direction * step)
@@ -194,33 +139,66 @@ def _flow_to_times(field, z0, targets, h0=DEFAULT_H0, max_disp=DEFAULT_MAX_DISP,
                 dz = None
             if dz is None or abs(dz) > max_disp:
                 h = step * 0.5
-                if h < 1e-14 * max(1.0, abs(target)):
-                    return out, True
+                if h < 1e-14 * scale:
+                    return times, points, hits, "pole-proximity"
                 continue
             z = z + dz
             t = t + direction * step
+            times.append(t)
+            points.append(z)
             if abs(dz) < 0.25 * max_disp:
                 h = min(step * 2.0, h0)
-            steps += 1
-            if steps > max_steps:
-                return out, True
-        out.append(z)
-    return out, False
+            # else h stays as it is: after a step clipped to land on a
+            # target, the next target starts from the unclipped size
+            if region is not None and not _inside(region, z):
+                return times, points, hits, "region-exit"
+        hits.append(len(points) - 1)
+    return times, points, hits, "time-limit"
+
+
+def _check_horizon(t_end: float) -> None:
+    if t_end == 0 or not math.isfinite(t_end):
+        raise ValueError("t_end must be finite and nonzero")
+
+
+def integrate(
+    field,
+    z0: complex,
+    t_end: float,
+    region=None,
+    max_disp: float = DEFAULT_MAX_DISP,
+) -> Trajectory:
+    """Orbit of ``z0`` up to time ``t_end``, sampled at every accepted step.
+
+    Steps follow the adaptive RK4 rule of ``_flow`` from a first step of
+    DEFAULT_H0, so steps shrink without bound near poles and the run ends
+    with reason "pole-proximity".  Negative ``t_end`` integrates in reverse
+    time.  Exhausting the MAX_STEPS step budget reports "time-limit" (the
+    budget, like the horizon, caps the time actually reached).
+
+    Raises ValueError for a zero or non-finite ``t_end``, and NearPole (or
+    kin) only if the starting point itself is not evaluable.
+    """
+    z0 = complex(z0)
+    _check_horizon(t_end)
+    field(z0)  # not evaluable at the seed -> propagate
+    times, points, _, termination = _flow(field, z0, [t_end], region, max_disp=max_disp)
+    return Trajectory(tuple(times), tuple(points), termination)
 
 
 # ---------------------------------------------------------------------------
 # winding numbers
 
 
-def winding_on_path(field, points, zero_tol: float = ZERO_TOL) -> float:
+def winding_on_path(field, points) -> float:
     """Accumulated change of arg(field)/2pi along a closed polyline.
 
     ``points`` is traversed in order and closed back to the first point.
-    Raises ZeroOnContour when the field magnitude drops below ``zero_tol``
+    Raises ZeroOnContour when the field magnitude drops below ZERO_TOL
     anywhere on the path.  Evaluation failures propagate.
     """
     values = [field(p) for p in points]
-    if min(abs(v) for v in values) < zero_tol:
+    if min(abs(v) for v in values) < ZERO_TOL:
         raise ZeroOnContour("field magnitude below tolerance on the contour")
     total = 0.0
     n = len(values)
@@ -237,9 +215,9 @@ def _circle(center: complex, radius: float, n: int):
     ]
 
 
-def winding_estimate_circle(field, center, radius, samples, zero_tol=ZERO_TOL) -> float:
+def winding_estimate_circle(field, center, radius, samples) -> float:
     """Un-rounded winding estimate on a circle (counterclockwise)."""
-    return winding_on_path(field, _circle(complex(center), radius, samples), zero_tol)
+    return winding_on_path(field, _circle(complex(center), radius, samples))
 
 
 def winding_index(
@@ -247,15 +225,12 @@ def winding_index(
     center: complex,
     radius: float,
     samples: int = WINDING_SAMPLES,
-    zero_tol: float = ZERO_TOL,
-    agree_tol: float = WINDING_AGREE_TOL,
-    max_samples: int = 1 << 17,
 ) -> int:
     """Degree of the field around a circle, computed by argument counting.
 
     Sampling doubles until two successive estimates agree within
-    ``agree_tol``; the settled value must lie within 0.05 of an integer,
-    else NonIntegerWinding is raised.
+    WINDING_AGREE_TOL; the settled value must lie within 0.05 of an
+    integer, else NonIntegerWinding is raised.
     """
     if samples < 64:
         raise ValueError("need at least 64 samples")
@@ -265,12 +240,12 @@ def winding_index(
     previous = None
     n = samples
     while True:
-        estimate = winding_estimate_circle(field, center, radius, n, zero_tol)
-        if previous is not None and abs(estimate - previous) <= agree_tol:
+        estimate = winding_estimate_circle(field, center, radius, n)
+        if previous is not None and abs(estimate - previous) <= WINDING_AGREE_TOL:
             break
-        if n * 2 > max_samples:
+        if n * 2 > WINDING_MAX_SAMPLES:
             raise NonIntegerWinding(
-                f"winding estimates did not settle by {max_samples} samples"
+                f"winding estimates did not settle by {WINDING_MAX_SAMPLES} samples"
             )
         previous = estimate
         n *= 2
@@ -335,14 +310,14 @@ def _eval_or_none(field, z):
         return None
 
 
-def _newton_refine(field, z0, zero_tol, max_iter, step_cap):
+def _newton_refine(field, z0, step_cap):
     z = complex(z0)
     fz = _eval_or_none(field, z)
     if fz is None:
         raise NewtonDiverged("start not evaluable")
     below_tol = False
-    for _ in range(max_iter):
-        below_tol = abs(fz) <= zero_tol
+    for _ in range(NEWTON_MAX_ITER):
+        below_tol = abs(fz) <= ZERO_TOL
         h = 1e-7 * max(1.0, abs(z))
         probes = [_eval_or_none(field, z + dz) for dz in (h, -h, 1j * h, -1j * h)]
         if any(p is None for p in probes):
@@ -374,7 +349,7 @@ def _newton_refine(field, z0, zero_tol, max_iter, step_cap):
         while lam >= 1.0 / 1024.0:
             trial = z + lam * delta
             ftrial = _eval_or_none(field, trial)
-            if ftrial is not None and (abs(ftrial) < abs(fz) or abs(ftrial) <= zero_tol):
+            if ftrial is not None and (abs(ftrial) < abs(fz) or abs(ftrial) <= ZERO_TOL):
                 z, fz = trial, ftrial
                 accepted = True
                 break
@@ -383,7 +358,7 @@ def _newton_refine(field, z0, zero_tol, max_iter, step_cap):
             if below_tol:
                 return z
             raise NewtonDiverged("damped step stalled")
-    if abs(fz) <= zero_tol:
+    if abs(fz) <= ZERO_TOL:
         return z
     raise NewtonDiverged("iteration budget exhausted")
 
@@ -394,9 +369,7 @@ def _component_brackets(values, comp) -> bool:
     return lo <= 0.0 <= hi
 
 
-def _locate_zero_points(
-    field, region, n, zero_tol, newton_max_iter=50, dedup_dist=None
-) -> tuple[list[complex], list[dict]]:
+def _locate_zero_points(field, region, n) -> tuple[list[complex], list[dict]]:
     """Grid-bracketed, Newton-refined, deduplicated zero locations."""
     x0, x1, y0, y1 = (float(v) for v in region)
     if not (x1 > x0 and y1 > y0):
@@ -409,8 +382,7 @@ def _locate_zero_points(
 
     diag = math.hypot(x1 - x0, y1 - y0)
     cell = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
-    if dedup_dist is None:
-        dedup_dist = max(1e-12, 1e-5 * diag)
+    dedup_dist = max(1e-12, 1e-5 * diag)
 
     candidates = []
     for j in range(n):
@@ -428,7 +400,7 @@ def _locate_zero_points(
     pad = 0.05 * diag
     for start in candidates:
         try:
-            z = _newton_refine(field, start, zero_tol, newton_max_iter, step_cap=2.0 * cell)
+            z = _newton_refine(field, start, step_cap=2.0 * cell)
         except NewtonDiverged as exc:
             dropped.append({"start": [start.real, start.imag], "reason": str(exc)})
             continue
@@ -445,15 +417,7 @@ def _locate_zero_points(
     return zeros, dropped
 
 
-def find_zeros(
-    field,
-    region,
-    n: int,
-    zero_tol: float = ZERO_TOL,
-    newton_max_iter: int = 50,
-    dedup_dist: float | None = None,
-    samples: int = WINDING_SAMPLES,
-) -> ZeroScan:
+def find_zeros(field, region, n: int) -> ZeroScan:
     """Grid scan for zeros on an axis-aligned rectangle (x0, x1, y0, y1).
 
     Cells where both field components bracket zero seed a damped Newton
@@ -463,9 +427,7 @@ def find_zeros(
     computation are reported in ``dropped`` rather than silently ignored.
     """
     x0, x1, y0, y1 = (float(v) for v in region)
-    zeros, dropped = _locate_zero_points(
-        field, region, n, zero_tol, newton_max_iter, dedup_dist
-    )
+    zeros, dropped = _locate_zero_points(field, region, n)
 
     records: list[ZeroRecord] = []
     width, height = x1 - x0, y1 - y0
@@ -477,11 +439,11 @@ def find_zeros(
         edge = min(z.real - x0, x1 - z.real, z.imag - y0, y1 - z.imag)
         if edge > 0:
             radius = min(radius, 0.9 * edge)
-        radius = max(radius, 64.0 * zero_tol)
+        radius = max(radius, 64.0 * ZERO_TOL)
         index = None
         for _ in range(6):
             try:
-                index = winding_index(field, z, radius, samples, zero_tol=zero_tol)
+                index = winding_index(field, z, radius)
                 break
             except (ZeroOnContour, NonIntegerWinding, *_POLE_ERRORS):
                 radius *= 0.5
@@ -559,15 +521,7 @@ class FlowBoxChart:
     speed: float = 1.0
 
 
-def rectify(
-    field,
-    p: complex,
-    box: float,
-    grid: int = 9,
-    zero_tol: float = ZERO_TOL,
-    h0: float = 0.005,
-    max_disp: float = 0.05,
-) -> FlowBoxChart:
+def rectify(field, p: complex, box: float, grid: int = 9) -> FlowBoxChart:
     """Build a flow-box chart of half-width ``box`` around a regular point.
 
     Raises EquilibriumInBox when the field is below tolerance at the base
@@ -579,14 +533,11 @@ def rectify(
     if grid < 5 or grid % 2 == 0:
         raise ValueError("grid must be an odd integer >= 5")
     fp = field(p)
-    if abs(fp) <= max(zero_tol, 1e-12):
+    if abs(fp) <= max(ZERO_TOL, 1e-12):
         raise EquilibriumInBox(f"|field| = {abs(fp):.3g} at the base point")
     probe = 1.2 * box
     zeros_nearby, _ = _locate_zero_points(
-        field,
-        (p.real - probe, p.real + probe, p.imag - probe, p.imag + probe),
-        16,
-        zero_tol,
+        field, (p.real - probe, p.real + probe, p.imag - probe, p.imag + probe), 16
     )
     if zeros_nearby:
         z = zeros_nearby[0]
@@ -608,18 +559,18 @@ def rectify(
         for targets in (t_pos, t_neg):
             if not targets:
                 continue
-            pts, truncated = _flow_to_times(field, zs, targets, h0=h0, max_disp=max_disp)
-            if truncated:
+            _, pts, hits, _ = _flow(field, zs, targets, h0=0.005, max_disp=0.05)
+            if len(hits) < len(targets):
                 raise NearPole("chart integration hit a pole inside the box")
-            for t, z in zip(targets, pts):
-                row[t] = z
+            for t, i in zip(targets, hits):
+                row[t] = pts[i]
         rows.append(tuple(row[t] for t in t_values))
     points = tuple(rows)
 
     for row in points:
         for z in row:
             fz = field(z)
-            if abs(fz) <= zero_tol:
+            if abs(fz) <= ZERO_TOL:
                 raise EquilibriumInBox(f"|field| = {abs(fz):.3g} inside the requested box")
 
     dt = t_values[1] - t_values[0]
@@ -651,34 +602,25 @@ def rectify(
 # covariance of trajectories under a Moebius map
 
 
-def covariance_check(
-    field,
-    m: MoebiusMap,
-    z0: complex,
-    t_end: float,
-    n_samples: int = 32,
-    h0: float = DEFAULT_H0,
-    max_disp: float = DEFAULT_MAX_DISP,
-) -> float:
-    """Max over sample times of |m(flow_t(z0)) - flow_t(m(z0))|.
+def covariance_check(field, m: MoebiusMap, z0: complex, t_end: float) -> float:
+    """Max of |m(flow_t(z0)) - flow_t(m(z0))| over COVARIANCE_SAMPLES times t.
 
-    If either trajectory leaves the evaluable region early the comparison
+    The sample times divide (0, t_end] evenly.  If either trajectory leaves the evaluable region early the comparison
     truncates to the common time range; with no common samples at all,
-    NearPole is raised.
+    NearPole is raised.  A zero or non-finite ``t_end`` raises ValueError.
     """
     z0 = complex(z0)
-    if t_end == 0:
-        raise ValueError("t_end must be nonzero")
-    targets = [t_end * (k + 1) / n_samples for k in range(n_samples)]
-    pts_a, _ = _flow_to_times(field, z0, targets, h0=h0, max_disp=max_disp)
-    pts_b, _ = _flow_to_times(field, apply(m, z0), targets, h0=h0, max_disp=max_disp)
-    common = min(len(pts_a), len(pts_b))
+    _check_horizon(t_end)
+    targets = [t_end * (k + 1) / COVARIANCE_SAMPLES for k in range(COVARIANCE_SAMPLES)]
+    _, pts_a, hits_a, _ = _flow(field, z0, targets)
+    _, pts_b, hits_b, _ = _flow(field, apply(m, z0), targets)
+    common = min(len(hits_a), len(hits_b))
     if common == 0:
         raise NearPole("no common integrable range for the covariance check")
     worst = 0.0
-    for a, b in zip(pts_a[:common], pts_b[:common]):
+    for i, j in zip(hits_a[:common], hits_b[:common]):
         try:
-            worst = max(worst, abs(apply(m, a) - b))
+            worst = max(worst, abs(apply(m, pts_a[i]) - pts_b[j]))
         except PoleHit:
             break
     return worst

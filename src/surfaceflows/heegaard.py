@@ -454,17 +454,6 @@ def zero_sphere_field() -> Callable:
     return surf
 
 
-SPHERE_FIELD_KINDS = ("dipole", "zero")
-
-
-def sphere_field(kind: str) -> Callable:
-    if kind == "dipole":
-        return dipole_sphere_field()
-    if kind == "zero":
-        return zero_sphere_field()
-    raise ValueError(f"unknown sphere field {kind!r}; have {SPHERE_FIELD_KINDS}")
-
-
 def _fibonacci_sphere(n: int) -> np.ndarray:
     k = np.arange(n, dtype=float)
     phi = math.pi * (3.0 - math.sqrt(5.0))

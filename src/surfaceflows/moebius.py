@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .errors import BallTooLarge, PoleHit
 
-# Defaults shared with the higher layers; CLI tolerance overrides land here.
 DEDUP_TOL = 1e-9
 POLE_TOL = 1e-12
 BALL_CAP = 200_000
@@ -97,18 +96,18 @@ def compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
     )
 
 
-def apply(m: MoebiusMap, z: complex, pole_tol: float = POLE_TOL) -> complex:
+def apply(m: MoebiusMap, z: complex) -> complex:
     den = m.c * z + m.d
-    if abs(den) < pole_tol:
-        raise PoleHit(f"map evaluated within {pole_tol} of its pole (z={z})")
+    if abs(den) < POLE_TOL:
+        raise PoleHit(f"map evaluated within {POLE_TOL} of its pole (z={z})")
     return (m.a * z + m.b) / den
 
 
-def derivative(m: MoebiusMap, z: complex, pole_tol: float = POLE_TOL) -> complex:
+def derivative(m: MoebiusMap, z: complex) -> complex:
     """(ad - bc) / (cz + d)^2, the multiplier a weight-one field picks up."""
     den = m.c * z + m.d
-    if abs(den) < pole_tol:
-        raise PoleHit(f"derivative evaluated within {pole_tol} of the pole (z={z})")
+    if abs(den) < POLE_TOL:
+        raise PoleHit(f"derivative evaluated within {POLE_TOL} of the pole (z={z})")
     return m.det / (den * den)
 
 
@@ -221,12 +220,7 @@ class _MatrixIndex:
         self.buckets.setdefault(self._cell(vec), []).append(vec)
 
 
-def enumerate_ball(
-    generators,
-    radius: int,
-    dedup_tol: float = DEDUP_TOL,
-    cap: int = BALL_CAP,
-) -> GroupBall:
+def enumerate_ball(generators, radius: int, cap: int = BALL_CAP) -> GroupBall:
     """Breadth-first enumeration of all elements with word length <= radius.
 
     Words are extended in canonical letter order (g1, g1^-1, g2, ...), so
@@ -247,7 +241,7 @@ def enumerate_ball(
         letters.append(((i, 1), unit))
         letters.append(((i, -1), inverse(unit)))
 
-    index = _MatrixIndex(dedup_tol)
+    index = _MatrixIndex(DEDUP_TOL)
     identity = MoebiusMap.identity()
     index.add(identity)
     elements: list[tuple[GroupWord, MoebiusMap]] = [(GroupWord(), identity)]

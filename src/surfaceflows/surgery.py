@@ -36,6 +36,10 @@ from .flowlab import ZeroScan, find_zeros, winding_index
 ELLIPTIC_SPEC_SECTORS = (0, 0)
 HYPERBOLIC_SPEC_SECTORS = (0, 4)
 
+# Zero-scan resolution of the numeric connected sum's tube chart; the disc
+# clearance scans use half of it.
+TUBE_GRID = 64
+
 
 @dataclass(frozen=True)
 class EquilibriumSpec:
@@ -60,13 +64,6 @@ class EquilibriumSpec:
 
     def to_dict(self) -> dict:
         return {"n_e": self.n_e, "n_h": self.n_h, "index": str(self.index)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EquilibriumSpec":
-        spec = cls(int(data["n_e"]), int(data["n_h"]))
-        if "index" in data and Fraction(str(data["index"])) != spec.index:
-            raise ValueError(f"stored index {data['index']} does not match sectors")
-        return spec
 
 
 def elliptic_spec() -> EquilibriumSpec:
@@ -115,14 +112,6 @@ class SurfaceInventory:
             "orientable": self.orientable,
             "equilibria": [e.to_dict() for e in self.equilibria],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SurfaceInventory":
-        return cls(
-            genus=int(data["genus"]),
-            orientable=bool(data["orientable"]),
-            equilibria=tuple(EquilibriumSpec.from_dict(e) for e in data.get("equilibria", ())),
-        )
 
 
 @dataclass(frozen=True)
@@ -195,20 +184,6 @@ class SumPlan:
             "n11": self.n11,
             "n21": self.n21,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SumPlan":
-        def spec(key):
-            raw = data.get(key)
-            return EquilibriumSpec.from_dict(raw) if raw is not None else None
-
-        return cls(
-            mode=SumMode(data["mode"]),
-            removed1=spec("removed1"),
-            removed2=spec("removed2"),
-            n11=int(data.get("n11", 0)),
-            n21=int(data.get("n21", 0)),
-        )
 
 
 def _remove_one(equilibria: list[EquilibriumSpec], spec: EquilibriumSpec, which: str):
@@ -306,13 +281,10 @@ class TubeBlend:
     """
 
     width: float = 0.3
-    grid: int = 64
 
     def __post_init__(self):
         if not (0.0 < self.width <= 0.6):
             raise ValueError("width must lie in (0, 0.6]")
-        if self.grid < 16:
-            raise ValueError("grid must be at least 16")
 
 
 def _smoothstep(t: float) -> float:
@@ -349,10 +321,10 @@ class ConnectedSumChart:
         }
 
 
-def _check_disc_clear(field, center: complex, radius: float, which: str, grid: int):
+def _check_disc_clear(field, center: complex, radius: float, which: str):
     box = (center.real - 1.5 * radius, center.real + 1.5 * radius,
            center.imag - 1.5 * radius, center.imag + 1.5 * radius)
-    scan = find_zeros(field, box, max(16, grid // 2))
+    scan = find_zeros(field, box, TUBE_GRID // 2)
     for record in scan:
         if abs(record.location - center) <= radius:
             raise DiscContainsZero(
@@ -382,8 +354,8 @@ def numeric_connected_sum(
     if r1 <= 0 or r2 <= 0:
         raise ValueError("disc radii must be positive")
 
-    _check_disc_clear(field1, c1, r1, "disc1", tube.grid)
-    _check_disc_clear(field2, c2, r2, "disc2", tube.grid)
+    _check_disc_clear(field1, c1, r1, "disc1")
+    _check_disc_clear(field2, c2, r2, "disc2")
 
     k = r1 * r2
     half = 0.5 * tube.width
@@ -412,7 +384,7 @@ def numeric_connected_sum(
     r_outer = (1.0 + tube.width) * r1
     span = r_outer * 1.02
     box = (c1.real - span, c1.real + span, c1.imag - span, c1.imag + span)
-    scan = find_zeros(composite, box, tube.grid)
+    scan = find_zeros(composite, box, TUBE_GRID)
     in_tube = [z for z in scan if r_inner < abs(z.location - c1) < r_outer]
     tube_scan = ZeroScan(zeros=in_tube, dropped=scan.dropped)
 

@@ -34,6 +34,17 @@ from surfaceflows.moebius import MoebiusMap, apply, derivative
 
 from conftest import DENOMINATOR_POLE, GENUS2_GENERATORS, NUMERATOR_POLE
 
+def walled(field, x_max):
+    """``field``, not evaluable to the right of Re z = x_max."""
+
+    def f(z):
+        if z.real > x_max:
+            raise NearPole("beyond the wall")
+        return field(z)
+
+    return PlanarField("custom", f)
+
+
 SADDLE = canonical_field("saddle")
 NODE = canonical_field("node")
 CENTER = canonical_field("center")
@@ -91,6 +102,11 @@ class TestIntegrate:
         tr = integrate(NODE, 1 + 0j, 2.0, max_disp=0.05)
         for p0, p1 in zip(tr.points, tr.points[1:]):
             assert abs(p1 - p0) <= 0.05 + 1e-12
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+    def test_non_finite_horizon_rejected(self, t_end):
+        with pytest.raises(ValueError):
+            integrate(NODE, 1 + 0j, t_end)
 
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
@@ -292,6 +308,12 @@ class TestRectify:
         with pytest.raises(EquilibriumInBox):
             rectify(PENDULUM, complex(math.pi - 0.001, 0.0), 0.05)
 
+    def test_pole_inside_box_rejected(self):
+        # forward chart flows from the transversal at x = 0 run into the wall
+        field = walled(PlanarField("custom", lambda z: 1 + 0j), 0.05)
+        with pytest.raises(NearPole, match="chart integration hit a pole inside the box"):
+            rectify(field, 0j, 0.1)
+
     def test_grid_parity_validated(self):
         with pytest.raises(ValueError):
             rectify(PENDULUM, 0 + 1j, 0.1, grid=8)
@@ -322,3 +344,23 @@ class TestCovariance:
         )
         assert value <= 10.0 * defect * t_end
         assert value > 0.0
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+    def test_non_finite_horizon_rejected(self, t_end):
+        with pytest.raises(ValueError):
+            covariance_check(NODE, MoebiusMap.identity(), 1 + 0j, t_end)
+
+    def test_truncates_to_common_range(self):
+        # node flow z e^t; the shifted start 1.5 reaches the wall at x = 2
+        # first, after 9 of the 32 samples t = k/32 (1.5 e^(9/32) < 2 <
+        # 1.5 e^(10/32)).  The defect |(e^t + 0.5) - 1.5 e^t| grows with t,
+        # so its maximum over the common samples is at t = 9/32.
+        shift = MoebiusMap(1, 0.5, 0, 1)
+        value = covariance_check(walled(NODE, 2.0), shift, 1 + 0j, 1.0)
+        assert value == pytest.approx(0.5 * (math.exp(9 / 32) - 1), rel=1e-9)
+
+    def test_no_reachable_sample_raises(self):
+        # the wall is 1e-4 ahead, the first sample 1/32 away
+        field = walled(PlanarField("custom", lambda z: 1 + 0j), 0.5)
+        with pytest.raises(NearPole, match="no common integrable range"):
+            covariance_check(field, MoebiusMap.identity(), 0.5 - 1e-4, 1.0)
