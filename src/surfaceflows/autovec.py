@@ -10,6 +10,12 @@ weight-(m+1) series transforms with the single-derivative multiplier of a
 vector field: F(Tz) = T'(z) F(z).  Truncation to a finite word-length ball
 makes that law approximate; the residual is always measured, never assumed.
 
+One field kernel. ``AutomorphicField`` holds the ball and the two seed
+poles; ``field_eval`` computes each element's image Tz and multiplier
+T'(z) once and forms both series from them, the numerator at weight
+WEIGHT around the numerator pole and the denominator at weight WEIGHT + 1
+around the denominator pole.
+
 Stabilized evaluation. When the generating set contains an affine map
 (c = 0), the orbit of any point climbs without bound in the half-plane
 coordinate and the raw orbit sum is dominated by those terms instead of
@@ -47,7 +53,7 @@ from .moebius import (
 POLE_GUARD = 1e-6
 DENOMINATOR_TOL = 1e-10
 RESIDUAL_EPS = 1e-9
-DEFAULT_WEIGHTS = (2, 3)
+WEIGHT = 2  # numerator weight; the denominator series has weight WEIGHT + 1
 DEFAULT_TRUNCATION = 4
 
 # |c| below this (on normalized matrices) marks an affine element, which in
@@ -57,33 +63,28 @@ _AFFINE_C_TOL = 1e-8
 CAYLEY_DISK = MoebiusMap(1.0, -1.0j, 1.0, 1.0j)  # upper half-plane -> unit disk
 
 
-@dataclass(frozen=True)
-class RationalSeed:
-    """Seed function H(z) = 1 / (z - pole)."""
-
-    pole: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "pole", complex(self.pole))
-        if not (math.isfinite(self.pole.real) and math.isfinite(self.pole.imag)):
-            raise ValueError("seed pole must be finite")
-
-    def __call__(self, z: complex) -> complex:
-        return 1.0 / (z - self.pole)
-
-
 @dataclass(frozen=True, eq=False)
-class ThetaSeries:
-    """Truncated orbit sum of a rational seed at an integer weight >= 2."""
+class AutomorphicField:
+    """Ratio of a weight-WEIGHT and a weight-(WEIGHT + 1) orbit series on one ball.
 
-    seed: RationalSeed
-    weight: int
+    The series' seeds are 1/(z - numerator_pole) and 1/(z - denominator_pole),
+    with the poles given in the summation coordinates.  ``conjugation`` is
+    the change-of-variables map of the stabilized evaluation (None when the
+    series are summed in the given coordinates).
+    """
+
     ball: GroupBall
+    numerator_pole: complex
+    denominator_pole: complex
+    conjugation: MoebiusMap | None = None
     _arrays: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.weight < 2:
-            raise ValueError("weight must be >= 2 for a convergent orbit sum")
+        for name in ("numerator_pole", "denominator_pole"):
+            pole = complex(getattr(self, name))
+            if not (math.isfinite(pole.real) and math.isfinite(pole.imag)):
+                raise ValueError("seed pole must be finite")
+            object.__setattr__(self, name, pole)
         maps = self.ball.maps()
         a = np.array([m.a for m in maps], dtype=complex)
         b = np.array([m.b for m in maps], dtype=complex)
@@ -92,66 +93,41 @@ class ThetaSeries:
         object.__setattr__(self, "_arrays", (a, b, c, d, a * d - b * c))
 
     def __call__(self, z: complex) -> complex:
-        return theta_eval(self, z)
-
-
-def theta_eval(ts: ThetaSeries, z: complex) -> complex:
-    """Sum of H(Tz) * (T'(z))^weight over the ball, in canonical ball order.
-
-    Raises NearPole when z sits within POLE_GUARD of a singularity of any
-    term (a map's pole line or a preimage of the seed pole).
-    """
-    a, b, c, d, det = ts._arrays
-    den = c * z + d
-    if np.abs(den).min() < POLE_GUARD:
-        raise NearPole(f"z={z} is within {POLE_GUARD} of a ball element's pole line")
-    moved = (a * z + b) / den
-    gap = moved - ts.seed.pole
-    if np.abs(gap).min() < POLE_GUARD:
-        raise NearPole(f"z={z} is within {POLE_GUARD} of an orbit preimage of the seed pole")
-    terms = (det / (den * den)) ** ts.weight / gap
-    return complex(terms.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class AutomorphicField:
-    """Ratio of a weight-m and a weight-(m+1) orbit series on one shared ball.
-
-    ``conjugation`` is the change-of-variables map of the stabilized
-    evaluation (None when the series are summed in the given coordinates).
-    """
-
-    numerator: ThetaSeries
-    denominator: ThetaSeries
-    conjugation: MoebiusMap | None = None
-
-    def __post_init__(self):
-        if self.denominator.weight != self.numerator.weight + 1:
-            raise ValueError("denominator weight must exceed numerator weight by one")
-        if self.numerator.ball is not self.denominator.ball:
-            raise ValueError("numerator and denominator must share one ball")
-
-    @property
-    def ball(self) -> GroupBall:
-        return self.numerator.ball
-
-    def __call__(self, z: complex) -> complex:
         return field_eval(self, z)
 
 
 def field_eval(f: AutomorphicField, z: complex) -> complex:
-    """Evaluate the series ratio, in stabilized coordinates when present."""
+    """Evaluate the series ratio, in stabilized coordinates when present.
+
+    Both series sum over the ball in canonical order, sharing each
+    element's image Tw and multiplier T'(w) at the summation point w.
+    Raises NearPole when w sits within POLE_GUARD of a ball element's pole
+    line or of an orbit preimage of either seed pole, and
+    DenominatorVanishes when the denominator series is below
+    DENOMINATOR_TOL in magnitude.
+    """
     if f.conjugation is not None:
         w = apply(f.conjugation, z)
         scale = derivative(f.conjugation, z)
     else:
         w = z
         scale = 1.0
-    num = theta_eval(f.numerator, w)
-    den = theta_eval(f.denominator, w)
-    if abs(den) < DENOMINATOR_TOL:
-        raise DenominatorVanishes(f"denominator series ~ {abs(den):.3g} at z={z}")
-    return num / den / scale
+    a, b, c, d, det = f._arrays
+    den = c * w + d
+    if np.abs(den).min() < POLE_GUARD:
+        raise NearPole(f"z={w} is within {POLE_GUARD} of a ball element's pole line")
+    moved = (a * w + b) / den
+    mult = det / (den * den)
+    num_gap = moved - f.numerator_pole
+    den_gap = moved - f.denominator_pole
+    for gap in (num_gap, den_gap):
+        if np.abs(gap).min() < POLE_GUARD:
+            raise NearPole(f"z={w} is within {POLE_GUARD} of an orbit preimage of the seed pole")
+    num = complex((mult ** WEIGHT / num_gap).sum())
+    den_sum = complex((mult ** (WEIGHT + 1) / den_gap).sum())
+    if abs(den_sum) < DENOMINATOR_TOL:
+        raise DenominatorVanishes(f"denominator series ~ {abs(den_sum):.3g} at z={z}")
+    return num / den_sum / scale
 
 
 def equivariance_residual(f: AutomorphicField, m: MoebiusMap, z: complex) -> float:
@@ -175,10 +151,9 @@ def build_automorphic_field(
     generators,
     numerator_pole: complex,
     denominator_pole: complex,
-    weights: tuple[int, int] = DEFAULT_WEIGHTS,
     truncation: int = DEFAULT_TRUNCATION,
 ) -> AutomorphicField:
-    """Enumerate the ball and assemble the two-series field.
+    """Enumerate the ball and assemble the field.
 
     The series are summed in the disk model (conjugated by the Cayley map)
     exactly when the raw ball contains an affine non-identity element.
@@ -199,18 +174,13 @@ def build_automorphic_field(
         s2 = complex(denominator_pole)
         conjugation = None
 
-    return AutomorphicField(
-        numerator=ThetaSeries(RationalSeed(s1), weights[0], ball),
-        denominator=ThetaSeries(RationalSeed(s2), weights[1], ball),
-        conjugation=conjugation,
-    )
+    return AutomorphicField(ball, s1, s2, conjugation)
 
 
 def equivariance_report(
     generators,
     numerator_pole: complex,
     denominator_pole: complex,
-    weights: tuple[int, int] = DEFAULT_WEIGHTS,
     truncation: int = DEFAULT_TRUNCATION,
     sample_points=None,
 ) -> dict:
@@ -225,13 +195,13 @@ def equivariance_report(
     sample_points = [complex(z) for z in sample_points]
     radii = [truncation] + ([truncation - 1] if truncation >= 1 else [])
     report: dict = {
-        "weights": list(weights),
+        "weights": [WEIGHT, WEIGHT + 1],
         "sample_points": [[z.real, z.imag] for z in sample_points],
         "truncations": {},
     }
     for radius in radii:
         f = build_automorphic_field(
-            generators, numerator_pole, denominator_pole, weights, radius
+            generators, numerator_pole, denominator_pole, radius
         )
         per_gen = {}
         for gi, g in enumerate(generators, 1):  # residuals measured against the original maps

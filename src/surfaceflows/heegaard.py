@@ -480,7 +480,8 @@ def sphere_surface_zeros(
     """Locate zeros of a tangent field on the unit sphere.
 
     Coarse deterministic sampling picks candidate minima of |field|, each
-    refined by a damped Newton step in tangent coordinates.  A field that
+    refined by damped Newton steps in tangent coordinates until the step is
+    negligible; a candidate is kept if it ends below ``tol``.  A field that
     vanishes on more than half the samples is treated as identically zero
     and returns an empty list (no isolated zeros).
     """
@@ -489,17 +490,18 @@ def sphere_surface_zeros(
     if np.median(mags) < tol:
         return []
     order = np.argsort(mags, kind="stable")
+
+    def residual(u):
+        val = np.asarray(surface(u), dtype=float)
+        e1, e2 = _tangent_basis(u)
+        g = np.array([val @ e1, val @ e2])
+        return g, e1, e2, np.linalg.norm(g) < tol and np.linalg.norm(val) < math.sqrt(tol)
+
     zeros: list[np.ndarray] = []
     for idx in order[: max_zeros * 4]:
         u = pts[idx].copy()
-        ok = False
+        g, e1, e2, below_tol = residual(u)
         for _ in range(60):
-            val = np.asarray(surface(u), dtype=float)
-            e1, e2 = _tangent_basis(u)
-            g = np.array([val @ e1, val @ e2])
-            if np.linalg.norm(g) < tol and np.linalg.norm(val) < math.sqrt(tol):
-                ok = True
-                break
             h = 1e-6
             cols = []
             for e in (e1, e2):
@@ -516,11 +518,17 @@ def sphere_surface_zeros(
                 break
             step = -np.linalg.solve(jac, g)
             norm = np.linalg.norm(step)
+            # once below tolerance, keep polishing until the step itself is
+            # negligible: stopping at |g| < tol alone leaves a sqrt(tol)-sized
+            # ring of pseudo-locations around a multiple zero
+            if below_tol and norm <= 1e-10:
+                break
             if norm > 0.5:
                 step *= 0.5 / norm
             u = u + step[0] * e1 + step[1] * e2
             u /= np.linalg.norm(u)
-        if not ok:
+            g, e1, e2, below_tol = residual(u)
+        if not below_tol:
             continue
         if all(np.linalg.norm(u - z) > 1e-6 for z in zeros):
             zeros.append(u)

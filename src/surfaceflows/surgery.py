@@ -28,7 +28,7 @@ from .errors import (
     PlanMismatch,
     ZeroOnContour,
 )
-from .flowlab import ZeroScan, find_zeros, winding_index
+from .flowlab import ZeroScan, find_zeros, sector_index, winding_index
 
 # Specs for equilibria created by a gluing.  A centre (no sectors at all,
 # closed orbits only) is the minimal structure with index +1; a four-sector
@@ -56,7 +56,7 @@ class EquilibriumSpec:
 
     @property
     def index(self) -> Fraction:
-        return Fraction(2 + self.n_e - self.n_h, 2)
+        return sector_index(self.n_e, self.n_h)
 
     def dual(self) -> "EquilibriumSpec":
         """Sector-swapped partner; indices of a spec and its dual sum to 2."""

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from surfaceflows.autovec import (
-    CAYLEY_DISK,
     EQUIVARIANCE_SAMPLE,
     AutomorphicField,
     PlanarField,
-    RationalSeed,
-    ThetaSeries,
     ball_has_affine_element,
     build_automorphic_field,
     canonical_field,
@@ -17,10 +14,9 @@ from surfaceflows.autovec import (
     equivariance_residual,
     field_eval,
     pendulum_field,
-    theta_eval,
 )
 from surfaceflows.errors import NearPole
-from surfaceflows.moebius import MoebiusMap, apply, compose, enumerate_ball, inverse
+from surfaceflows.moebius import MoebiusMap, apply, derivative, enumerate_ball
 
 from conftest import DENOMINATOR_POLE, GENUS2_GENERATORS, NUMERATOR_POLE
 
@@ -33,43 +29,47 @@ def trivial_ball():
 
 
 class TestThetaSeries:
+    """The two orbit series, observed through the one field kernel."""
+
     def test_identity_ball_is_plain_seed(self):
-        ts = ThetaSeries(RationalSeed(1 + 2j), 2, trivial_ball())
+        # one term per series: F = (1/(z - s1)) / (1/(z - s2))
+        f = AutomorphicField(trivial_ball(), 1 + 2j, S2)
         for z in (0.0, 3.0 - 1j, -2.5 + 0.5j):
-            assert theta_eval(ts, z) == pytest.approx(1.0 / (z - (1 + 2j)), abs=1e-15)
+            assert field_eval(f, z) == pytest.approx((z - S2) / (z - (1 + 2j)), rel=1e-15)
 
     def test_seed_value_at_origin(self):
-        ts = ThetaSeries(RationalSeed(S1), 2, trivial_ball())
-        assert theta_eval(ts, 0.0) == pytest.approx(1.0 / (2 - 3j), abs=1e-15)
+        f = AutomorphicField(trivial_ball(), S1, S2)
+        assert field_eval(f, 0.0) == pytest.approx(S2 / S1, rel=1e-15)
 
     def test_near_pole_guard(self):
-        ts = ThetaSeries(RationalSeed(S1), 2, trivial_ball())
-        with pytest.raises(NearPole):
-            theta_eval(ts, S1 + 1e-8)
+        f = AutomorphicField(trivial_ball(), S1, S2)
+        for seed_pole in (S1, S2):
+            with pytest.raises(NearPole, match="orbit preimage of the seed pole"):
+                field_eval(f, seed_pole + 1e-8)
+        # the ball element z -> -1/(z + 4) has its pole at -4
+        g = AutomorphicField(enumerate_ball([GENUS2_GENERATORS[1]], 1), S1, S2)
+        with pytest.raises(NearPole, match="pole line"):
+            field_eval(g, -4 + 1e-8)
 
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            ThetaSeries(RationalSeed(0j), 1, trivial_ball())
+    def test_seed_poles_must_be_finite(self):
+        for poles in ((complex("inf"), S2), (S1, complex("nan"))):
+            with pytest.raises(ValueError, match="seed pole must be finite"):
+                AutomorphicField(trivial_ball(), *poles)
 
-    def test_truncation_increments_shrink(self):
-        # summing deeper shells changes the value less and less (evaluated
-        # in the disk coordinates, where the orbit sum converges)
-        cay = CAYLEY_DISK
-        cay_inv = inverse(cay)
-        moved = [compose(compose(cay, g), cay_inv) for g in GENUS2_GENERATORS]
-        balls = {radius: enumerate_ball(moved, radius) for radius in range(5)}
-        seed = RationalSeed(apply(cay, S1))
-        z = apply(cay, 0.3 + 2.5j)
-        values = [theta_eval(ThetaSeries(seed, 2, balls[r]), z) for r in range(5)]
-        increments = [abs(v1 - v0) for v0, v1 in zip(values, values[1:])]
+    def test_truncation_increments_shrink(self, demo_field):
+        # summing deeper shells changes the field less and less (median
+        # relative change over the equivariance sample, stabilized field)
+        values = [[demo_field(r)(z) for z in EQUIVARIANCE_SAMPLE] for r in range(1, 5)]
+        increments = [
+            float(np.median([abs(b - a) / abs(b) for a, b in zip(v0, v1)]))
+            for v0, v1 in zip(values, values[1:])
+        ]
         assert increments[2] < increments[1] < increments[0]
-        assert increments[3] < increments[2]
 
     def test_deterministic_bit_identical(self):
         ball = enumerate_ball(GENUS2_GENERATORS, 2)
-        ts = ThetaSeries(RationalSeed(S1), 2, ball)
-        first = theta_eval(ts, 0.7 + 1.3j)
-        again = theta_eval(ThetaSeries(RationalSeed(S1), 2, ball), 0.7 + 1.3j)
+        first = field_eval(AutomorphicField(ball, S1, S2), 0.7 + 1.3j)
+        again = field_eval(AutomorphicField(ball, S1, S2), 0.7 + 1.3j)
         assert first == again
 
 
@@ -100,20 +100,24 @@ class TestAutomorphicField:
         raw_ball = enumerate_ball(GENUS2_GENERATORS, 1)
         assert ball_has_affine_element(raw_ball)
 
-    def test_weight_pairing_enforced(self):
-        ball = trivial_ball()
-        with pytest.raises(ValueError):
-            AutomorphicField(
-                ThetaSeries(RationalSeed(S1), 2, ball),
-                ThetaSeries(RationalSeed(S2), 4, ball),
-            )
-
-    def test_shared_ball_enforced(self):
-        with pytest.raises(ValueError):
-            AutomorphicField(
-                ThetaSeries(RationalSeed(S1), 2, trivial_ball()),
-                ThetaSeries(RationalSeed(S2), 3, trivial_ball()),
-            )
+    @pytest.mark.parametrize("generators, truncation", [(GENUS2_GENERATORS, 4),
+                                                        (GENUS2_GENERATORS[:3], 3)])
+    def test_matches_independent_orbit_sum(self, generators, truncation):
+        # oracle: per-element sums of H(Tw) * T'(w)^m with moebius.apply and
+        # moebius.derivative, pulled back through the conjugation if any
+        f = build_automorphic_field(generators, S1, S2, truncation=truncation)
+        assert (f.conjugation is not None) == (truncation == 4)
+        conj = f.conjugation or MoebiusMap.identity()
+        s1, s2 = apply(conj, S1), apply(conj, S2)
+        for z in (0.3 + 2.5j, -1.1 + 0.9j, 1.7 + 3.2j, 0.05 + 0.4j):
+            w = apply(conj, z)
+            num = den = 0j
+            for t in f.ball.maps():
+                tw, dt = apply(t, w), derivative(t, w)
+                num += dt ** 2 / (tw - s1)
+                den += dt ** 3 / (tw - s2)
+            expected = num / den / derivative(conj, z)
+            assert field_eval(f, z) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_and_pole_visible(self, demo_field):
         # the field drops near its zero and blows up near its pole
@@ -162,6 +166,7 @@ class TestEquivariance:
         report = equivariance_report(
             GENUS2_GENERATORS, S1, S2, truncation=1, sample_points=[1j, 1 + 2j]
         )
+        assert report["weights"] == [2, 3]
         assert set(report["truncations"]) == {"0", "1"}
         assert report["truncations"]["1"]["ball_size"] == 9
         assert report["truncations"]["0"]["ball_size"] == 1
