@@ -40,6 +40,7 @@ WINDING_MAX_SAMPLES = 1 << 17
 WINDING_INTEGER_TOL = 0.05
 NEWTON_MAX_ITER = 50
 COVARIANCE_SAMPLES = 32
+RECTIFY_GRID = 9
 
 CLASS_HYPERBOLIC = "hyperbolic-like"
 CLASS_ELLIPTIC = "elliptic/center-like"
@@ -161,17 +162,11 @@ def _check_horizon(t_end: float) -> None:
         raise ValueError("t_end must be finite and nonzero")
 
 
-def integrate(
-    field,
-    z0: complex,
-    t_end: float,
-    region=None,
-    max_disp: float = DEFAULT_MAX_DISP,
-) -> Trajectory:
+def integrate(field, z0: complex, t_end: float, region=None) -> Trajectory:
     """Orbit of ``z0`` up to time ``t_end``, sampled at every accepted step.
 
     Steps follow the adaptive RK4 rule of ``_flow`` from a first step of
-    DEFAULT_H0, so steps shrink without bound near poles and the run ends
+    DEFAULT_H0, each moving at most DEFAULT_MAX_DISP, so steps shrink without bound near poles and the run ends
     with reason "pole-proximity".  Negative ``t_end`` integrates in reverse
     time.  Exhausting the MAX_STEPS step budget reports "time-limit" (the
     budget, like the horizon, caps the time actually reached).
@@ -182,7 +177,7 @@ def integrate(
     z0 = complex(z0)
     _check_horizon(t_end)
     field(z0)  # not evaluable at the seed -> propagate
-    times, points, _, termination = _flow(field, z0, [t_end], region, max_disp=max_disp)
+    times, points, _, termination = _flow(field, z0, [t_end], region)
     return Trajectory(tuple(times), tuple(points), termination)
 
 
@@ -220,25 +215,22 @@ def winding_estimate_circle(field, center, radius, samples) -> float:
     return winding_on_path(field, _circle(complex(center), radius, samples))
 
 
-def winding_index(
-    field,
-    center: complex,
-    radius: float,
-    samples: int = WINDING_SAMPLES,
-) -> int:
+def winding_index(field, center: complex, radius: float) -> int:
     """Degree of the field around a circle, computed by argument counting.
 
-    Sampling doubles until two successive estimates agree within
-    WINDING_AGREE_TOL; the settled value must lie within 0.05 of an
-    integer, else NonIntegerWinding is raised.
+    Sampling starts at WINDING_SAMPLES and doubles until two successive
+    estimates agree within WINDING_AGREE_TOL; the settled value must lie
+    within 0.05 of an integer, else NonIntegerWinding is raised.  A
+    non-finite centre or a radius that is not positive and finite raises
+    ValueError.
     """
-    if samples < 64:
-        raise ValueError("need at least 64 samples")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     center = complex(center)
+    if not cmath.isfinite(center):
+        raise ValueError("centre must be finite")
     previous = None
-    n = samples
+    n = WINDING_SAMPLES
     while True:
         estimate = winding_estimate_circle(field, center, radius, n)
         if previous is not None and abs(estimate - previous) <= WINDING_AGREE_TOL:
@@ -310,7 +302,7 @@ def _eval_or_none(field, z):
         return None
 
 
-def _newton_refine(field, z0, step_cap):
+def newton_refine(field, z0, step_cap):
     z = complex(z0)
     fz = _eval_or_none(field, z)
     if fz is None:
@@ -400,7 +392,7 @@ def _locate_zero_points(field, region, n) -> tuple[list[complex], list[dict]]:
     pad = 0.05 * diag
     for start in candidates:
         try:
-            z = _newton_refine(field, start, step_cap=2.0 * cell)
+            z = newton_refine(field, start, step_cap=2.0 * cell)
         except NewtonDiverged as exc:
             dropped.append({"start": [start.real, start.imag], "reason": str(exc)})
             continue
@@ -521,8 +513,9 @@ class FlowBoxChart:
     speed: float = 1.0
 
 
-def rectify(field, p: complex, box: float, grid: int = 9) -> FlowBoxChart:
-    """Build a flow-box chart of half-width ``box`` around a regular point.
+def rectify(field, p: complex, box: float) -> FlowBoxChart:
+    """Build a RECTIFY_GRID x RECTIFY_GRID flow-box chart of half-width
+    ``box`` around a regular point.
 
     Raises EquilibriumInBox when the field is below tolerance at the base
     point or anywhere on the constructed grid.
@@ -530,8 +523,6 @@ def rectify(field, p: complex, box: float, grid: int = 9) -> FlowBoxChart:
     p = complex(p)
     if box <= 0:
         raise ValueError("box must be positive")
-    if grid < 5 or grid % 2 == 0:
-        raise ValueError("grid must be an odd integer >= 5")
     fp = field(p)
     if abs(fp) <= max(ZERO_TOL, 1e-12):
         raise EquilibriumInBox(f"|field| = {abs(fp):.3g} at the base point")
@@ -547,8 +538,8 @@ def rectify(field, p: complex, box: float, grid: int = 9) -> FlowBoxChart:
     speed0 = abs(fp)
     normal = 1j * fp / speed0
     t_span = box / speed0
-    s_values = tuple(np.linspace(-box, box, grid).tolist())
-    t_values = tuple(np.linspace(-t_span, t_span, grid).tolist())
+    s_values = tuple(np.linspace(-box, box, RECTIFY_GRID).tolist())
+    t_values = tuple(np.linspace(-t_span, t_span, RECTIFY_GRID).tolist())
     t_pos = [t for t in t_values if t > 0]
     t_neg = [t for t in t_values if t < 0][::-1]  # toward more negative
 
@@ -576,8 +567,8 @@ def rectify(field, p: complex, box: float, grid: int = 9) -> FlowBoxChart:
     dt = t_values[1] - t_values[0]
     ds = s_values[1] - s_values[0]
     residual = 0.0
-    for i in range(1, grid - 1):
-        for j in range(1, grid - 1):
+    for i in range(1, RECTIFY_GRID - 1):
+        for j in range(1, RECTIFY_GRID - 1):
             pt = (points[i][j + 1] - points[i][j - 1]) / (2.0 * dt)
             ps = (points[i + 1][j] - points[i - 1][j]) / (2.0 * ds)
             fz = field(points[i][j])

@@ -23,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import TooManyEquilibria
+from .errors import NewtonDiverged, TooManyEquilibria
+from .flowlab import ZERO_TOL, newton_refine
 
 
 @dataclass(frozen=True)
@@ -354,6 +355,12 @@ def h1_from_gluing(m: GluingMatrix) -> AbelianGroup:
 # ---------------------------------------------------------------------------
 # extending sphere dynamics into the solid ball
 
+SPHERE_SAMPLES = 4000
+SPHERE_ZERO_TOL = 1e-10
+MAX_SPHERE_ZEROS = 16
+INTERIOR_HIT_TOL = 1e-4
+ORIGIN_EXCLUSION = 1e-3
+
 
 def _default_tangential_profile(r: float) -> float:
     return r
@@ -463,93 +470,79 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
 
 
-def _tangent_basis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pick = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(u, pick)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
-    return e1, e2
+def _from_chart(w: complex, s: float) -> np.ndarray:
+    """Inverse stereographic projection from the pole s * e3.
+
+    s = +1 projects from the north pole (w = 0 is the south pole), s = -1
+    from the south pole; the chart point of u is (u0 + i u1) / (1 - s u2).
+    """
+    r2 = w.real * w.real + w.imag * w.imag
+    return np.array([2.0 * w.real, 2.0 * w.imag, s * (r2 - 1.0)]) / (1.0 + r2)
 
 
-def sphere_surface_zeros(
-    surface: Callable,
-    coarse: int = 4000,
-    tol: float = 1e-10,
-    max_zeros: int = 16,
-) -> list[np.ndarray]:
+def _chart(surface: Callable, s: float) -> Callable[[complex], complex]:
+    """The surface field as a planar field in the chart of ``_from_chart``.
+
+    It is the stereographic image of the field times the conformal factor
+    (1 - s u2), so a tangent field keeps its length: |value| = |surface(u)|.
+    """
+
+    def planar(w: complex) -> complex:
+        u = _from_chart(w, s)
+        v = np.asarray(surface(u), dtype=float)
+        lift = s * v[2] / (1.0 - s * u[2])
+        return complex(v[0] + lift * u[0], v[1] + lift * u[1])
+
+    return planar
+
+
+def sphere_surface_zeros(surface: Callable) -> list[np.ndarray]:
     """Locate zeros of a tangent field on the unit sphere.
 
-    Coarse deterministic sampling picks candidate minima of |field|, each
-    refined by damped Newton steps in tangent coordinates until the step is
-    negligible; a candidate is kept if it ends below ``tol``.  A field that
+    SPHERE_SAMPLES deterministic samples pick candidate minima of |field|.
+    Each candidate is refined by flowlab's damped Newton solver in the
+    stereographic chart from the pole farther from it.  The chart field is
+    scaled by ZERO_TOL / SPHERE_ZERO_TOL, so the solver's acceptance
+    |value| <= ZERO_TOL means |field| <= SPHERE_ZERO_TOL; the result is
+    kept only if |field| <= SPHERE_ZERO_TOL holds on the sphere itself.  At
+    most MAX_SPHERE_ZEROS distinct zeros are returned.  A field that
     vanishes on more than half the samples is treated as identically zero
     and returns an empty list (no isolated zeros).
     """
-    pts = _fibonacci_sphere(coarse)
+    pts = _fibonacci_sphere(SPHERE_SAMPLES)
     mags = np.array([np.linalg.norm(surface(p)) for p in pts])
-    if np.median(mags) < tol:
+    if np.median(mags) < SPHERE_ZERO_TOL:
         return []
     order = np.argsort(mags, kind="stable")
-
-    def residual(u):
-        val = np.asarray(surface(u), dtype=float)
-        e1, e2 = _tangent_basis(u)
-        g = np.array([val @ e1, val @ e2])
-        return g, e1, e2, np.linalg.norm(g) < tol and np.linalg.norm(val) < math.sqrt(tol)
+    scale = ZERO_TOL / SPHERE_ZERO_TOL
 
     zeros: list[np.ndarray] = []
-    for idx in order[: max_zeros * 4]:
-        u = pts[idx].copy()
-        g, e1, e2, below_tol = residual(u)
-        for _ in range(60):
-            h = 1e-6
-            cols = []
-            for e in (e1, e2):
-                up = u + h * e
-                up /= np.linalg.norm(up)
-                um = u - h * e
-                um /= np.linalg.norm(um)
-                vp = np.asarray(surface(up), dtype=float)
-                vm = np.asarray(surface(um), dtype=float)
-                cols.append([(vp - vm) @ e1 / (2 * h), (vp - vm) @ e2 / (2 * h)])
-            jac = np.array(cols).T
-            det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-            if not math.isfinite(det) or abs(det) < 1e-14:
-                break
-            step = -np.linalg.solve(jac, g)
-            norm = np.linalg.norm(step)
-            # once below tolerance, keep polishing until the step itself is
-            # negligible: stopping at |g| < tol alone leaves a sqrt(tol)-sized
-            # ring of pseudo-locations around a multiple zero
-            if below_tol and norm <= 1e-10:
-                break
-            if norm > 0.5:
-                step *= 0.5 / norm
-            u = u + step[0] * e1 + step[1] * e2
-            u /= np.linalg.norm(u)
-            g, e1, e2, below_tol = residual(u)
-        if not below_tol:
+    for idx in order[: MAX_SPHERE_ZEROS * 4]:
+        p = pts[idx]
+        s = 1.0 if p[2] <= 0.0 else -1.0
+        chart = _chart(surface, s)
+        start = complex(p[0], p[1]) / (1.0 - s * p[2])
+        try:
+            w = newton_refine(lambda w: scale * chart(w), start, step_cap=0.5)
+        except NewtonDiverged:
+            continue
+        u = _from_chart(w, s)
+        if np.linalg.norm(surface(u)) > SPHERE_ZERO_TOL:
             continue
         if all(np.linalg.norm(u - z) > 1e-6 for z in zeros):
             zeros.append(u)
-        if len(zeros) >= max_zeros:
+        if len(zeros) >= MAX_SPHERE_ZEROS:
             break
     zeros.sort(key=lambda z: (z[2], z[1], z[0]))
     return zeros
 
 
-def interior_zero_scan(
-    f: BallExtensionField,
-    n: int,
-    seed: int = 0,
-    hit_tol: float = 1e-4,
-    origin_exclusion: float = 1e-3,
-) -> dict:
+def interior_zero_scan(f: BallExtensionField, n: int, seed: int = 0) -> dict:
     """Sample the open ball for spurious zeros of the extended field.
 
-    Points inside ``origin_exclusion`` of the centre are skipped (the
-    centre is the one intended equilibrium); any remaining sample with
-    |V| < hit_tol counts as a hit and is reported.
+    Points inside ORIGIN_EXCLUSION of the centre are skipped (the centre
+    is the one intended equilibrium); any remaining sample with
+    |V| < INTERIOR_HIT_TOL counts as a hit and is reported.
     """
     if n < 0:
         raise ValueError("sample count must be nonnegative")
@@ -564,20 +557,20 @@ def interior_zero_scan(
         radii = rng.random(n) ** (1.0 / 3.0)
         pts = dirs / norms[:, None] * radii[:, None]
         for p in pts:
-            if np.linalg.norm(p) <= origin_exclusion:
+            if np.linalg.norm(p) <= ORIGIN_EXCLUSION:
                 continue
             checked += 1
             mag = float(np.linalg.norm(extend_to_ball(f, p)))
             if mag < min_mag:
                 min_mag = mag
-            if mag < hit_tol:
+            if mag < INTERIOR_HIT_TOL:
                 hits.append([float(p[0]), float(p[1]), float(p[2])])
     return {
         "samples": n,
         "checked": checked,
         "seed": seed,
-        "hit_tol": hit_tol,
-        "origin_exclusion": origin_exclusion,
+        "hit_tol": INTERIOR_HIT_TOL,
+        "origin_exclusion": ORIGIN_EXCLUSION,
         "interior_hits": len(hits),
         "hit_points": hits,
         "min_field_magnitude": None if math.isinf(min_mag) else min_mag,

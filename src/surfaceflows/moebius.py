@@ -220,7 +220,7 @@ class _MatrixIndex:
         self.buckets.setdefault(self._cell(vec), []).append(vec)
 
 
-def enumerate_ball(generators, radius: int, cap: int = BALL_CAP) -> GroupBall:
+def enumerate_ball(generators, radius: int) -> GroupBall:
     """Breadth-first enumeration of all elements with word length <= radius.
 
     Words are extended in canonical letter order (g1, g1^-1, g2, ...), so
@@ -228,7 +228,7 @@ def enumerate_ball(generators, radius: int, cap: int = BALL_CAP) -> GroupBall:
     the output order is schedule-independent: word length first, then
     lexicographic word.
 
-    Raises BallTooLarge when the element count would exceed ``cap``.
+    Raises BallTooLarge when the element count would exceed BALL_CAP.
     """
     generators = tuple(generators)
     if radius < 0:
@@ -258,9 +258,9 @@ def enumerate_ball(generators, radius: int, cap: int = BALL_CAP) -> GroupBall:
                 candidate = _sign_fixed(raw.a, raw.b, raw.c, raw.d)
                 if index.contains(candidate):
                     continue
-                if len(elements) + 1 > cap:
+                if len(elements) + 1 > BALL_CAP:
                     raise BallTooLarge(
-                        f"group ball exceeds cap of {cap} elements at radius {radius}"
+                        f"group ball exceeds cap of {BALL_CAP} elements at radius {radius}"
                     )
                 index.add(candidate)
                 new_letters = word_letters + (letter,)

@@ -18,6 +18,7 @@ from surfaceflows.errors import (
     ZeroOnContour,
 )
 from surfaceflows.flowlab import (
+    DEFAULT_MAX_DISP,
     Trajectory,
     classify_index,
     covariance_check,
@@ -99,9 +100,11 @@ class TestIntegrate:
         assert abs(tr.end_point - 1.0) < 0.05
 
     def test_max_step_displacement(self):
-        tr = integrate(NODE, 1 + 0j, 2.0, max_disp=0.05)
-        for p0, p1 in zip(tr.points, tr.points[1:]):
-            assert abs(p1 - p0) <= 0.05 + 1e-12
+        # the node's speed reaches e^3 ~ 20, so the bound cuts steps of DEFAULT_H0
+        tr = integrate(NODE, 1 + 0j, 3.0)
+        steps = [abs(p1 - p0) for p0, p1 in zip(tr.points, tr.points[1:])]
+        assert max(steps) <= DEFAULT_MAX_DISP + 1e-12
+        assert max(steps) > 0.5 * DEFAULT_MAX_DISP
 
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
     def test_non_finite_horizon_rejected(self, t_end):
@@ -177,9 +180,14 @@ class TestWinding:
             scan = find_zeros(field, (-1, 1, -1, 1), 24)
             assert sum(z.winding_index for z in scan) == 3
 
-    def test_requires_enough_samples(self):
+    @pytest.mark.parametrize(
+        "center, radius",
+        [(0j, math.nan), (0j, math.inf), (complex(math.nan, 0), 0.1),
+         (complex(0, math.inf), 0.1), (0j, 0.0), (0j, -0.1)],
+    )
+    def test_non_finite_or_non_positive_circle_rejected(self, center, radius):
         with pytest.raises(ValueError):
-            winding_index(SADDLE, 0j, 0.1, samples=16)
+            winding_index(SADDLE, center, radius)
 
 
 class TestSectorIndex:
@@ -313,10 +321,6 @@ class TestRectify:
         field = walled(PlanarField("custom", lambda z: 1 + 0j), 0.05)
         with pytest.raises(NearPole, match="chart integration hit a pole inside the box"):
             rectify(field, 0j, 0.1)
-
-    def test_grid_parity_validated(self):
-        with pytest.raises(ValueError):
-            rectify(PENDULUM, 0 + 1j, 0.1, grid=8)
 
 
 class TestCovariance:

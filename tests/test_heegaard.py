@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 from surfaceflows.errors import TooManyEquilibria
 from surfaceflows.heegaard import (
     MAX_SUBSET_INDICES,
+    SPHERE_ZERO_TOL,
     AbelianGroup,
     BallExtensionField,
     IndexSet,
+    _chart,
+    _from_chart,
     compose_word,
+    corollary_check,
     dipole_sphere_field,
     feasible_genera,
     h1_from_gluing,
+    handle_equilibria,
     interior_zero_scan,
     parse_twist_word,
     smith_diagonal,
@@ -26,6 +31,42 @@ from surfaceflows.heegaard import (
 
 SOUTH = np.array([0.0, 0.0, -1.0])
 NORTH = np.array([0.0, 0.0, 1.0])
+
+
+def toward_north(u):
+    return NORTH - (u @ NORTH) * u
+
+
+def rotation(u):
+    return np.cross(NORTH, u)
+
+
+def xy_gradient(u):
+    # tangential part of grad(xy): saddles at both poles, and a maximum or
+    # minimum at each of the four equator points (+-1, +-1, 0)/sqrt(2)
+    g = np.array([u[1], u[0], 0.0])
+    return g - (g @ u) * u
+
+
+def plane_field_on_sphere(plane):
+    """Plane field carried to the sphere by projection from the north pole,
+    built like ``dipole_sphere_field`` (independently of the chart code)."""
+
+    def surf(u):
+        x = u[0] / (1.0 - u[2])
+        y = u[1] / (1.0 - u[2])
+        v = plane(complex(x, y))
+        s = 1.0 + x * x + y * y
+        dot = x * v.real + y * v.imag
+        return np.array(
+            [
+                2.0 * v.real / s - 4.0 * x * dot / (s * s),
+                2.0 * v.imag / s - 4.0 * y * dot / (s * s),
+                4.0 * dot / (s * s),
+            ]
+        )
+
+    return surf
 
 
 def sympy_smith_diagonal(rows):
@@ -91,6 +132,29 @@ class TestFeasibleGenera:
             feasible_genera(IndexSet((1,) * (MAX_SUBSET_INDICES + 1)))
 
 
+class TestSplittingBookkeeping:
+    @pytest.mark.parametrize(
+        "hyperbolic, p, expected",
+        [(0, 1, True), (1, 2, False), (2, 2, True), (3, 3, False), (4, 3, True), (5, 3, True)],
+    )
+    def test_corollary_needs_two_p_minus_one_hyperbolic(self, hyperbolic, p, expected):
+        s = IndexSet((-1,) * hyperbolic + (1,) * 3, hyperbolic_count=hyperbolic)
+        assert corollary_check(s, p) is expected
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_corollary_genus_below_one_rejected(self, p):
+        with pytest.raises(ValueError):
+            corollary_check(IndexSet((1, 1)), p)
+
+    @pytest.mark.parametrize("genus", [0, 1, 2, 5])
+    def test_handle_equilibria_centre_plus_one_per_handle(self, genus):
+        assert handle_equilibria(genus) == 1 + genus
+
+    def test_handle_equilibria_negative_genus_rejected(self):
+        with pytest.raises(ValueError):
+            handle_equilibria(-1)
+
+
 class TestTwistWordHomology:
     @pytest.mark.parametrize(
         "text, genus, expected",
@@ -149,17 +213,57 @@ class TestSphereSurfaceZeros:
         assert np.linalg.norm(zeros[0] - SOUTH) < 1e-6
 
     def test_two_simple_zeros_at_the_poles(self):
-        def toward_north(u):
-            return NORTH - (u @ NORTH) * u
-
-        zeros = sphere_surface_zeros(toward_north)
-        assert len(zeros) == 2
-        assert np.linalg.norm(zeros[0] - SOUTH) < 1e-9
-        assert np.linalg.norm(zeros[1] - NORTH) < 1e-9
+        diag = 1.0 / math.sqrt(2.0)
+        equator = [
+            np.array([-diag, -diag, 0.0]),
+            np.array([diag, -diag, 0.0]),
+            np.array([diag, diag, 0.0]),
+            np.array([-diag, diag, 0.0]),
+        ]
+        cases = [
+            (toward_north, [SOUTH, NORTH]),
+            (rotation, [SOUTH, NORTH]),
+            (xy_gradient, [SOUTH] + equator + [NORTH]),
+        ]
+        for field, expected in cases:
+            zeros = sphere_surface_zeros(field)
+            assert len(zeros) == len(expected)
+            for z in expected:
+                assert min(np.linalg.norm(z - w) for w in zeros) < 1e-9
 
     def test_identically_zero_field_has_no_isolated_zeros(self):
         assert sphere_surface_zeros(zero_sphere_field()) == []
 
     def test_results_are_unit_vectors(self):
-        for z in sphere_surface_zeros(dipole_sphere_field()):
-            assert math.isclose(float(np.linalg.norm(z)), 1.0, rel_tol=1e-12)
+        for field in (dipole_sphere_field(), rotation, xy_gradient):
+            for z in sphere_surface_zeros(field):
+                assert math.isclose(float(np.linalg.norm(z)), 1.0, rel_tol=1e-12)
+                assert np.linalg.norm(field(z)) <= SPHERE_ZERO_TOL
+
+    @pytest.mark.parametrize("eps", [1e-6, 5e-9, 5e-11])
+    def test_never_vanishing_field_has_no_zeros(self, eps):
+        # |V| >= 2 eps, with its minimum at the south pole: the solver's own
+        # planar acceptance (ZERO_TOL = 1e-8) must not stand in for the
+        # sphere's SPHERE_ZERO_TOL
+        field = plane_field_on_sphere(lambda z: abs(z) ** 2 + eps)
+        assert np.linalg.norm(field(SOUTH)) == pytest.approx(2.0 * eps)
+        assert sphere_surface_zeros(field) == []
+
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_chart_inverts_stereographic_projection(self, s):
+        rng = np.random.default_rng(7)
+        for w in rng.normal(size=20) + 1j * rng.normal(size=20):
+            u = _from_chart(w, s)
+            assert math.isclose(float(np.linalg.norm(u)), 1.0, rel_tol=1e-14)
+            assert abs(complex(u[0], u[1]) / (1.0 - s * u[2]) - w) < 1e-13 * max(1.0, abs(w))
+        assert np.array_equal(_from_chart(0j, s), -s * NORTH)
+
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_chart_value_keeps_the_tangent_length(self, s):
+        rng = np.random.default_rng(11)
+        for field in (toward_north, rotation, xy_gradient, dipole_sphere_field()):
+            chart = _chart(field, s)
+            for w in 2.0 * (rng.normal(size=10) + 1j * rng.normal(size=10)):
+                assert abs(chart(w)) == pytest.approx(
+                    np.linalg.norm(field(_from_chart(w, s))), rel=1e-12, abs=1e-15
+                )

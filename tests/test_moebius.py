@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfaceflows import moebius
 from surfaceflows.errors import BallTooLarge, PoleHit
 from surfaceflows.moebius import (
     GroupWord,
@@ -215,9 +216,10 @@ class TestEnumeration:
         keys = [w.sort_key() for w in ball.words()]
         assert keys == sorted(keys)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(moebius, "BALL_CAP", 100)
         with pytest.raises(BallTooLarge):
-            enumerate_ball((T1, T2, T3, T4), 3, cap=100)
+            enumerate_ball((T1, T2, T3, T4), 3)
 
     def test_dedup_collapses_relations(self):
         # a generator listed twice: the duplicate letters must collapse
