@@ -11,10 +11,10 @@ vector field: F(Tz) = T'(z) F(z).  Truncation to a finite word-length ball
 makes that law approximate; the residual is always measured, never assumed.
 
 One field kernel. ``AutomorphicField`` holds the ball and the two seed
-poles; ``field_eval`` computes each element's image Tz and multiplier
-T'(z) once and forms both series from them, the numerator at weight
+poles; ``field_eval`` sums both series over it, the numerator at weight
 WEIGHT around the numerator pole and the denominator at weight WEIGHT + 1
-around the denominator pole.
+around the denominator pole.  Each seed is folded into the coefficients
+when the field is built, so a term costs one division (see field_eval).
 
 Stabilized evaluation. When the generating set contains an affine map
 (c = 0), the orbit of any point climbs without bound in the half-plane
@@ -40,20 +40,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import DenominatorVanishes, NearPole
-from .moebius import (
-    GroupBall,
-    MoebiusMap,
-    apply,
-    compose,
-    derivative,
-    enumerate_ball,
-    inverse,
-)
+from .moebius import GroupBall, MoebiusMap, apply, derivative, enumerate_ball
 
 POLE_GUARD = 1e-6
 DENOMINATOR_TOL = 1e-10
 RESIDUAL_EPS = 1e-9
 WEIGHT = 2  # numerator weight; the denominator series has weight WEIGHT + 1
+# (field_eval writes out the powers of cw + d for this value)
 DEFAULT_TRUNCATION = 4
 
 # |c| below this (on normalized matrices) marks an affine element, which in
@@ -90,7 +83,13 @@ class AutomorphicField:
         b = np.array([m.b for m in maps], dtype=complex)
         c = np.array([m.c for m in maps], dtype=complex)
         d = np.array([m.d for m in maps], dtype=complex)
-        object.__setattr__(self, "_arrays", (a, b, c, d, a * d - b * c))
+        det = a * d - b * c
+        s1, s2 = self.numerator_pole, self.denominator_pole
+        # seed s folded into the top row: T(w) - s = ((a - s c) w + (b - s d)) / (c w + d)
+        object.__setattr__(self, "_arrays", (
+            c, d, a - s1 * c, b - s1 * d, a - s2 * c, b - s2 * d,
+            det ** WEIGHT, det ** (WEIGHT + 1),
+        ))
 
     def __call__(self, z: complex) -> complex:
         return field_eval(self, z)
@@ -99,12 +98,15 @@ class AutomorphicField:
 def field_eval(f: AutomorphicField, z: complex) -> complex:
     """Evaluate the series ratio, in stabilized coordinates when present.
 
-    Both series sum over the ball in canonical order, sharing each
-    element's image Tw and multiplier T'(w) at the summation point w.
-    Raises NearPole when w sits within POLE_GUARD of a ball element's pole
-    line or of an orbit preimage of either seed pole, and
-    DenominatorVanishes when the denominator series is below
-    DENOMINATOR_TOL in magnitude.
+    Both series sum over the ball in canonical order.  With the seed s
+    folded into the coefficients, a' = a - s c and b' = b - s d, the
+    weight-m term H(Tw) T'(w)^m = det^m / ((cw + d)^(2m) (Tw - s)) becomes
+    det^m / ((cw + d)^(2m - 1) (a'w + b')): one division, no complex power.
+    Raises NearPole when |cw + d| < POLE_GUARD (w near a ball element's
+    pole line) or when |a'w + b'| < POLE_GUARD |cw + d|, which is
+    |Tw - s| < POLE_GUARD (w near an orbit preimage of a seed pole, checked
+    for the numerator seed first); raises DenominatorVanishes when the
+    denominator series is below DENOMINATOR_TOL in magnitude.
     """
     if f.conjugation is not None:
         w = apply(f.conjugation, z)
@@ -112,19 +114,21 @@ def field_eval(f: AutomorphicField, z: complex) -> complex:
     else:
         w = z
         scale = 1.0
-    a, b, c, d, det = f._arrays
+    c, d, a1, b1, a2, b2, det_num, det_den = f._arrays
     den = c * w + d
-    if np.abs(den).min() < POLE_GUARD:
+    size = np.abs(den)
+    if size.min() < POLE_GUARD:
         raise NearPole(f"z={w} is within {POLE_GUARD} of a ball element's pole line")
-    moved = (a * w + b) / den
-    mult = det / (den * den)
-    num_gap = moved - f.numerator_pole
-    den_gap = moved - f.denominator_pole
+    guard = POLE_GUARD * size
+    num_gap = a1 * w + b1
+    den_gap = a2 * w + b2
     for gap in (num_gap, den_gap):
-        if np.abs(gap).min() < POLE_GUARD:
+        if (np.abs(gap) < guard).any():
             raise NearPole(f"z={w} is within {POLE_GUARD} of an orbit preimage of the seed pole")
-    num = complex((mult ** WEIGHT / num_gap).sum())
-    den_sum = complex((mult ** (WEIGHT + 1) / den_gap).sum())
+    den2 = den * den
+    den3 = den2 * den  # (cw + d)^(2m - 1) for m = WEIGHT = 2; times den2 for m = 3
+    num = complex((det_num / (den3 * num_gap)).sum())
+    den_sum = complex((det_den / (den3 * den2 * den_gap)).sum())
     if abs(den_sum) < DENOMINATOR_TOL:
         raise DenominatorVanishes(f"denominator series ~ {abs(den_sum):.3g} at z={z}")
     return num / den_sum / scale
@@ -158,23 +162,19 @@ def build_automorphic_field(
     The series are summed in the disk model (conjugated by the Cayley map)
     exactly when the raw ball contains an affine non-identity element.
     """
-    generators = tuple(generators)
-    raw_ball = enumerate_ball(generators, truncation)
-    if ball_has_affine_element(raw_ball):
-        cay = CAYLEY_DISK
-        cay_inv = inverse(cay)
-        moved = tuple(compose(compose(cay, g), cay_inv) for g in generators)
-        ball = enumerate_ball(moved, truncation)
-        s1 = apply(cay, complex(numerator_pole))
-        s2 = apply(cay, complex(denominator_pole))
-        conjugation = cay
-    else:
-        ball = raw_ball
-        s1 = complex(numerator_pole)
-        s2 = complex(denominator_pole)
-        conjugation = None
+    raw_ball = enumerate_ball(tuple(generators), truncation)
+    return _field_on_ball(raw_ball, numerator_pole, denominator_pole)
 
-    return AutomorphicField(ball, s1, s2, conjugation)
+
+def _field_on_ball(raw_ball: GroupBall, numerator_pole, denominator_pole) -> AutomorphicField:
+    if ball_has_affine_element(raw_ball):
+        return AutomorphicField(
+            raw_ball.conjugated(CAYLEY_DISK),
+            apply(CAYLEY_DISK, complex(numerator_pole)),
+            apply(CAYLEY_DISK, complex(denominator_pole)),
+            CAYLEY_DISK,
+        )
+    return AutomorphicField(raw_ball, complex(numerator_pole), complex(denominator_pole))
 
 
 def equivariance_report(
@@ -187,7 +187,9 @@ def equivariance_report(
     """Per-generator median residuals at the requested truncation and one below.
 
     This is the convergence evidence for a truncated field: residuals are
-    reported, not assumed small.
+    reported, not assumed small.  The ball is enumerated once; the smaller
+    one is its prefix, and each radius decides stabilization on its own
+    raw ball, as build_automorphic_field does.
     """
     generators = tuple(generators)
     if sample_points is None:
@@ -199,10 +201,9 @@ def equivariance_report(
         "sample_points": [[z.real, z.imag] for z in sample_points],
         "truncations": {},
     }
+    raw_ball = enumerate_ball(generators, truncation)
     for radius in radii:
-        f = build_automorphic_field(
-            generators, numerator_pole, denominator_pole, radius
-        )
+        f = _field_on_ball(raw_ball.truncated(radius), numerator_pole, denominator_pole)
         per_gen = {}
         for gi, g in enumerate(generators, 1):  # residuals measured against the original maps
             residuals = []

@@ -192,7 +192,10 @@ def winding_on_path(field, points) -> float:
     Raises ZeroOnContour when the field magnitude drops below ZERO_TOL
     anywhere on the path.  Evaluation failures propagate.
     """
-    values = [field(p) for p in points]
+    return _winding_of_values([field(p) for p in points])
+
+
+def _winding_of_values(values) -> float:
     if min(abs(v) for v in values) < ZERO_TOL:
         raise ZeroOnContour("field magnitude below tolerance on the contour")
     total = 0.0
@@ -202,11 +205,12 @@ def winding_on_path(field, points) -> float:
     return total / (2.0 * math.pi)
 
 
-def _circle(center: complex, radius: float, n: int):
+def _circle(center: complex, radius: float, n: int, first: int = 0, stride: int = 1):
+    """Points k = first, first + stride, ... < n of the n-point circle."""
     return [
         center + radius * complex(math.cos(2.0 * math.pi * k / n),
                                   math.sin(2.0 * math.pi * k / n))
-        for k in range(n)
+        for k in range(first, n, stride)
     ]
 
 
@@ -223,6 +227,13 @@ def winding_index(field, center: complex, radius: float) -> int:
     within 0.05 of an integer, else NonIntegerWinding is raised.  A
     non-finite centre or a radius that is not positive and finite raises
     ValueError.
+
+    Point 2k of the 2n-point circle is point k of the n-point circle, bit
+    for bit (2 pi (2k) / (2n) rounds exactly as 2 pi k / n), so each
+    doubling evaluates only the n new odd points and interleaves them with
+    the values it has.  Every estimate is the one ``winding_estimate_circle``
+    gives at that sample count, and a circle settled at 2n samples costs 2n
+    evaluations.
     """
     if not 0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
@@ -231,8 +242,9 @@ def winding_index(field, center: complex, radius: float) -> int:
         raise ValueError("centre must be finite")
     previous = None
     n = WINDING_SAMPLES
+    values = [field(p) for p in _circle(center, radius, n)]
     while True:
-        estimate = winding_estimate_circle(field, center, radius, n)
+        estimate = _winding_of_values(values)
         if previous is not None and abs(estimate - previous) <= WINDING_AGREE_TOL:
             break
         if n * 2 > WINDING_MAX_SAMPLES:
@@ -240,6 +252,8 @@ def winding_index(field, center: complex, radius: float) -> int:
                 f"winding estimates did not settle by {WINDING_MAX_SAMPLES} samples"
             )
         previous = estimate
+        odd = [field(p) for p in _circle(center, radius, 2 * n, 1, 2)]
+        values = [v for pair in zip(values, odd) for v in pair]
         n *= 2
     nearest = round(estimate)
     if abs(estimate - nearest) > WINDING_INTEGER_TOL:
@@ -333,6 +347,10 @@ def newton_refine(field, z0, step_cap):
         # negligible: stopping at |f| <= tol alone leaves a sqrt(tol)-sized
         # ring of pseudo-locations around a multiple zero
         if below_tol and abs(delta) <= 1e-10 * max(1.0, abs(z)):
+            # take that last step too, unless it makes |f| larger
+            fstep = _eval_or_none(field, z + delta)
+            if fstep is not None and abs(fstep) <= abs(fz):
+                return z + delta
             return z
         if abs(delta) > step_cap:
             delta *= step_cap / abs(delta)

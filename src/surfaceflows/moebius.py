@@ -178,20 +178,52 @@ class GroupBall:
     def words(self) -> tuple[GroupWord, ...]:
         return tuple(w for w, _ in self.elements)
 
+    def truncated(self, radius: int) -> "GroupBall":
+        """The ball of a radius no larger than this one's.
+
+        Enumeration is breadth-first in canonical order, so its first
+        ``radius`` levels are exactly those of the smaller enumeration: the
+        smaller ball is a prefix of this one.
+        """
+        if not 0 <= radius <= self.radius:
+            raise ValueError(f"radius must lie in [0, {self.radius}]")
+        size = sum(1 for word, _ in self.elements if len(word) <= radius)
+        return GroupBall(self.generators, radius, self.elements[:size])
+
+    def conjugated(self, m: MoebiusMap) -> "GroupBall":
+        """The ball of the generators conjugated by ``m``, g -> m g m^-1.
+
+        Conjugation is an isomorphism, so each element keeps its canonical
+        word; its matrix is the conjugate by the det-1 representative of
+        ``m``, sign-fixed like an enumerated one.
+        """
+        unit = m.normalized()
+        unit_inv = inverse(unit)
+        m_inv = inverse(m)
+        elements = tuple(
+            (word, _sign_fixed(*compose(compose(unit, g), unit_inv).coeffs()))
+            for word, g in self.elements
+        )
+        generators = tuple(compose(compose(m, g), m_inv) for g in self.generators)
+        return GroupBall(generators, self.radius, elements)
+
 
 class _MatrixIndex:
     """Spatial hash over the 8 real coordinates of normalized matrices.
 
     Distinct elements of a discrete group sit far apart while duplicates
     agree to rounding error, so a coarse grid with neighbour probing is
-    enough.  Lookups also test the negated candidate: the sign convention
-    can flip for matrices whose leading coefficient hugs the imaginary
-    axis.
+    enough.  Cells are 1000 * tol wide and centred on multiples of their
+    width, so zeros and integers, frequent coordinates, sit mid-cell and a
+    lookup usually probes one cell (a power-of-two width would put odd
+    integers on cell edges).  Lookups also probe around the negated
+    matrix: the sign convention can flip for matrices whose leading
+    coefficient hugs the imaginary axis.
     """
 
     def __init__(self, tol: float):
         self.tol = tol
-        self.h = max(tol * 16.0, 1e-12)
+        self.h = max(tol * 1000.0, 1e-12)
         self.buckets: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
 
     @staticmethod
@@ -199,21 +231,23 @@ class _MatrixIndex:
         return tuple(itertools.chain.from_iterable((w.real, w.imag) for w in m.coeffs()))
 
     def _cell(self, vec) -> tuple[int, ...]:
-        return tuple(math.floor(x / self.h) for x in vec)
+        return tuple(math.floor(x / self.h + 0.5) for x in vec)
 
-    def contains(self, m: MoebiusMap) -> bool:
-        vec = self._vec(m)
+    def _near(self, vec) -> bool:
         ranges = [
-            range(math.floor((x - self.tol) / self.h), math.floor((x + self.tol) / self.h) + 1)
+            range(math.floor((x - self.tol) / self.h + 0.5),
+                  math.floor((x + self.tol) / self.h + 0.5) + 1)
             for x in vec
         ]
         for cell in itertools.product(*ranges):
             for cand in self.buckets.get(cell, ()):
                 if max(abs(x - y) for x, y in zip(vec, cand)) < self.tol:
                     return True
-                if max(abs(x + y) for x, y in zip(vec, cand)) < self.tol:
-                    return True
         return False
+
+    def contains(self, m: MoebiusMap) -> bool:
+        vec = self._vec(m)
+        return self._near(vec) or self._near(tuple(-x for x in vec))
 
     def add(self, m: MoebiusMap) -> None:
         vec = self._vec(m)

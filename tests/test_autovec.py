@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surfaceflows.autovec import (
+    CAYLEY_DISK,
     EQUIVARIANCE_SAMPLE,
     AutomorphicField,
     PlanarField,
@@ -16,7 +17,14 @@ from surfaceflows.autovec import (
     pendulum_field,
 )
 from surfaceflows.errors import NearPole
-from surfaceflows.moebius import MoebiusMap, apply, derivative, enumerate_ball
+from surfaceflows.moebius import (
+    MoebiusMap,
+    apply,
+    compose,
+    derivative,
+    enumerate_ball,
+    inverse,
+)
 
 from conftest import DENOMINATOR_POLE, GENUS2_GENERATORS, NUMERATOR_POLE
 
@@ -119,6 +127,22 @@ class TestAutomorphicField:
             expected = num / den / derivative(conj, z)
             assert field_eval(f, z) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "generators, radius",
+        [(GENUS2_GENERATORS, r) for r in range(5)] + [(GENUS2_GENERATORS[:3], 3)],
+    )
+    def test_conjugated_ball_matches_enumeration(self, generators, radius):
+        # conjugating the raw ball's elements gives the ball of the
+        # conjugated generators: same words, coefficients to rounding
+        moved = tuple(compose(compose(CAYLEY_DISK, g), inverse(CAYLEY_DISK)) for g in generators)
+        expected = enumerate_ball(moved, radius)
+        got = enumerate_ball(generators, radius).conjugated(CAYLEY_DISK)
+        assert got.generators == expected.generators
+        assert got.words() == expected.words()
+        for m, n in zip(got.maps(), expected.maps()):
+            scale = max(abs(x) for x in n.coeffs())
+            assert max(abs(x - y) for x, y in zip(m.coeffs(), n.coeffs())) <= 1e-12 * scale
+
     def test_zero_and_pole_visible(self, demo_field):
         # the field drops near its zero and blows up near its pole
         f = demo_field(4)
@@ -161,6 +185,26 @@ class TestEquivariance:
         for g in GENUS2_GENERATORS:
             for radius in (1, 2, 3):
                 assert medians[(radius + 1, g)] <= 1.10 * medians[(radius, g)]
+
+    def test_stabilization_decided_per_radius(self):
+        # the radius-1 ball holds the affine generator, the radius-0 one not
+        report = equivariance_report(GENUS2_GENERATORS, S1, S2, truncation=1, sample_points=[1j])
+        assert report["truncations"]["1"]["stabilized"] is True
+        assert report["truncations"]["0"]["stabilized"] is False
+
+    @pytest.mark.parametrize("truncation", [1, 3])
+    def test_report_matches_fields_built_per_radius(self, truncation):
+        # one enumeration, sliced: the same medians, bit for bit, as
+        # fields built at each radius on their own
+        sample = EQUIVARIANCE_SAMPLE[:6]
+        report = equivariance_report(GENUS2_GENERATORS, S1, S2, truncation, sample)
+        for radius in (truncation, truncation - 1):
+            f = build_automorphic_field(GENUS2_GENERATORS, S1, S2, radius)
+            entry = report["truncations"][str(radius)]
+            assert entry["ball_size"] == len(f.ball)
+            for gi, g in enumerate(GENUS2_GENERATORS, 1):
+                median = float(np.median([equivariance_residual(f, g, z) for z in sample]))
+                assert entry["per_generator"][f"g{gi}"]["median_residual"] == median
 
     def test_report_structure(self):
         report = equivariance_report(

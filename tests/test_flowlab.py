@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from surfaceflows import flowlab
 from surfaceflows.autovec import (
     PlanarField,
     build_automorphic_field,
@@ -19,11 +20,14 @@ from surfaceflows.errors import (
 )
 from surfaceflows.flowlab import (
     DEFAULT_MAX_DISP,
+    WINDING_MAX_SAMPLES,
+    WINDING_SAMPLES,
     Trajectory,
     classify_index,
     covariance_check,
     find_zeros,
     integrate,
+    newton_refine,
     poincare_hopf_check,
     rectify,
     sector_index,
@@ -147,15 +151,44 @@ class TestWinding:
     def test_non_integer_winding_when_sampling_cannot_settle(self):
         # unit-magnitude vortex of degree 4000 just inside the contour:
         # every sampling density aliases to a different count, so the
-        # adaptive doubling must give up rather than return a guess
+        # adaptive doubling must give up rather than return a guess, having
+        # evaluated each point of the largest circle exactly once
         import cmath
 
+        calls = []
+
         def vortex(z):
+            calls.append(z)
             w = z - 0.49
             return cmath.exp(4000j * math.atan2(w.imag, w.real))
 
         with pytest.raises(NonIntegerWinding):
             winding_index(PlanarField("custom", vortex), 0j, 0.5)
+        assert len(calls) == len(set(calls)) == WINDING_MAX_SAMPLES
+
+    def test_settled_circle_reuses_samples(self, monkeypatch):
+        # the 2n-point circle contains the n-point one: a circle settled at
+        # the first doubling costs 2n evaluations, not 3n, and each
+        # estimate is bit-identical to a fresh count at its sample count
+        n = WINDING_SAMPLES
+        expected = [winding_estimate_circle(DIPOLE, 0.1j, 0.3, k).hex() for k in (n, 2 * n)]
+        points = []
+
+        def counting(z):
+            points.append(z)
+            return DIPOLE(z)
+
+        estimates = []
+        count = flowlab._winding_of_values
+
+        def recording(values):
+            estimates.append(count(values))
+            return estimates[-1]
+
+        monkeypatch.setattr(flowlab, "_winding_of_values", recording)
+        assert winding_index(PlanarField("custom", counting), 0.1j, 0.3) == 2
+        assert len(points) == 2 * n
+        assert [e.hex() for e in estimates] == expected
 
     def test_winding_additivity_polynomials(self):
         # boundary degree equals the number of enclosed simple roots
@@ -188,6 +221,16 @@ class TestWinding:
     def test_non_finite_or_non_positive_circle_rejected(self, center, radius):
         with pytest.raises(ValueError):
             winding_index(SADDLE, center, radius)
+
+
+class TestNewtonRefine:
+    @pytest.mark.parametrize("offset", [1e-3, 3e-3])
+    def test_takes_its_final_step(self, offset):
+        # a simple zero with curvature: the last, negligible step still
+        # moves the iterate from ~1e-10 off the zero onto it
+        r = 0.6 + 0.3j
+        field = PlanarField("custom", lambda z: (z - r) + (z - r) ** 2)
+        assert abs(newton_refine(field, r + offset, step_cap=0.5) - r) <= 1e-14
 
 
 class TestSectorIndex:

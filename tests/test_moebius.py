@@ -229,3 +229,34 @@ class TestEnumeration:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             enumerate_ball((T1,), -1)
+
+    def test_smaller_ball_is_prefix(self):
+        # breadth-first in canonical order: the first r levels of a bigger
+        # enumeration are the radius-r enumeration, bit for bit
+        big = enumerate_ball((T1, T2, T3, T4), 4)
+        for r in range(5):
+            small = big.truncated(r)
+            assert small.radius == r
+            assert small.elements == enumerate_ball((T1, T2, T3, T4), r).elements
+        with pytest.raises(ValueError):
+            big.truncated(5)
+
+
+class TestMatrixIndex:
+    def test_finds_sign_flipped_duplicate(self):
+        index = moebius._MatrixIndex(moebius.DEDUP_TOL)
+        m = T1.normalized()
+        index.add(m)
+        assert index.contains(m)
+        assert index.contains(MoebiusMap(-m.a, -m.b, -m.c, -m.d))
+        assert not index.contains(T2.normalized())
+
+    def test_tolerance_is_the_match_radius(self):
+        index = moebius._MatrixIndex(moebius.DEDUP_TOL)
+        m = T3.normalized()  # real matrix: its imaginary parts are exact zeros
+        index.add(m)
+        for step in (0.5, -0.5, 0.5j, -0.5j):
+            near = MoebiusMap(m.a + step * moebius.DEDUP_TOL, m.b, m.c, m.d)
+            far = MoebiusMap(m.a, m.b, m.c + 4.0 * step * moebius.DEDUP_TOL, m.d)
+            assert index.contains(near)
+            assert not index.contains(far)
