@@ -78,11 +78,7 @@ class AutomorphicField:
             if not (math.isfinite(pole.real) and math.isfinite(pole.imag)):
                 raise ValueError("seed pole must be finite")
             object.__setattr__(self, name, pole)
-        maps = self.ball.maps()
-        a = np.array([m.a for m in maps], dtype=complex)
-        b = np.array([m.b for m in maps], dtype=complex)
-        c = np.array([m.c for m in maps], dtype=complex)
-        d = np.array([m.d for m in maps], dtype=complex)
+        a, b, c, d = self.ball.coeffs.T.copy()  # four contiguous columns
         det = a * d - b * c
         s1, s2 = self.numerator_pole, self.denominator_pole
         # seed s folded into the top row: T(w) - s = ((a - s c) w + (b - s d)) / (c w + d)
@@ -141,14 +137,9 @@ def equivariance_residual(f: AutomorphicField, m: MoebiusMap, z: complex) -> flo
     return abs(fmz - derivative(m, z) * fz) / (abs(fz) + RESIDUAL_EPS)
 
 
-def _is_affine(m: MoebiusMap) -> bool:
-    n = m.normalized()
-    return abs(n.c) <= _AFFINE_C_TOL
-
-
 def ball_has_affine_element(ball: GroupBall) -> bool:
     """True when any non-identity ball element fixes the point at infinity."""
-    return any(len(word) > 0 and _is_affine(m) for word, m in ball.elements)
+    return bool((np.abs(ball.coeffs[1:, 2]) <= _AFFINE_C_TOL).any())  # row 0 is the identity
 
 
 def build_automorphic_field(

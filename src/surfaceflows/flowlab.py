@@ -166,10 +166,15 @@ def integrate(field, z0: complex, t_end: float, region=None) -> Trajectory:
     """Orbit of ``z0`` up to time ``t_end``, sampled at every accepted step.
 
     Steps follow the adaptive RK4 rule of ``_flow`` from a first step of
-    DEFAULT_H0, each moving at most DEFAULT_MAX_DISP, so steps shrink without bound near poles and the run ends
-    with reason "pole-proximity".  Negative ``t_end`` integrates in reverse
-    time.  Exhausting the MAX_STEPS step budget reports "time-limit" (the
-    budget, like the horizon, caps the time actually reached).
+    DEFAULT_H0: a step is halved while it moves more than DEFAULT_MAX_DISP
+    or a stage is not evaluable, and the run ends with "pole-proximity"
+    when the step falls below 1e-14 * max(1, |t_end|).  Nothing bounds a
+    step's error, so one whose stages straddle a pole can be accepted and
+    carry the orbit past it: -1/z from 0.01 ends "time-limit" beyond the
+    singularity (ROADMAP.md, step control from an error estimate).
+    Negative ``t_end`` integrates in reverse time.  Exhausting the
+    MAX_STEPS step budget reports "time-limit" (the budget, like the
+    horizon, caps the time actually reached).
 
     Raises ValueError for a zero or non-finite ``t_end``, and NearPole (or
     kin) only if the starting point itself is not evaluable.
@@ -614,9 +619,10 @@ def rectify(field, p: complex, box: float) -> FlowBoxChart:
 def covariance_check(field, m: MoebiusMap, z0: complex, t_end: float) -> float:
     """Max of |m(flow_t(z0)) - flow_t(m(z0))| over COVARIANCE_SAMPLES times t.
 
-    The sample times divide (0, t_end] evenly.  If either trajectory leaves the evaluable region early the comparison
-    truncates to the common time range; with no common samples at all,
-    NearPole is raised.  A zero or non-finite ``t_end`` raises ValueError.
+    The sample times divide (0, t_end] evenly.  If either trajectory
+    leaves the evaluable region early the comparison truncates to the
+    common time range; with no common samples at all, NearPole is raised.
+    A zero or non-finite ``t_end`` raises ValueError.
     """
     z0 = complex(z0)
     _check_horizon(t_end)

@@ -115,8 +115,7 @@ def _transpose(a):
 
 def _is_symplectic(entries, genus: int) -> bool:
     j = _standard_j(genus)
-    lhs = _matmul(_matmul(_transpose([list(r) for r in entries]), j), [list(r) for r in entries])
-    return lhs == j
+    return _matmul(_matmul(_transpose(entries), j), entries) == j
 
 
 @dataclass(frozen=True)
@@ -136,17 +135,6 @@ class GluingMatrix:
             raise ValueError(f"entries must be {n}x{n}")
         if not _is_symplectic(rows, self.genus):
             raise ValueError("matrix is not integrally symplectic")
-
-    @classmethod
-    def identity(cls, genus: int) -> "GluingMatrix":
-        n = 2 * genus
-        return cls(genus, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def __matmul__(self, other: "GluingMatrix") -> "GluingMatrix":
-        if self.genus != other.genus:
-            raise ValueError("genus mismatch")
-        prod = _matmul([list(r) for r in self.entries], [list(r) for r in other.entries])
-        return GluingMatrix(self.genus, tuple(tuple(row) for row in prod))
 
 
 _CURVE_RE = re.compile(r"^([abg])(\d+)$")
@@ -185,26 +173,27 @@ def _pairing_with(c, genus: int) -> list[int]:
     return [sum(c[k] * j[k][col] for k in range(2 * genus)) for col in range(2 * genus)]
 
 
-def twist_matrix(curve: str, genus: int, exponent: int = 1) -> GluingMatrix:
-    """Transvection matrix of a (possibly inverse) twist about a standard curve."""
+def _twist_entries(curve: str, genus: int, exponent: int) -> list[list[int]]:
+    """Rows of the transvection of a (possibly inverse) twist about a standard curve."""
     if exponent not in (1, -1):
         raise ValueError("exponent must be +1 or -1")
     c = curve_class(curve, genus)
     w = _pairing_with(c, genus)
     n = 2 * genus
-    entries = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            entries[i][j] += exponent * w[j] * c[i]
-    return GluingMatrix(genus, tuple(tuple(row) for row in entries))
+    return [[int(i == j) + exponent * c[i] * w[j] for j in range(n)] for i in range(n)]
 
 
 def compose_word(word, genus: int) -> GluingMatrix:
-    """Ordered product of twist matrices for a word of (curve, exponent) pairs."""
-    result = GluingMatrix.identity(genus)
+    """Ordered product of twist matrices for a word of (curve, exponent) pairs.
+
+    Each transvection is symplectic by construction, so the product is
+    formed on plain integer rows and checked once, as the result is built.
+    """
+    n = 2 * genus
+    product = [[int(i == j) for j in range(n)] for i in range(n)]
     for curve, exponent in word:
-        result = result @ twist_matrix(curve, genus, exponent)
-    return result
+        product = _matmul(product, _twist_entries(curve, genus, exponent))
+    return GluingMatrix(genus, product)
 
 
 _TOKEN_RE = re.compile(r"^([abg]\d+)(?:\^(-?\d+))?$")
@@ -319,13 +308,6 @@ class AbelianGroup:
         for t0, t1 in zip(tor, tor[1:]):
             if t1 % t0:
                 raise ValueError("torsion coefficients must form a divisibility chain")
-
-    @property
-    def torsion_order(self) -> int:
-        order = 1
-        for t in self.torsion:
-            order *= t
-        return order
 
     def __str__(self) -> str:
         parts = []

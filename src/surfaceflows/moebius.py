@@ -7,7 +7,9 @@ representative per projective class (determinant scaled to 1, sign fixed
 by the first nonzero coefficient), which is what ball enumeration
 deduplicates on.  Deduplication is by matrix distance, never by word:
 generating sets may satisfy relations, and the enumeration must neither
-assume freeness nor assert any particular relation.
+assume freeness nor assert any particular relation.  Maps check their
+input when built; enumeration works on plain (a, b, c, d) tuples, valid by
+construction as products of checked det-1 letters.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BallTooLarge, PoleHit
 
 DEDUP_TOL = 1e-9
@@ -24,6 +28,7 @@ POLE_TOL = 1e-12
 BALL_CAP = 200_000
 
 _SIGN_EPS = 1e-12
+_IDENTITY = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
 
 
 @dataclass(frozen=True)
@@ -37,14 +42,17 @@ class MoebiusMap:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise ValueError(f"coefficient {name} = {value} is not finite")
+            object.__setattr__(self, name, value)
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         if scale == 0.0 or abs(self.det) <= 1e-14 * scale * scale:
             raise ValueError(f"singular coefficient tuple {self.coeffs()}")
 
     @classmethod
     def identity(cls) -> "MoebiusMap":
-        return cls(1.0, 0.0, 0.0, 1.0)
+        return cls(*_IDENTITY)
 
     @property
     def det(self) -> complex:
@@ -61,13 +69,13 @@ class MoebiusMap:
         part breaking the tie when the real part vanishes.
         """
         root = cmath.sqrt(self.det)
-        return _sign_fixed(self.a / root, self.b / root, self.c / root, self.d / root)
+        return MoebiusMap(*_sign_fixed(*(w / root for w in self.coeffs())))
 
     def __call__(self, z: complex) -> complex:
         return apply(self, z)
 
 
-def _sign_fixed(a: complex, b: complex, c: complex, d: complex) -> MoebiusMap:
+def _sign_fixed(a: complex, b: complex, c: complex, d: complex) -> tuple:
     """Apply the sign convention to coefficients already scaled to det 1.
 
     Kept separate from the determinant scaling: re-dividing by a
@@ -81,19 +89,26 @@ def _sign_fixed(a: complex, b: complex, c: complex, d: complex) -> MoebiusMap:
             continue
         real_is_zero = abs(w.real) <= _SIGN_EPS * abs(w)
         if (w.real < 0.0 and not real_is_zero) or (real_is_zero and w.imag < 0.0):
-            a, b, c, d = -a, -b, -c, -d
+            return (-a, -b, -c, -d)
         break
-    return MoebiusMap(a, b, c, d)
+    return (a, b, c, d)
+
+
+def _product(p: tuple, q: tuple) -> tuple:
+    """The 2x2 coefficient-matrix product p q, on (a, b, c, d) tuples."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+
+
+def _inverse(p: tuple) -> tuple:
+    a, b, c, d = p
+    return (d, -b, -c, a)
 
 
 def compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
     """Map representing z -> m1(m2(z)); the 2x2 coefficient-matrix product."""
-    return MoebiusMap(
-        m1.a * m2.a + m1.b * m2.c,
-        m1.a * m2.b + m1.b * m2.d,
-        m1.c * m2.a + m1.d * m2.c,
-        m1.c * m2.b + m1.d * m2.d,
-    )
+    return MoebiusMap(*_product(m1.coeffs(), m2.coeffs()))
 
 
 def apply(m: MoebiusMap, z: complex) -> complex:
@@ -112,7 +127,7 @@ def derivative(m: MoebiusMap, z: complex) -> complex:
 
 
 def inverse(m: MoebiusMap) -> MoebiusMap:
-    return MoebiusMap(m.d, -m.b, -m.c, m.a)
+    return MoebiusMap(*_inverse(m.coeffs()))
 
 
 def normalized_distance(m1: MoebiusMap, m2: MoebiusMap) -> float:
@@ -157,26 +172,29 @@ class GroupWord:
         return (len(self.letters), tuple((i, 0 if e == 1 else 1) for i, e in self.letters))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupBall:
     """All distinct group elements reachable by words of length <= radius.
 
-    ``elements`` pairs each element's canonical word (shortest, then
-    lexicographic) with its normalized matrix, in canonical order.
+    Elements are in canonical order (shortest word, then lexicographic),
+    identity first: ``letters[k]`` is element k's word as (index, exponent)
+    pairs and row k of the read-only (N, 4) array ``coeffs`` its normalized
+    (a, b, c, d).  ``maps()`` and ``words()`` build objects on demand.
     """
 
     generators: tuple[MoebiusMap, ...]
     radius: int
-    elements: tuple[tuple[GroupWord, MoebiusMap], ...]
+    letters: tuple[tuple[tuple[int, int], ...], ...]
+    coeffs: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.letters)
 
     def maps(self) -> tuple[MoebiusMap, ...]:
-        return tuple(m for _, m in self.elements)
+        return tuple(MoebiusMap(*row) for row in self.coeffs.tolist())
 
     def words(self) -> tuple[GroupWord, ...]:
-        return tuple(w for w, _ in self.elements)
+        return tuple(GroupWord(word) for word in self.letters)
 
     def truncated(self, radius: int) -> "GroupBall":
         """The ball of a radius no larger than this one's.
@@ -187,8 +205,8 @@ class GroupBall:
         """
         if not 0 <= radius <= self.radius:
             raise ValueError(f"radius must lie in [0, {self.radius}]")
-        size = sum(1 for word, _ in self.elements if len(word) <= radius)
-        return GroupBall(self.generators, radius, self.elements[:size])
+        size = sum(1 for word in self.letters if len(word) <= radius)
+        return GroupBall(self.generators, radius, self.letters[:size], self.coeffs[:size])
 
     def conjugated(self, m: MoebiusMap) -> "GroupBall":
         """The ball of the generators conjugated by ``m``, g -> m g m^-1.
@@ -197,19 +215,21 @@ class GroupBall:
         word; its matrix is the conjugate by the det-1 representative of
         ``m``, sign-fixed like an enumerated one.
         """
-        unit = m.normalized()
-        unit_inv = inverse(unit)
-        m_inv = inverse(m)
-        elements = tuple(
-            (word, _sign_fixed(*compose(compose(unit, g), unit_inv).coeffs()))
-            for word, g in self.elements
-        )
-        generators = tuple(compose(compose(m, g), m_inv) for g in self.generators)
-        return GroupBall(generators, self.radius, elements)
+        unit = m.normalized().coeffs()
+        unit_inv = _inverse(unit)
+        rows = [_sign_fixed(*_product(_product(unit, g), unit_inv)) for g in self.coeffs.tolist()]
+        generators = tuple(compose(compose(m, g), inverse(m)) for g in self.generators)
+        return GroupBall(generators, self.radius, self.letters, _frozen_rows(rows))
+
+
+def _frozen_rows(rows) -> np.ndarray:
+    coeffs = np.array(rows, dtype=complex)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 class _MatrixIndex:
-    """Spatial hash over the 8 real coordinates of normalized matrices.
+    """Spatial hash over the 8 real coordinates of normalized (a, b, c, d) tuples.
 
     Distinct elements of a discrete group sit far apart while duplicates
     agree to rounding error, so a coarse grid with neighbour probing is
@@ -227,8 +247,9 @@ class _MatrixIndex:
         self.buckets: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
 
     @staticmethod
-    def _vec(m: MoebiusMap) -> tuple[float, ...]:
-        return tuple(itertools.chain.from_iterable((w.real, w.imag) for w in m.coeffs()))
+    def _vec(m: tuple) -> tuple[float, ...]:
+        a, b, c, d = m
+        return (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
 
     def _cell(self, vec) -> tuple[int, ...]:
         return tuple(math.floor(x / self.h + 0.5) for x in vec)
@@ -245,11 +266,11 @@ class _MatrixIndex:
                     return True
         return False
 
-    def contains(self, m: MoebiusMap) -> bool:
+    def contains(self, m: tuple) -> bool:
         vec = self._vec(m)
         return self._near(vec) or self._near(tuple(-x for x in vec))
 
-    def add(self, m: MoebiusMap) -> None:
+    def add(self, m: tuple) -> None:
         vec = self._vec(m)
         self.buckets.setdefault(self._cell(vec), []).append(vec)
 
@@ -269,40 +290,37 @@ def enumerate_ball(generators, radius: int) -> GroupBall:
         raise ValueError("radius must be nonnegative")
     # Letters carry det 1, so products stay det-1 to rounding error and
     # canonical representatives only need the sign fix (see _sign_fixed).
-    letters = []
+    alphabet = []
     for i, g in enumerate(generators, start=1):
-        unit = g.normalized()
-        letters.append(((i, 1), unit))
-        letters.append(((i, -1), inverse(unit)))
+        unit = g.normalized().coeffs()
+        alphabet.append(((i, 1), (i, -1), unit))
+        alphabet.append(((i, -1), (i, 1), _inverse(unit)))
 
     index = _MatrixIndex(DEDUP_TOL)
-    identity = MoebiusMap.identity()
-    index.add(identity)
-    elements: list[tuple[GroupWord, MoebiusMap]] = [(GroupWord(), identity)]
-    frontier: list[tuple[tuple[tuple[int, int], ...], MoebiusMap]] = [((), identity)]
-
+    index.add(_IDENTITY)
+    words: list[tuple[tuple[int, int], ...]] = [()]
+    rows: list[tuple] = [_IDENTITY]
+    level = range(1)  # positions of the last level's elements
     for _ in range(radius):
-        next_frontier = []
-        for word_letters, matrix in frontier:
-            last = word_letters[-1] if word_letters else None
-            for letter, gen in letters:
-                if last is not None and last[0] == letter[0] and last[1] == -letter[1]:
+        for k in level:
+            word, matrix = words[k], rows[k]
+            last = word[-1] if word else None
+            for letter, undo, gen in alphabet:
+                if last == undo:
                     continue  # immediate cancellation: not freely reduced
-                raw = compose(matrix, gen)
-                candidate = _sign_fixed(raw.a, raw.b, raw.c, raw.d)
+                candidate = _sign_fixed(*_product(matrix, gen))
                 if index.contains(candidate):
                     continue
-                if len(elements) + 1 > BALL_CAP:
+                if len(rows) + 1 > BALL_CAP:
                     raise BallTooLarge(
                         f"group ball exceeds cap of {BALL_CAP} elements at radius {radius}"
                     )
                 index.add(candidate)
-                new_letters = word_letters + (letter,)
-                elements.append((GroupWord(new_letters), candidate))
-                next_frontier.append((new_letters, candidate))
-        frontier = next_frontier
+                words.append(word + (letter,))
+                rows.append(candidate)
+        level = range(level.stop, len(rows))
 
-    return GroupBall(generators=generators, radius=radius, elements=tuple(elements))
+    return GroupBall(generators, radius, tuple(words), _frozen_rows(rows))
 
 
 def word_to_map(word: GroupWord, generators) -> MoebiusMap:
@@ -311,8 +329,8 @@ def word_to_map(word: GroupWord, generators) -> MoebiusMap:
     Letters are det-normalized before composing, so the result is the
     canonical (det-1, sign-fixed) representative of the word's element.
     """
-    units = tuple(g.normalized() for g in generators)
-    result = MoebiusMap.identity()
+    units = tuple(g.normalized().coeffs() for g in generators)
+    result = _IDENTITY
     for i, e in word.letters:
-        result = compose(result, units[i - 1] if e == 1 else inverse(units[i - 1]))
-    return _sign_fixed(result.a, result.b, result.c, result.d)
+        result = _product(result, units[i - 1] if e == 1 else _inverse(units[i - 1]))
+    return MoebiusMap(*_sign_fixed(*result))

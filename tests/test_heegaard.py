@@ -13,6 +13,7 @@ from surfaceflows.heegaard import (
     SPHERE_ZERO_TOL,
     AbelianGroup,
     BallExtensionField,
+    GluingMatrix,
     IndexSet,
     _chart,
     _from_chart,
@@ -179,6 +180,97 @@ class TestTwistWordHomology:
         assert str(AbelianGroup(0, (2, 12))) == "Z/2 + Z/12"
         assert str(AbelianGroup(2)) == "Z^2"
         assert str(AbelianGroup(0)) == "0"
+
+
+def _oracle_class(curve: str, genus: int):
+    """Homology class from the module docstring: a_i, b_i basis vectors, g_i = b_i - b_(i+1)."""
+    import sympy
+
+    kind, i = curve[0], int(curve[1:])
+    c = sympy.zeros(2 * genus, 1)
+    if kind == "a":
+        c[2 * i - 2] = 1
+    elif kind == "b":
+        c[2 * i - 1] = 1
+    else:
+        c[2 * i - 1] = 1
+        c[2 * i + 1] = -1
+    return c
+
+
+def _oracle_j(genus: int):
+    import sympy
+
+    j = sympy.zeros(2 * genus, 2 * genus)
+    for i in range(genus):
+        j[2 * i, 2 * i + 1] = 1
+        j[2 * i + 1, 2 * i] = -1
+    return j
+
+
+@st.composite
+def twist_words(draw):
+    genus = draw(st.integers(1, 4))
+    curves = [f"{k}{i}" for k in "ab" for i in range(1, genus + 1)]
+    curves += [f"g{i}" for i in range(1, genus)]
+    letters = st.tuples(st.sampled_from(curves), st.sampled_from((1, -1)))
+    return genus, draw(st.lists(letters, max_size=12))
+
+
+class TestGluingMatrix:
+    def test_accepts_a_symplectic_matrix(self):
+        m = GluingMatrix(1, ((1, 1), (0, 1)))
+        assert m.entries == ((1, 1), (0, 1))
+
+    def test_rejects_a_non_symplectic_matrix(self):
+        with pytest.raises(ValueError, match="not integrally symplectic"):
+            GluingMatrix(1, ((1, 1), (1, 1)))
+        with pytest.raises(ValueError, match="not integrally symplectic"):
+            GluingMatrix(2, ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+    @pytest.mark.parametrize(
+        "genus, entries",
+        [(2, ((1, 0), (0, 1))), (1, ((1, 0, 0), (0, 1, 0))), (1, ((1, 0), (0,)))],
+    )
+    def test_rejects_a_wrong_shape(self, genus, entries):
+        with pytest.raises(ValueError, match="entries must be"):
+            GluingMatrix(genus, entries)
+
+    @pytest.mark.parametrize("genus", [0, -1])
+    def test_rejects_genus_below_one(self, genus):
+        with pytest.raises(ValueError, match="genus must be positive"):
+            GluingMatrix(genus, ())
+
+    @pytest.mark.parametrize(
+        "word, genus, message",
+        [
+            ([("a3", 1)], 2, "out of range"),
+            ([("b1", 1), ("g2", 1)], 2, "chain curves"),
+            ([("x1", 1)], 1, "bad curve id"),
+            ([("a1", 2)], 1, "exponent"),
+            ([("a1", 1), ("b1", 0)], 1, "exponent"),
+            ([], 0, "genus must be positive"),
+        ],
+    )
+    def test_compose_word_rejects_bad_input(self, word, genus, message):
+        with pytest.raises(ValueError, match=message):
+            compose_word(word, genus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(twist_words())
+    def test_compose_word_matches_a_sympy_product_of_transvections(self, case):
+        import sympy
+
+        genus, word = case
+        j = _oracle_j(genus)
+        expected = sympy.eye(2 * genus)
+        for curve, exponent in word:
+            c = _oracle_class(curve, genus)
+            expected = expected * (sympy.eye(2 * genus) + exponent * c * c.T * j)
+        assert expected.T * j * expected == j
+        got = compose_word(word, genus)
+        assert got.genus == genus
+        assert got.entries == tuple(tuple(int(x) for x in row) for row in expected.tolist())
 
 
 class TestBallExtension:

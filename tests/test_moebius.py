@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -95,6 +96,14 @@ class TestBasicOps:
         with pytest.raises(ValueError):
             MoebiusMap(1, 2, 2, 4)
 
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_coefficient_rejected(self, slot, bad):
+        coeffs = [1.0, 0.0, 0.0, 1.0]
+        coeffs[slot] = bad
+        with pytest.raises(ValueError, match=f"coefficient {'abcd'[slot]} .* not finite"):
+            MoebiusMap(*coeffs)
+
     def test_normalized_has_unit_determinant(self):
         for m in (T1, T2, T3, T4, compose(T1, T4)):
             assert abs(m.normalized().det - 1.0) < 1e-12
@@ -171,9 +180,8 @@ class TestEnumeration:
     def test_radius_zero_is_identity_only(self):
         ball = enumerate_ball([T1, T2], 0)
         assert len(ball) == 1
-        word, m = ball.elements[0]
-        assert len(word) == 0
-        assert normalized_distance(m, IDENTITY) < 1e-15
+        assert ball.letters == ((),)
+        assert normalized_distance(ball.maps()[0], IDENTITY) < 1e-15
 
     def test_single_affine_generator_radius_two(self):
         # free cyclic: id, T, T^-1, T^2, T^-2 -- direct word enumeration oracle
@@ -205,7 +213,7 @@ class TestEnumeration:
 
     def test_word_map_consistency(self):
         ball = enumerate_ball((T1, T2, T3, T4), 3)
-        for word, stored in ball.elements:
+        for word, stored in zip(ball.words(), ball.maps()):
             recomposed = word_to_map(word, ball.generators)
             direct = max(abs(x - y) for x, y in zip(recomposed.coeffs(), stored.coeffs()))
             flipped = max(abs(x + y) for x, y in zip(recomposed.coeffs(), stored.coeffs()))
@@ -237,26 +245,50 @@ class TestEnumeration:
         for r in range(5):
             small = big.truncated(r)
             assert small.radius == r
-            assert small.elements == enumerate_ball((T1, T2, T3, T4), r).elements
+            direct = enumerate_ball((T1, T2, T3, T4), r)
+            assert small.letters == direct.letters
+            assert small.coeffs.tobytes() == direct.coeffs.tobytes()
         with pytest.raises(ValueError):
             big.truncated(5)
+
+    def test_coefficients_are_read_only(self):
+        ball = enumerate_ball((T1, T2), 2)
+        with pytest.raises(ValueError):
+            ball.coeffs[1, 0] = 0.0
+        with pytest.raises(ValueError):
+            ball.truncated(1).coeffs[0, 0] = 2.0
+
+    def test_maps_and_words_round_trip_through_word_to_map(self):
+        # every stored row is the canonical representative word_to_map
+        # recomputes from its word, bit for bit
+        ball = enumerate_ball((T1, T2, T3, T4), 3)
+        words, maps = ball.words(), ball.maps()
+        assert len(words) == len(maps) == len(ball)
+        assert tuple(w.letters for w in words) == ball.letters
+        for word, m, row in zip(words, maps, ball.coeffs.tolist()):
+            assert m.coeffs() == tuple(row)
+            assert word_to_map(word, ball.generators).coeffs() == m.coeffs()
+
+    def test_non_finite_generator_never_reaches_enumeration(self):
+        with pytest.raises(ValueError, match="not finite"):
+            enumerate_ball([MoebiusMap(1, math.nan, 0, 1)], 2)
 
 
 class TestMatrixIndex:
     def test_finds_sign_flipped_duplicate(self):
         index = moebius._MatrixIndex(moebius.DEDUP_TOL)
-        m = T1.normalized()
+        m = T1.normalized().coeffs()
         index.add(m)
         assert index.contains(m)
-        assert index.contains(MoebiusMap(-m.a, -m.b, -m.c, -m.d))
-        assert not index.contains(T2.normalized())
+        assert index.contains(tuple(-x for x in m))
+        assert not index.contains(T2.normalized().coeffs())
 
     def test_tolerance_is_the_match_radius(self):
         index = moebius._MatrixIndex(moebius.DEDUP_TOL)
-        m = T3.normalized()  # real matrix: its imaginary parts are exact zeros
-        index.add(m)
+        a, b, c, d = T3.normalized().coeffs()  # real matrix: its imaginary parts are exact zeros
+        index.add((a, b, c, d))
         for step in (0.5, -0.5, 0.5j, -0.5j):
-            near = MoebiusMap(m.a + step * moebius.DEDUP_TOL, m.b, m.c, m.d)
-            far = MoebiusMap(m.a, m.b, m.c + 4.0 * step * moebius.DEDUP_TOL, m.d)
+            near = (a + step * moebius.DEDUP_TOL, b, c, d)
+            far = (a, b, c + 4.0 * step * moebius.DEDUP_TOL, d)
             assert index.contains(near)
             assert not index.contains(far)
