@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DenominatorVanishes,
@@ -194,29 +195,29 @@ def winding_on_path(field, points) -> float:
     """Accumulated change of arg(field)/2pi along a closed polyline.
 
     ``points`` is traversed in order and closed back to the first point.
-    Raises ZeroOnContour when the field magnitude drops below ZERO_TOL
-    anywhere on the path.  Evaluation failures propagate.
+    Raises ZeroOnContour when |field| < ZERO_TOL on the path and
+    NonIntegerWinding at a non-finite value; evaluation failures propagate.
     """
     return _winding_of_values([field(p) for p in points])
 
 
 def _winding_of_values(values) -> float:
-    if min(abs(v) for v in values) < ZERO_TOL:
+    v = np.asarray(values, dtype=complex)
+    if not np.isfinite(v).all():
+        raise NonIntegerWinding("non-finite field value on the contour")
+    if np.abs(v).min() < ZERO_TOL:
         raise ZeroOnContour("field magnitude below tolerance on the contour")
-    total = 0.0
-    n = len(values)
-    for k in range(n):
-        total += cmath.phase(values[(k + 1) % n] / values[k])
-    return total / (2.0 * math.pi)
+    return float(np.angle(np.roll(v, -1) / v).sum() / (2.0 * math.pi))
 
 
 def _circle(center: complex, radius: float, n: int, first: int = 0, stride: int = 1):
-    """Points k = first, first + stride, ... < n of the n-point circle."""
-    return [
-        center + radius * complex(math.cos(2.0 * math.pi * k / n),
-                                  math.sin(2.0 * math.pi * k / n))
-        for k in range(first, n, stride)
-    ]
+    """Points k = first, first + stride, ... < n of the n-point circle.
+
+    Point k depends on 2 pi k / n alone: numpy's cos and sin act per element
+    (and match ``math.cos``/``math.sin`` bit for bit on x86-64, numpy 2.4).
+    """
+    angles = 2.0 * np.pi * np.arange(first, n, stride) / n
+    return (center + radius * (np.cos(angles) + 1j * np.sin(angles))).tolist()
 
 
 def winding_estimate_circle(field, center, radius, samples) -> float:
@@ -229,16 +230,16 @@ def winding_index(field, center: complex, radius: float) -> int:
 
     Sampling starts at WINDING_SAMPLES and doubles until two successive
     estimates agree within WINDING_AGREE_TOL; the settled value must lie
-    within 0.05 of an integer, else NonIntegerWinding is raised.  A
-    non-finite centre or a radius that is not positive and finite raises
-    ValueError.
+    within 0.05 of an integer, else NonIntegerWinding is raised (at once if
+    a sample is not finite).  A non-finite centre or a radius that is not
+    positive and finite raises ValueError.
 
     Point 2k of the 2n-point circle is point k of the n-point circle, bit
-    for bit (2 pi (2k) / (2n) rounds exactly as 2 pi k / n), so each
-    doubling evaluates only the n new odd points and interleaves them with
-    the values it has.  Every estimate is the one ``winding_estimate_circle``
-    gives at that sample count, and a circle settled at 2n samples costs 2n
-    evaluations.
+    for bit: 2 pi (2k) / (2n) rounds exactly as 2 pi k / n, and ``_circle``
+    computes each point from its angle alone.  So each doubling evaluates
+    only the n new odd points and interleaves them with the values it has.
+    Every estimate is the one ``winding_estimate_circle`` gives at that
+    sample count, and a circle settled at 2n samples costs 2n evaluations.
     """
     if not 0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
@@ -258,7 +259,7 @@ def winding_index(field, center: complex, radius: float) -> int:
             )
         previous = estimate
         odd = [field(p) for p in _circle(center, radius, 2 * n, 1, 2)]
-        values = [v for pair in zip(values, odd) for v in pair]
+        values = np.stack([values, odd], axis=1).ravel()
         n *= 2
     nearest = round(estimate)
     if abs(estimate - nearest) > WINDING_INTEGER_TOL:
@@ -378,37 +379,31 @@ def newton_refine(field, z0, step_cap):
     raise NewtonDiverged("iteration budget exhausted")
 
 
-def _component_brackets(values, comp) -> bool:
-    lo = min(comp(v) for v in values)
-    hi = max(comp(v) for v in values)
-    return lo <= 0.0 <= hi
-
-
 def _locate_zero_points(field, region, n) -> tuple[list[complex], list[dict]]:
-    """Grid-bracketed, Newton-refined, deduplicated zero locations."""
+    """Grid-bracketed, Newton-refined, deduplicated zero locations.
+
+    A cell with an unevaluable or non-finite corner seeds no Newton start.
+    """
     x0, x1, y0, y1 = (float(v) for v in region)
     if not (x1 > x0 and y1 > y0):
         raise ValueError("degenerate region")
     if n < 8:
         raise ValueError("grid resolution must be at least 8")
-    xs = np.linspace(x0, x1, n + 1)
-    ys = np.linspace(y0, y1, n + 1)
-    values = [[_eval_or_none(field, complex(x, y)) for x in xs] for y in ys]
+    xs = np.linspace(x0, x1, n + 1).tolist()
+    ys = np.linspace(y0, y1, n + 1).tolist()
+    nodes = [_eval_or_none(field, complex(x, y)) for y in ys for x in xs]
+    values = np.array([math.nan if v is None else v for v in nodes], dtype=complex)
 
     diag = math.hypot(x1 - x0, y1 - y0)
     cell = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
     dedup_dist = max(1e-12, 1e-5 * diag)
 
-    candidates = []
-    for j in range(n):
-        for i in range(n):
-            corners = (values[j][i], values[j][i + 1], values[j + 1][i + 1], values[j + 1][i])
-            if any(v is None for v in corners):
-                continue
-            if _component_brackets(corners, lambda v: v.real) and _component_brackets(
-                corners, lambda v: v.imag
-            ):
-                candidates.append(complex(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])))
+    corners = sliding_window_view(values.reshape(n + 1, n + 1), (2, 2))
+    seeds = np.isfinite(corners).all(axis=(2, 3))
+    for part in (corners.real, corners.imag):
+        seeds &= (part.min(axis=(2, 3)) <= 0.0) & (part.max(axis=(2, 3)) >= 0.0)
+    candidates = [complex(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+                  for j, i in np.argwhere(seeds).tolist()]
 
     dropped: list[dict] = []
     converged: list[complex] = []

@@ -283,7 +283,7 @@ def enumerate_ball(generators, radius: int) -> GroupBall:
     the output order is schedule-independent: word length first, then
     lexicographic word.
 
-    Raises BallTooLarge when the element count would exceed BALL_CAP.
+    Raises BallTooLarge past BALL_CAP elements, ValueError on coefficient overflow.
     """
     generators = tuple(generators)
     if radius < 0:
@@ -301,7 +301,7 @@ def enumerate_ball(generators, radius: int) -> GroupBall:
     words: list[tuple[tuple[int, int], ...]] = [()]
     rows: list[tuple] = [_IDENTITY]
     level = range(1)  # positions of the last level's elements
-    for _ in range(radius):
+    for length in range(1, radius + 1):
         for k in level:
             word, matrix = words[k], rows[k]
             last = word[-1] if word else None
@@ -309,8 +309,11 @@ def enumerate_ball(generators, radius: int) -> GroupBall:
                 if last == undo:
                     continue  # immediate cancellation: not freely reduced
                 candidate = _sign_fixed(*_product(matrix, gen))
-                if index.contains(candidate):
-                    continue
+                try:
+                    if index.contains(candidate):
+                        continue
+                except (OverflowError, ValueError) as exc:
+                    raise ValueError(f"coefficient overflow at word length {length}") from exc
                 if len(rows) + 1 > BALL_CAP:
                     raise BallTooLarge(
                         f"group ball exceeds cap of {BALL_CAP} elements at radius {radius}"

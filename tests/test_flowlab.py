@@ -1,8 +1,11 @@
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfaceflows import flowlab
 from surfaceflows.autovec import (
@@ -15,6 +18,7 @@ from surfaceflows.autovec import (
 from surfaceflows.errors import (
     EquilibriumInBox,
     NearPole,
+    NewtonDiverged,
     NonIntegerWinding,
     ZeroOnContour,
 )
@@ -48,6 +52,61 @@ def walled(field, x_max):
         return field(z)
 
     return PlanarField("custom", f)
+
+
+def grid_field(values, region, n):
+    """Field taking ``values[j][i]`` at grid node (i, j) of ``region``; a
+    None node is not evaluable."""
+    x0, x1, y0, y1 = region
+    xs = np.linspace(x0, x1, n + 1).tolist()
+    ys = np.linspace(y0, y1, n + 1).tolist()
+    table = {complex(x, y): values[j][i] for j, y in enumerate(ys) for i, x in enumerate(xs)}
+
+    def f(z):
+        if table[z] is None:
+            raise NearPole("unevaluable node")
+        return table[z]
+
+    return PlanarField("custom", f), xs, ys
+
+
+def grid_starts(values, region, n):
+    """The Newton starts the zero scan seeds on a grid of node values, in order."""
+    field, _, _ = grid_field(values, region, n)
+
+    def record_only(field, start, step_cap):
+        raise NewtonDiverged("recorded")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flowlab, "newton_refine", record_only)
+        _, dropped = flowlab._locate_zero_points(field, region, n)
+    return [complex(*d["start"]) for d in dropped]
+
+
+def reference_starts(values, xs, ys):
+    """Per-cell reference loop: a cell seeds its midpoint when its four
+    corners are evaluable and finite and both components bracket zero."""
+    n = len(xs) - 1
+    starts = []
+    for j in range(n):
+        for i in range(n):
+            corners = (values[j][i], values[j][i + 1], values[j + 1][i + 1], values[j + 1][i])
+            if any(v is None or not cmath.isfinite(v) for v in corners):
+                continue
+            re = [v.real for v in corners]
+            im = [v.imag for v in corners]
+            if min(re) <= 0.0 <= max(re) and min(im) <= 0.0 <= max(im):
+                starts.append(complex(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])))
+    return starts
+
+
+NODE_VALUES = st.one_of(
+    st.sampled_from([
+        None, complex(math.nan, 0.0), complex(0.0, math.inf), complex(math.nan, math.nan),
+        0j, complex(-0.0, 0.0), 1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j,
+    ]),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+)
 
 
 SADDLE = canonical_field("saddle")
@@ -165,6 +224,41 @@ class TestWinding:
         with pytest.raises(NonIntegerWinding):
             winding_index(PlanarField("custom", vortex), 0j, 0.5)
         assert len(calls) == len(set(calls)) == WINDING_MAX_SAMPLES
+
+    @pytest.mark.parametrize(
+        "bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(math.nan, math.nan)]
+    )
+    def test_non_finite_sample_fails_at_once(self, bad):
+        # no sampling density can settle around a non-finite value, so the
+        # first sample set raises instead of doubling to WINDING_MAX_SAMPLES
+        calls = []
+
+        def spiked(z):
+            calls.append(z)
+            return bad if z == 0.5 else z  # 0.5 is point 0 of every circle below
+
+        with pytest.raises(NonIntegerWinding, match="non-finite"):
+            winding_index(PlanarField("custom", spiked), 0j, 0.5)
+        assert len(calls) <= 2 * WINDING_SAMPLES
+        with pytest.raises(NonIntegerWinding, match="non-finite"):
+            winding_on_path(PlanarField("custom", spiked), [0.5, 0.5j, -0.5, -0.5j])
+
+    @pytest.mark.parametrize("n", [8, 1024, 2048])
+    def test_circle_matches_the_scalar_formula(self, n):
+        # the points of the scalar math.cos / math.sin formula, bit for bit
+        # (numpy's cos and sin round as the C library's do on x86-64)
+        for center, radius, first, stride in [
+            (0j, 1.0, 0, 1), (0.3 - 1.7j, 0.05, 1, 2), (-2.5654 + 0.636j, 0.302, 0, 2)
+        ]:
+            expected = [
+                center + radius * complex(math.cos(2.0 * math.pi * k / n),
+                                          math.sin(2.0 * math.pi * k / n))
+                for k in range(first, n, stride)
+            ]
+            points = flowlab._circle(center, radius, n, first, stride)
+            assert [(z.real.hex(), z.imag.hex()) for z in points] == [
+                (z.real.hex(), z.imag.hex()) for z in expected
+            ]
 
     def test_settled_circle_reuses_samples(self, monkeypatch):
         # the 2n-point circle contains the n-point one: a circle settled at
@@ -285,6 +379,31 @@ class TestFindZeros:
     def test_residuals_below_tolerance(self):
         scan = find_zeros(PENDULUM, (-4, 4, -3, 3), 48)
         assert all(z.residual < 1e-8 for z in scan)
+
+    def test_non_finite_corner_seeds_nothing(self):
+        # cell (0, 0) brackets zero over its three finite corners; the NaN
+        # corner makes the cell unevaluable whatever its place in the cell
+        region, n = (0.0, 8.0, 0.0, 8.0), 8
+        values = [[1 + 1j] * (n + 1) for _ in range(n + 1)]
+        values[0][0] = -1 - 1j
+        assert grid_starts(values, region, n) == [0.5 + 0.5j]
+        values[0][1] = complex(math.nan, 0.0)
+        assert grid_starts(values, region, n) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(8, 10).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(NODE_VALUES, min_size=(n + 1) ** 2, max_size=(n + 1) ** 2)
+            )
+        )
+    )
+    def test_seeds_match_a_per_cell_loop(self, grid):
+        n, flat = grid
+        values = [flat[j * (n + 1):(j + 1) * (n + 1)] for j in range(n + 1)]
+        region = (-1.0, 2.0, -0.5, 1.5)
+        _, xs, ys = grid_field(values, region, n)
+        assert grid_starts(values, region, n) == reference_starts(values, xs, ys)
 
     def test_grid_too_coarse_rejected(self):
         with pytest.raises(ValueError):

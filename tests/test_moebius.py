@@ -273,6 +273,13 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="not finite"):
             enumerate_ball([MoebiusMap(1, math.nan, 0, 1)], 2)
 
+    def test_coefficient_overflow_is_a_typed_error(self):
+        # the 51st power of diag(1e6, 1e-6) is too large for the index cells
+        scaling = MoebiusMap(1e6, 0, 0, 1e-6)
+        assert len(enumerate_ball([scaling], 2)) == 5
+        with pytest.raises(ValueError, match="coefficient overflow at word length 51"):
+            enumerate_ball([scaling], 51)
+
 
 class TestMatrixIndex:
     def test_finds_sign_flipped_duplicate(self):
