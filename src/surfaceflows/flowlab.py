@@ -33,7 +33,7 @@ _POLE_ERRORS = (NearPole, PoleHit, DenominatorVanishes)
 
 ZERO_TOL = 1e-8
 DEFAULT_MAX_DISP = 0.1
-DEFAULT_H0 = 0.01
+FLOW_TOL = 1e-9
 MAX_STEPS = 200_000
 WINDING_SAMPLES = 1024
 WINDING_AGREE_TOL = 0.01
@@ -93,8 +93,7 @@ class Trajectory:
         return self.times[-1]
 
 
-def _rk4_step(field, z: complex, step: float) -> complex:
-    k1 = field(z)
+def _rk4_step(field, z: complex, step: float, k1: complex) -> complex:
     k2 = field(z + 0.5 * step * k1)
     k3 = field(z + 0.5 * step * k2)
     k4 = field(z + step * k3)
@@ -106,14 +105,21 @@ def _inside(region, z: complex) -> bool:
     return x0 <= z.real <= x1 and y0 <= z.imag <= y1
 
 
-def _flow(field, z0, targets, region=None, h0=DEFAULT_H0, max_disp=DEFAULT_MAX_DISP):
+def _flow(field, z0, targets, region=None):
     """Adaptive RK4 from time 0 through ``targets``, landing exactly on each.
 
     Targets are nonzero, of one sign, and strictly monotone away from 0.
-    Each step is the classical fourth-order step; one whose displacement
-    exceeds ``max_disp``, or whose stages are not evaluable, is retried at
-    half the size.  With s = max(1, |target|) for the target being
-    approached, the target counts as reached within 1e-15 * s, and a step
+    Step doubling sizes each step: one RK4 step (full) against two of half
+    the size (two) estimates the error err = |two - full| / 15, and the
+    extrapolated dz = two + (two - full) / 15 is taken when err <= tol =
+    FLOW_TOL * max(1, |z|) and |dz| <= DEFAULT_MAX_DISP.  The next size is
+    0.9 * min((tol / err)^(1/5), DEFAULT_MAX_DISP / |dz|) times this one,
+    clamped to [0.1, 2]; a step meeting a pole error, ZeroDivisionError or
+    a non-finite value is retried at half the size.  The first step tries
+    the whole way to the first target.
+
+    With s = max(1, |target|) for the target being approached, the target
+    counts as reached within 1e-15 * s, and a rejected step that leaves a
     size below 1e-14 * s ends the run with "pole-proximity".  Leaving
     ``region`` after a step ends it with "region-exit"; reaching every
     target, or taking MAX_STEPS steps, with "time-limit".
@@ -125,7 +131,7 @@ def _flow(field, z0, targets, region=None, h0=DEFAULT_H0, max_disp=DEFAULT_MAX_D
     direction = 1.0 if targets[-1] > 0 else -1.0
     t = 0.0
     z = z0
-    h = h0
+    h = abs(targets[0])
     times = [t]
     points = [z]
     hits = []
@@ -134,24 +140,28 @@ def _flow(field, z0, targets, region=None, h0=DEFAULT_H0, max_disp=DEFAULT_MAX_D
         while (target - t) * direction > 1e-15 * scale:
             if len(points) > MAX_STEPS:
                 return times, points, hits, "time-limit"
-            step = min(h, abs(target - t))
+            step = direction * min(h, abs(target - t))
             try:
-                dz = _rk4_step(field, z, direction * step)
-            except _POLE_ERRORS:
-                dz = None
-            if dz is None or abs(dz) > max_disp:
-                h = step * 0.5
+                k1 = field(z)
+                full = _rk4_step(field, z, step, k1)
+                first = _rk4_step(field, z, 0.5 * step, k1)
+                two = first + _rk4_step(field, z + first, 0.5 * step, field(z + first))
+                err = abs(two - full) / 15.0
+                dz = two + (two - full) / 15.0
+            except (*_POLE_ERRORS, ZeroDivisionError):
+                err = dz = math.nan
+            tol = FLOW_TOL * max(1.0, abs(z))
+            room = min((tol / max(err, 1e-300)) ** 0.2, DEFAULT_MAX_DISP / max(abs(dz), 1e-300))
+            h = abs(step) * (min(2.0, max(0.1, 0.9 * room)) if math.isfinite(err) else 0.5)
+            # NaN, from a failed or non-finite step, fails every comparison
+            if not (err <= tol and abs(dz) <= DEFAULT_MAX_DISP):
                 if h < 1e-14 * scale:
                     return times, points, hits, "pole-proximity"
                 continue
             z = z + dz
-            t = t + direction * step
+            t = t + step
             times.append(t)
             points.append(z)
-            if abs(dz) < 0.25 * max_disp:
-                h = min(step * 2.0, h0)
-            # else h stays as it is: after a step clipped to land on a
-            # target, the next target starts from the unclipped size
             if region is not None and not _inside(region, z):
                 return times, points, hits, "region-exit"
         hits.append(len(points) - 1)
@@ -163,24 +173,28 @@ def _check_horizon(t_end: float) -> None:
         raise ValueError("t_end must be finite and nonzero")
 
 
+def _finite_point(z, name: str) -> complex:
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} must be finite")
+    return z
+
+
 def integrate(field, z0: complex, t_end: float, region=None) -> Trajectory:
     """Orbit of ``z0`` up to time ``t_end``, sampled at every accepted step.
 
-    Steps follow the adaptive RK4 rule of ``_flow`` from a first step of
-    DEFAULT_H0: a step is halved while it moves more than DEFAULT_MAX_DISP
-    or a stage is not evaluable, and the run ends with "pole-proximity"
-    when the step falls below 1e-14 * max(1, |t_end|).  Nothing bounds a
-    step's error, so one whose stages straddle a pole can be accepted and
-    carry the orbit past it: -1/z from 0.01 ends "time-limit" beyond the
-    singularity (ROADMAP.md, step control from an error estimate).
-    Negative ``t_end`` integrates in reverse time.  Exhausting the
-    MAX_STEPS step budget reports "time-limit" (the budget, like the
-    horizon, caps the time actually reached).
+    Each step's size comes from its own step-doubling error estimate, held
+    to FLOW_TOL * max(1, |z|), and no step moves more than DEFAULT_MAX_DISP
+    (``_flow``).  A step meeting a pole, a division by zero or a non-finite
+    value is halved, so an orbit running into a pole ends with
+    "pole-proximity" before reaching it.  Negative ``t_end`` integrates in
+    reverse time; exhausting MAX_STEPS reports "time-limit".
 
-    Raises ValueError for a zero or non-finite ``t_end``, and NearPole (or
-    kin) only if the starting point itself is not evaluable.
+    Raises ValueError for a non-finite ``z0`` or a zero or non-finite
+    ``t_end``, and NearPole (or kin) only if the starting point itself is
+    not evaluable.
     """
-    z0 = complex(z0)
+    z0 = _finite_point(z0, "z0")
     _check_horizon(t_end)
     field(z0)  # not evaluable at the seed -> propagate
     times, points, _, termination = _flow(field, z0, [t_end], region)
@@ -243,9 +257,7 @@ def winding_index(field, center: complex, radius: float) -> int:
     """
     if not 0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
-    center = complex(center)
-    if not cmath.isfinite(center):
-        raise ValueError("centre must be finite")
+    center = _finite_point(center, "centre")
     previous = None
     n = WINDING_SAMPLES
     values = [field(p) for p in _circle(center, radius, n)]
@@ -385,6 +397,8 @@ def _locate_zero_points(field, region, n) -> tuple[list[complex], list[dict]]:
     A cell with an unevaluable or non-finite corner seeds no Newton start.
     """
     x0, x1, y0, y1 = (float(v) for v in region)
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise ValueError("region bounds must be finite")
     if not (x1 > x0 and y1 > y0):
         raise ValueError("degenerate region")
     if n < 8:
@@ -435,6 +449,7 @@ def find_zeros(field, region, n: int) -> ZeroScan:
     winding index (with radius backoff when a contour is unusable).
     Candidates that diverge, leave the region, or defeat the winding
     computation are reported in ``dropped`` rather than silently ignored.
+    Non-finite bounds or an empty rectangle raise ValueError.
     """
     x0, x1, y0, y1 = (float(v) for v in region)
     zeros, dropped = _locate_zero_points(field, region, n)
@@ -536,11 +551,12 @@ def rectify(field, p: complex, box: float) -> FlowBoxChart:
     ``box`` around a regular point.
 
     Raises EquilibriumInBox when the field is below tolerance at the base
-    point or anywhere on the constructed grid.
+    point or anywhere on the constructed grid, and ValueError for a
+    non-finite ``p`` or a ``box`` that is not positive and finite.
     """
-    p = complex(p)
-    if box <= 0:
-        raise ValueError("box must be positive")
+    p = _finite_point(p, "p")
+    if not 0 < box < math.inf:
+        raise ValueError("box must be positive and finite")
     fp = field(p)
     if abs(fp) <= max(ZERO_TOL, 1e-12):
         raise EquilibriumInBox(f"|field| = {abs(fp):.3g} at the base point")
@@ -568,7 +584,7 @@ def rectify(field, p: complex, box: float) -> FlowBoxChart:
         for targets in (t_pos, t_neg):
             if not targets:
                 continue
-            _, pts, hits, _ = _flow(field, zs, targets, h0=0.005, max_disp=0.05)
+            _, pts, hits, _ = _flow(field, zs, targets)
             if len(hits) < len(targets):
                 raise NearPole("chart integration hit a pole inside the box")
             for t, i in zip(targets, hits):
@@ -576,11 +592,10 @@ def rectify(field, p: complex, box: float) -> FlowBoxChart:
         rows.append(tuple(row[t] for t in t_values))
     points = tuple(rows)
 
-    for row in points:
-        for z in row:
-            fz = field(z)
-            if abs(fz) <= ZERO_TOL:
-                raise EquilibriumInBox(f"|field| = {abs(fz):.3g} inside the requested box")
+    values = [[field(z) for z in row] for row in points]
+    smallest = min(abs(fz) for row in values for fz in row)
+    if smallest <= ZERO_TOL:
+        raise EquilibriumInBox(f"|field| = {smallest:.3g} inside the requested box")
 
     dt = t_values[1] - t_values[0]
     ds = s_values[1] - s_values[0]
@@ -589,7 +604,7 @@ def rectify(field, p: complex, box: float) -> FlowBoxChart:
         for j in range(1, RECTIFY_GRID - 1):
             pt = (points[i][j + 1] - points[i][j - 1]) / (2.0 * dt)
             ps = (points[i + 1][j] - points[i - 1][j]) / (2.0 * ds)
-            fz = field(points[i][j])
+            fz = values[i][j]
             det = pt.real * ps.imag - pt.imag * ps.real
             if abs(det) < 1e-300:
                 raise EquilibriumInBox("degenerate chart jacobian")
@@ -617,9 +632,9 @@ def covariance_check(field, m: MoebiusMap, z0: complex, t_end: float) -> float:
     The sample times divide (0, t_end] evenly.  If either trajectory
     leaves the evaluable region early the comparison truncates to the
     common time range; with no common samples at all, NearPole is raised.
-    A zero or non-finite ``t_end`` raises ValueError.
+    A non-finite ``z0`` or a zero or non-finite ``t_end`` raises ValueError.
     """
-    z0 = complex(z0)
+    z0 = _finite_point(z0, "z0")
     _check_horizon(t_end)
     targets = [t_end * (k + 1) / COVARIANCE_SAMPLES for k in range(COVARIANCE_SAMPLES)]
     _, pts_a, hits_a, _ = _flow(field, z0, targets)

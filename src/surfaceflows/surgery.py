@@ -149,7 +149,8 @@ class SumPlan:
 
     Split mode divides removed1's sectors: n11 elliptic and n21 hyperbolic
     sectors match like-with-like on the second surface (and regenerate as
-    new equilibria), the remaining sectors glue to their duals.
+    new equilibria), the remaining sectors glue to their duals.  Dual is
+    Split with (n11, n21) = (0, 0), SameStructure Split with (n_e, n_h).
     """
 
     mode: SumMode
@@ -162,19 +163,16 @@ class SumPlan:
         object.__setattr__(self, "mode", SumMode(self.mode))
         if self.n11 < 0 or self.n21 < 0:
             raise PlanMismatch("split counts must be nonnegative")
+        if self.mode is not SumMode.SPLIT and (self.n11 or self.n21):
+            raise PlanMismatch("split counts apply to Split mode only")
         if self.mode is SumMode.NO_EQUILIBRIA:
             if self.removed1 is not None or self.removed2 is not None:
                 raise PlanMismatch("NoEquilibria mode removes nothing")
-            if self.n11 or self.n21:
-                raise PlanMismatch("split counts apply to Split mode only")
-        else:
-            if self.removed1 is None or self.removed2 is None:
-                raise PlanMismatch(f"{self.mode.value} mode needs removed1 and removed2")
-            if self.mode is not SumMode.SPLIT and (self.n11 or self.n21):
-                raise PlanMismatch("split counts apply to Split mode only")
-            if self.mode is SumMode.SPLIT:
-                if self.n11 > self.removed1.n_e or self.n21 > self.removed1.n_h:
-                    raise PlanMismatch("split counts exceed removed1's sectors")
+        elif self.removed1 is None or self.removed2 is None:
+            raise PlanMismatch(f"{self.mode.value} mode needs removed1 and removed2")
+        elif self.mode is SumMode.SPLIT and (
+                self.n11 > self.removed1.n_e or self.n21 > self.removed1.n_h):
+            raise PlanMismatch("split counts exceed removed1's sectors")
 
     def to_dict(self) -> dict:
         return {
@@ -221,38 +219,25 @@ def connect_inventories(
 
     kept1 = list(inv1.equilibria)
     kept2 = list(inv2.equilibria)
-    added: list[EquilibriumSpec] = []
 
     if plan.mode is SumMode.NO_EQUILIBRIA:
         added = [hyperbolic_spec(), hyperbolic_spec()]
-    elif plan.mode is SumMode.DUAL:
-        if plan.removed2 != plan.removed1.dual():
-            raise PlanMismatch(
-                f"Dual mode requires removed2 = ({plan.removed1.n_h}, {plan.removed1.n_e}), "
-                f"got ({plan.removed2.n_e}, {plan.removed2.n_h})"
-            )
-        _remove_one(kept1, plan.removed1, "inv1")
-        _remove_one(kept2, plan.removed2, "inv2")
-    elif plan.mode is SumMode.SAME_STRUCTURE:
-        if plan.removed2 != plan.removed1:
-            raise PlanMismatch("SameStructure mode requires equal removed specs")
-        _remove_one(kept1, plan.removed1, "inv1")
-        _remove_one(kept2, plan.removed2, "inv2")
-        added = [elliptic_spec()] * plan.removed1.n_e + [hyperbolic_spec()] * plan.removed1.n_h
-    elif plan.mode is SumMode.SPLIT:
-        n12 = plan.removed1.n_e - plan.n11
-        n22 = plan.removed1.n_h - plan.n21
-        required = EquilibriumSpec(plan.n11 + n22, plan.n21 + n12)
+    else:
+        n11, n21 = {
+            SumMode.DUAL: (0, 0),
+            SumMode.SAME_STRUCTURE: (plan.removed1.n_e, plan.removed1.n_h),
+        }.get(plan.mode, (plan.n11, plan.n21))
+        required = EquilibriumSpec(
+            n11 + plan.removed1.n_h - n21, n21 + plan.removed1.n_e - n11
+        )
         if plan.removed2 != required:
             raise PlanMismatch(
-                f"Split mode requires removed2 = ({required.n_e}, {required.n_h}), "
+                f"{plan.mode.value} mode requires removed2 = ({required.n_e}, {required.n_h}), "
                 f"got ({plan.removed2.n_e}, {plan.removed2.n_h})"
             )
         _remove_one(kept1, plan.removed1, "inv1")
         _remove_one(kept2, plan.removed2, "inv2")
-        added = [elliptic_spec()] * plan.n11 + [hyperbolic_spec()] * plan.n21
-    else:  # pragma: no cover
-        raise PlanMismatch(f"unknown mode {plan.mode}")
+        added = [elliptic_spec()] * n11 + [hyperbolic_spec()] * n21
 
     genus, orientable = _summed_genus(inv1, inv2)
     result = SurfaceInventory(

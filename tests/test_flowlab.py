@@ -116,6 +116,15 @@ DIPOLE = canonical_field("dipole")
 PENDULUM = pendulum_field(1.0)
 
 
+def _guarded_pole(z):
+    if abs(z - 1.0) < 1e-3:
+        raise NearPole("inside the guard radius")
+    return 1.0 / (1.0 - z)
+
+
+GUARDED_POLE = PlanarField("custom", _guarded_pole)  # 1/(1 - z), not evaluable near 1
+
+
 class TestIntegrate:
     def test_center_closed_orbit(self):
         # rotation field: the time-2pi flow is the identity
@@ -153,17 +162,50 @@ class TestIntegrate:
         assert tr.end_point.real > 2.0
 
     def test_pole_proximity_termination(self):
-        def guarded(z):
-            if abs(z - 1.0) < 1e-3:
-                raise NearPole("inside the guard radius")
-            return 1.0 / (1.0 - z)
-
-        tr = integrate(PlanarField("custom", guarded), 0j, 10.0)
+        tr = integrate(GUARDED_POLE, 0j, 10.0)
         assert tr.termination == "pole-proximity"
         assert abs(tr.end_point - 1.0) < 0.05
 
+    def test_minus_one_over_z_stops_before_its_pole(self):
+        # z' = -1/z: z^2 = z0^2 - 2t reaches the singularity at t = 5e-5
+        tr = integrate(PlanarField("custom", lambda z: -1 / z), 0.01, 1.0)
+        assert tr.termination == "pole-proximity"
+        assert tr.end_time < 5e-5
+
+    def test_guarded_pole_is_not_crossed(self):
+        tr = integrate(GUARDED_POLE, 0.99, 1.0)
+        assert tr.termination == "pole-proximity"
+        assert max(p.real for p in tr.points) < 1.0
+
+    @given(
+        st.floats(0.01, 2.0).flatmap(lambda r: st.sampled_from([r, -r])),
+        st.floats(1e-3, 10.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_minus_one_over_z_follows_the_exact_flow(self, z0, t_end):
+        # z^2 = z0^2 - 2t until the orbit reaches 0 at t* = z0^2 / 2; the
+        # absolute tolerance leaves the sign unresolved within 1e-4 of 0
+        tr = integrate(PlanarField("custom", lambda z: -1 / z), complex(z0), t_end)
+        t_star = z0 * z0 / 2
+        for t, z in zip(tr.times, tr.points):
+            exact = z0 * z0 - 2 * t
+            assert z.imag == 0.0 and abs(z.real ** 2 - exact) <= 1e-8
+            assert z.real * z0 > 0 or exact <= 1e-8
+        if t_end < t_star - 1e-6:
+            assert tr.termination == "time-limit"
+        elif t_end >= t_star:
+            assert tr.termination == "pole-proximity"
+        assert tr.end_time < t_star
+
+    @pytest.mark.parametrize("z0", [complex(math.nan, 0), complex(0, math.inf),
+                                    complex(math.nan, math.nan)])
+    def test_non_finite_start_rejected(self, z0):
+        with pytest.raises(ValueError, match="z0 must be finite"):
+            integrate(NODE, z0, 1.0)
+
     def test_max_step_displacement(self):
-        # the node's speed reaches e^3 ~ 20, so the bound cuts steps of DEFAULT_H0
+        # the node's speed reaches e^3 ~ 20, so DEFAULT_MAX_DISP, not the
+        # error estimate, sets the late step sizes
         tr = integrate(NODE, 1 + 0j, 3.0)
         steps = [abs(p1 - p0) for p0, p1 in zip(tr.points, tr.points[1:])]
         assert max(steps) <= DEFAULT_MAX_DISP + 1e-12
@@ -409,6 +451,13 @@ class TestFindZeros:
         with pytest.raises(ValueError):
             find_zeros(SADDLE, (-1, 1, -1, 1), 4)
 
+    @pytest.mark.parametrize("region", [(-1, math.inf, -1, 1), (-math.inf, 1, -1, 1),
+                                        (-1, 1, -1, math.inf), (-1, 1, math.nan, 1)])
+    def test_non_finite_window_rejected(self, region):
+        # the node's zero at 0 lies inside each of these windows
+        with pytest.raises(ValueError, match="region bounds must be finite"):
+            find_zeros(NODE, region, 8)
+
     def test_classify_index(self):
         assert classify_index(-1) == "hyperbolic-like"
         assert classify_index(1) == "elliptic/center-like"
@@ -478,6 +527,16 @@ class TestRectify:
         with pytest.raises(EquilibriumInBox):
             rectify(PENDULUM, complex(math.pi - 0.001, 0.0), 0.05)
 
+    @pytest.mark.parametrize("box", [math.inf, math.nan, 0.0, -0.1])
+    def test_box_must_be_positive_and_finite(self, box):
+        with pytest.raises(ValueError, match="box must be positive and finite"):
+            rectify(PENDULUM, 1j, box)
+
+    @pytest.mark.parametrize("p", [complex(math.nan, 1), complex(0, math.inf)])
+    def test_non_finite_base_point_rejected(self, p):
+        with pytest.raises(ValueError, match="p must be finite"):
+            rectify(PENDULUM, p, 0.1)
+
     def test_pole_inside_box_rejected(self):
         # forward chart flows from the transversal at x = 0 run into the wall
         field = walled(PlanarField("custom", lambda z: 1 + 0j), 0.05)
@@ -515,6 +574,12 @@ class TestCovariance:
     def test_non_finite_horizon_rejected(self, t_end):
         with pytest.raises(ValueError):
             covariance_check(NODE, MoebiusMap.identity(), 1 + 0j, t_end)
+
+    @pytest.mark.parametrize("z0", [complex(math.nan, 0), complex(math.inf, 1)])
+    def test_non_finite_start_rejected(self, z0):
+        # at a NaN start both orbits are NaN and their defect would read 0.0
+        with pytest.raises(ValueError, match="z0 must be finite"):
+            covariance_check(NODE, MoebiusMap(2, 0, 0, 1), z0, 1.0)
 
     def test_truncates_to_common_range(self):
         # node flow z e^t; the shifted start 1.5 reaches the wall at x = 2

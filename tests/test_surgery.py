@@ -117,6 +117,19 @@ class TestConnectInventories:
         with pytest.raises(PlanMismatch):
             connect_inventories(sphere, sphere, plan)
 
+    @pytest.mark.parametrize("mode", [SumMode.DUAL, SumMode.SAME_STRUCTURE])
+    @pytest.mark.parametrize("n_e, n_h", [(0, 0), (2, 0), (0, 4), (3, 1), (1, 3)])
+    def test_dual_and_same_structure_are_split_plans(self, mode, n_e, n_h):
+        r1 = EquilibriumSpec(n_e, n_h)
+        if mode is SumMode.DUAL:
+            r2, split = r1.dual(), (0, 0)
+        else:
+            r2, split = r1, (n_e, n_h)
+        inv1 = balanced(1, True, [r1, hyperbolic_spec()])
+        inv2 = balanced(2, False, [r2, elliptic_spec()])
+        out = connect_inventories(inv1, inv2, SumPlan(mode, r1, r2))
+        assert out == connect_inventories(inv1, inv2, SumPlan(SumMode.SPLIT, r1, r2, *split))
+
     def test_missing_equilibrium(self):
         sphere = balanced(0, True, [])
         plan = SumPlan(SumMode.SAME_STRUCTURE, EquilibriumSpec(3, 1), EquilibriumSpec(3, 1))
