@@ -180,6 +180,23 @@ def _finite_point(z, name: str) -> complex:
     return z
 
 
+def exact_int(x, name: str) -> int:
+    """``x`` as an int, or ValueError unless it is a finite whole number.
+
+    numpy and sympy integers pass, and so does a whole float such as 2.0;
+    a fractional or non-finite value is rejected, never truncated.
+    """
+    if type(x) is int:
+        return x
+    try:
+        i = int(x)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{name} must be a finite integer, got {x!r}") from None
+    if i != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return i
+
+
 def integrate(field, z0: complex, t_end: float, region=None) -> Trajectory:
     """Orbit of ``z0`` up to time ``t_end``, sampled at every accepted step.
 

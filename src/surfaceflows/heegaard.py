@@ -17,6 +17,7 @@ Homology conventions (fixed here once):
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NewtonDiverged, TooManyEquilibria
-from .flowlab import ZERO_TOL, newton_refine
+from .flowlab import ZERO_TOL, exact_int, newton_refine
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,11 @@ class IndexSet:
     hyperbolic_count: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if self.hyperbolic_count < 0 or self.hyperbolic_count > len(self.indices):
+        indices = tuple(exact_int(i, "index") for i in self.indices)
+        hyperbolic = exact_int(self.hyperbolic_count, "hyperbolic count")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "hyperbolic_count", hyperbolic)
+        if hyperbolic < 0 or hyperbolic > len(indices):
             raise ValueError("hyperbolic count must lie between 0 and the index count")
 
 
@@ -84,38 +88,18 @@ def corollary_check(s: IndexSet, p: int) -> bool:
 # twist matrices and homology
 
 
-def _standard_j(genus: int) -> list[list[int]]:
-    j = [[0] * (2 * genus) for _ in range(2 * genus)]
-    for i in range(genus):
-        j[2 * i][2 * i + 1] = 1
-        j[2 * i + 1][2 * i] = -1
-    return j
+def _is_symplectic(rows) -> bool:
+    """Whether the columns pair like the basis: <M e_i, M e_j> = J_ij.
 
-
-def _matmul(a, b):
-    n = len(a)
-    k = len(b)
-    m = len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            v = ai[t]
-            if v:
-                bt = b[t]
-                oi = out[i]
-                for j in range(m):
-                    oi[j] += v * bt[j]
-    return out
-
-
-def _transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def _is_symplectic(entries, genus: int) -> bool:
-    j = _standard_j(genus)
-    return _matmul(_matmul(_transpose(entries), j), entries) == j
+    <x, y> = x^T J y, and (J y)_k is y_k+1 for even k and -y_k-1 for odd k.
+    """
+    cols = list(zip(*rows))
+    j_cols = [[-y[k ^ 1] if k % 2 else y[k ^ 1] for k in range(len(y))] for y in cols]
+    return all(
+        sum(map(operator.mul, x, j_cols[j])) == (j == i + 1 and i % 2 == 0)
+        for i, x in enumerate(cols)
+        for j in range(i + 1, len(cols))
+    )
 
 
 @dataclass(frozen=True)
@@ -126,14 +110,16 @@ class GluingMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.genus < 1:
+        genus = exact_int(self.genus, "genus")
+        if genus < 1:
             raise ValueError("genus must be positive")
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(exact_int(x, "matrix entry") for x in row) for row in self.entries)
+        object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "entries", rows)
-        n = 2 * self.genus
+        n = 2 * genus
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"entries must be {n}x{n}")
-        if not _is_symplectic(rows, self.genus):
+        if not _is_symplectic(rows):
             raise ValueError("matrix is not integrally symplectic")
 
 
@@ -167,33 +153,35 @@ def curve_class(curve: str, genus: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _pairing_with(c, genus: int) -> list[int]:
-    # w[j] = <c, e_j> for the standard pairing
-    j = _standard_j(genus)
-    return [sum(c[k] * j[k][col] for k in range(2 * genus)) for col in range(2 * genus)]
-
-
-def _twist_entries(curve: str, genus: int, exponent: int) -> list[list[int]]:
-    """Rows of the transvection of a (possibly inverse) twist about a standard curve."""
-    if exponent not in (1, -1):
-        raise ValueError("exponent must be +1 or -1")
-    c = curve_class(curve, genus)
-    w = _pairing_with(c, genus)
-    n = 2 * genus
-    return [[int(i == j) + exponent * c[i] * w[j] for j in range(n)] for i in range(n)]
-
-
 def compose_word(word, genus: int) -> GluingMatrix:
     """Ordered product of twist matrices for a word of (curve, exponent) pairs.
 
-    Each transvection is symplectic by construction, so the product is
-    formed on plain integer rows and checked once, as the result is built.
+    The twist about c with exponent e is T = I + e c w^T, where w = J^T c is
+    c's pairing partner (w_2i = -c_2i+1, w_2i+1 = c_2i).  So each letter
+    updates the product P as P <- P + e (P c) w^T: P c sums the columns of
+    P on c's support, and e w_k (P c) is added to column k on w's support.
+    c and w have one or two nonzero entries each, so a letter costs O(genus)
+    integer operations, not a dense 2g x 2g product.  Each transvection is
+    symplectic, so the product is checked once, as the result is built.
     """
+    if genus < 1:
+        raise ValueError("genus must be positive")
     n = 2 * genus
-    product = [[int(i == j) for j in range(n)] for i in range(n)]
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    supports: dict[str, list[tuple[int, int]]] = {}  # c's nonzero entries, per curve in word
     for curve, exponent in word:
-        product = _matmul(product, _twist_entries(curve, genus, exponent))
-    return GluingMatrix(genus, product)
+        if exponent not in (1, -1):
+            raise ValueError("exponent must be +1 or -1")
+        c = supports.get(curve)
+        if c is None:
+            c = supports[curve] = [(k, v) for k, v in enumerate(curve_class(curve, genus)) if v]
+        pc = [0] * n
+        for k, v in c:
+            pc = [p + v * x for p, x in zip(pc, cols[k])]
+        for k, v in c:
+            u = exponent * (-v if k % 2 else v)  # e w_(k^1)
+            cols[k ^ 1] = [x + u * p for x, p in zip(cols[k ^ 1], pc)]
+    return GluingMatrix(genus, tuple(zip(*cols)))
 
 
 _TOKEN_RE = re.compile(r"^([abg]\d+)(?:\^(-?\d+))?$")
@@ -222,7 +210,7 @@ def smith_diagonal(matrix) -> list[int]:
     Exact integer arithmetic; nonnegative entries, each dividing the next,
     padded with zeros to min(rows, cols).
     """
-    a = [[int(x) for x in row] for row in matrix]
+    a = [[exact_int(x, "matrix entry") for x in row] for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
@@ -298,9 +286,11 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.rank < 0:
+        rank = exact_int(self.rank, "rank")
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        tor = tuple(int(t) for t in self.torsion)
+        tor = tuple(exact_int(t, "torsion coefficient") for t in self.torsion)
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", tor)
         for t in tor:
             if t < 2:

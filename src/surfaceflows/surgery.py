@@ -28,7 +28,7 @@ from .errors import (
     PlanMismatch,
     ZeroOnContour,
 )
-from .flowlab import ZeroScan, find_zeros, sector_index, winding_index
+from .flowlab import ZeroScan, exact_int, find_zeros, sector_index, winding_index
 
 # Specs for equilibria created by a gluing.  A centre (no sectors at all,
 # closed orbits only) is the minimal structure with index +1; a four-sector
@@ -49,10 +49,11 @@ class EquilibriumSpec:
     n_h: int
 
     def __post_init__(self):
-        if self.n_e < 0 or self.n_h < 0 or self.n_e != int(self.n_e) or self.n_h != int(self.n_h):
+        n_e, n_h = exact_int(self.n_e, "n_e"), exact_int(self.n_h, "n_h")
+        if n_e < 0 or n_h < 0:
             raise ValueError("sector counts must be nonnegative integers")
-        object.__setattr__(self, "n_e", int(self.n_e))
-        object.__setattr__(self, "n_h", int(self.n_h))
+        object.__setattr__(self, "n_e", n_e)
+        object.__setattr__(self, "n_h", n_h)
 
     @property
     def index(self) -> Fraction:
@@ -409,7 +410,7 @@ class Sum3Inventory:
     marker: str = "none"
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(exact_int(i, "index") for i in self.indices))
         if sum(self.indices) != 0:
             raise ValueError("three-dimensional index sum must be zero")
         if self.marker not in ("none", "circle-of-equilibria", "limit-cycle"):
@@ -437,7 +438,7 @@ def sum3_check(
         marker = "limit-cycle" if twist else "circle-of-equilibria"
         return Sum3Inventory(indices=a.indices + b.indices, marker=marker)
 
-    ia, ib = int(removed[0]), int(removed[1])
+    ia, ib = exact_int(removed[0], "removed index"), exact_int(removed[1], "removed index")
     if ia + ib != 0:
         raise NotInverse(f"removed indices {ia} and {ib} do not cancel")
     rest_a = list(a.indices)

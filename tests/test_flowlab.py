@@ -29,6 +29,7 @@ from surfaceflows.flowlab import (
     Trajectory,
     classify_index,
     covariance_check,
+    exact_int,
     find_zeros,
     integrate,
     newton_refine,
@@ -394,6 +395,30 @@ class TestSectorIndex:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sector_index(-1, 0)
+
+
+class TestExactInt:
+    @pytest.mark.parametrize("x", [3, -2, True, 4.0, np.int64(7), np.float64(-1.0), Fraction(6, 2)])
+    def test_whole_numbers_pass_as_int(self, x):
+        got = exact_int(x, "x")
+        assert type(got) is int and got == x
+
+    def test_sympy_integers_pass(self):
+        import sympy
+
+        assert exact_int(sympy.Integer(-5), "x") == -5
+        with pytest.raises(ValueError, match="x must be an integer"):
+            exact_int(sympy.Rational(1, 2), "x")
+
+    @pytest.mark.parametrize("x", [0.5, -0.7, 2.9, np.float64(1.5), Fraction(1, 3), "2"])
+    def test_fractions_rejected(self, x):
+        with pytest.raises(ValueError, match="x must be an integer"):
+            exact_int(x, "x")
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, np.float64("nan")])
+    def test_non_finite_rejected(self, x):
+        with pytest.raises(ValueError, match="x must be a finite integer"):
+            exact_int(x, "x")
 
 
 class TestFindZeros:

@@ -108,6 +108,22 @@ class TestSmithDiagonal:
         with pytest.raises(ValueError):
             smith_diagonal([[1, 2], [3]])
 
+    @pytest.mark.parametrize(
+        "rows", [[[2.7, 0], [0, 3.2]], [[math.inf]], [[1, math.nan]], [[-math.inf, 2]]]
+    )
+    def test_fractional_or_non_finite_entries_rejected(self, rows):
+        # truncation would give [1, 6] for the first; int(inf) overflows
+        with pytest.raises(ValueError, match="matrix entry must be"):
+            smith_diagonal(rows)
+
+    def test_numpy_sympy_and_whole_float_entries_accepted(self):
+        import sympy
+
+        rows = [[2, 4], [6, 8]]
+        assert smith_diagonal(np.array(rows)) == [2, 4]
+        assert smith_diagonal(sympy.Matrix(rows).tolist()) == [2, 4]
+        assert smith_diagonal([[2.0, 4.0], [6.0, 8.0]]) == [2, 4]
+
 
 def brute_force_genera(indices):
     out = {1}
@@ -131,6 +147,20 @@ class TestFeasibleGenera:
     def test_index_limit(self):
         with pytest.raises(TooManyEquilibria):
             feasible_genera(IndexSet((1,) * (MAX_SUBSET_INDICES + 1)))
+
+    @pytest.mark.parametrize(
+        "indices, hyperbolic",
+        [((1.5, -0.7), 0), ((1, math.nan), 0), ((math.inf,), 0), ((1, -1), 0.5)],
+    )
+    def test_fractional_or_non_finite_input_rejected(self, indices, hyperbolic):
+        # truncation would turn (1.5, -0.7) into (1, 0)
+        with pytest.raises(ValueError, match="must be"):
+            IndexSet(indices, hyperbolic_count=hyperbolic)
+
+    def test_numpy_indices_become_ints(self):
+        s = IndexSet(np.array([1, -1, 2]), hyperbolic_count=np.int64(1))
+        assert s.indices == (1, -1, 2) and s.hyperbolic_count == 1
+        assert all(type(i) is int for i in s.indices + (s.hyperbolic_count,))
 
 
 class TestSplittingBookkeeping:
@@ -181,6 +211,22 @@ class TestTwistWordHomology:
         assert str(AbelianGroup(2)) == "Z^2"
         assert str(AbelianGroup(0)) == "0"
 
+    @pytest.mark.parametrize(
+        "rank, torsion",
+        [(0, (2.9,)), (1.5, ()), (0, (2, math.inf)), (math.nan, ()), (0, (math.nan,))],
+    )
+    def test_group_rejects_fractional_or_non_finite_input(self, rank, torsion):
+        # truncation printed Z/2 for torsion 2.9, and Z^1.5 for rank 1.5
+        with pytest.raises(ValueError, match="must be"):
+            AbelianGroup(rank, torsion)
+
+    def test_group_takes_numpy_and_sympy_integers(self):
+        import sympy
+
+        group = AbelianGroup(np.int64(2), (sympy.Integer(3), np.int64(6), 12.0))
+        assert group == AbelianGroup(2, (3, 6, 12))
+        assert str(group) == "Z^2 + Z/3 + Z/6 + Z/12"
+
 
 def _oracle_class(curve: str, genus: int):
     """Homology class from the module docstring: a_i, b_i basis vectors, g_i = b_i - b_(i+1)."""
@@ -208,13 +254,17 @@ def _oracle_j(genus: int):
     return j
 
 
+def standard_curves(genus: int) -> list[str]:
+    curves = [f"{k}{i}" for k in "ab" for i in range(1, genus + 1)]
+    return curves + [f"g{i}" for i in range(1, genus)]
+
+
 @st.composite
 def twist_words(draw):
-    genus = draw(st.integers(1, 4))
-    curves = [f"{k}{i}" for k in "ab" for i in range(1, genus + 1)]
-    curves += [f"g{i}" for i in range(1, genus)]
-    letters = st.tuples(st.sampled_from(curves), st.sampled_from((1, -1)))
-    return genus, draw(st.lists(letters, max_size=12))
+    # the benchmark's twist-h1 words run at genus 3-6 with tens of letters
+    genus = draw(st.integers(1, 6))
+    letters = st.tuples(st.sampled_from(standard_curves(genus)), st.sampled_from((1, -1)))
+    return genus, draw(st.lists(letters, max_size=60))
 
 
 class TestGluingMatrix:
@@ -250,6 +300,8 @@ class TestGluingMatrix:
             ([("a1", 2)], 1, "exponent"),
             ([("a1", 1), ("b1", 0)], 1, "exponent"),
             ([], 0, "genus must be positive"),
+            ([("a1", 1)], 0, "genus must be positive"),
+            ([("a1", 1)], -1, "genus must be positive"),
         ],
     )
     def test_compose_word_rejects_bad_input(self, word, genus, message):
@@ -271,6 +323,47 @@ class TestGluingMatrix:
         got = compose_word(word, genus)
         assert got.genus == genus
         assert got.entries == tuple(tuple(int(x) for x in row) for row in expected.tolist())
+
+    @pytest.mark.parametrize("curve", standard_curves(3))
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_twist_power_is_a_closed_form_transvection(self, curve, k):
+        # <c, c> = 0 makes the transvection unipotent: T^k = I + k c (J^T c)^T
+        import sympy
+
+        c, j = _oracle_class(curve, 3), _oracle_j(3)
+        step = c * (j.T * c).T
+        assert step * step == sympy.zeros(6, 6)
+        expected = sympy.eye(6) + k * step
+        got = compose_word(parse_twist_word(f"{curve}^{k}"), 3)
+        assert got.entries == tuple(tuple(int(x) for x in row) for row in expected.tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(twist_words())
+    def test_word_then_reversed_inverse_is_the_identity(self, case):
+        genus, word = case
+        inverse = [(curve, -exponent) for curve, exponent in reversed(word)]
+        identity = tuple(tuple(int(i == j) for j in range(2 * genus)) for i in range(2 * genus))
+        assert compose_word(word + inverse, genus).entries == identity
+        assert compose_word(inverse + word, genus).entries == identity
+
+    @pytest.mark.parametrize(
+        "entries",
+        [((1, 0.5), (0, 1)), ((1, 1.5), (0, 1)), ((1, math.inf), (0, 1)), ((math.nan, 0), (0, 1))],
+    )
+    def test_rejects_fractional_or_non_finite_entries(self, entries):
+        # truncating ((1, 0.5), (0, 1)) would give the identity, and H1 = Z
+        with pytest.raises(ValueError, match="matrix entry must be"):
+            GluingMatrix(1, entries)
+
+    def test_numpy_and_sympy_entries_become_ints(self):
+        import sympy
+
+        for entries in (np.array([[1, 1], [0, 1]]), sympy.Matrix([[1, 1], [0, 1]]).tolist(),
+                        ((1.0, 1.0), (0.0, 1.0))):
+            m = GluingMatrix(np.int64(1), entries)
+            assert m.entries == ((1, 1), (0, 1))
+            assert type(m.genus) is int
+            assert all(type(x) is int for row in m.entries for x in row)
 
 
 class TestBallExtension:

@@ -1,6 +1,8 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,3 +196,33 @@ class TestSum3:
     def test_nonzero_sum_rejected(self):
         with pytest.raises(ValueError):
             Sum3Inventory((1, 1))
+
+    @pytest.mark.parametrize("indices", [(0.7, 0.7), (1.5, -1.5), (math.inf, -math.inf)])
+    def test_fractional_or_non_finite_indices_rejected(self, indices):
+        # truncating (0.7, 0.7) to (0, 0) would pass the zero-sum check
+        with pytest.raises(ValueError, match="index must be"):
+            Sum3Inventory(indices)
+
+    @pytest.mark.parametrize("removed", [(1.5, -1.5), (1, math.nan)])
+    def test_fractional_or_non_finite_removed_pair_rejected(self, removed):
+        with pytest.raises(ValueError, match="removed index must be"):
+            sum3_check(Sum3Inventory((1, -1)), Sum3Inventory((1, -1)), removed=removed)
+
+    def test_numpy_indices_accepted(self):
+        a = Sum3Inventory(np.array([2, -2, 1, -1]))
+        assert a.indices == (2, -2, 1, -1)
+        assert all(type(i) is int for i in a.indices)
+        out = sum3_check(a, Sum3Inventory((-2, 2)), removed=(np.int64(2), np.int64(-2)))
+        assert sorted(out.indices) == [-2, -1, 1, 2]
+
+
+class TestEquilibriumSpecInput:
+    @pytest.mark.parametrize("n_e, n_h", [(0.5, 0), (0, 1.5), (math.inf, 0), (0, math.nan)])
+    def test_fractional_or_non_finite_counts_rejected(self, n_e, n_h):
+        with pytest.raises(ValueError, match="must be"):
+            EquilibriumSpec(n_e, n_h)
+
+    def test_whole_numbers_become_ints(self):
+        spec = EquilibriumSpec(np.int64(2), 1.0)
+        assert (spec.n_e, spec.n_h) == (2, 1)
+        assert type(spec.n_e) is int and type(spec.n_h) is int
