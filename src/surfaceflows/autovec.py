@@ -132,7 +132,11 @@ def field_eval(f: AutomorphicField, z: complex) -> complex:
 
 def equivariance_residual(f: AutomorphicField, m: MoebiusMap, z: complex) -> float:
     """Relative defect of the transformation law F(mz) = m'(z) F(z) at z."""
-    fz = field_eval(f, z)
+    return _law_defect(f, m, z, field_eval(f, z))
+
+
+def _law_defect(f: AutomorphicField, m: MoebiusMap, z: complex, fz: complex) -> float:
+    """``equivariance_residual`` at z, given fz = F(z)."""
     fmz = field_eval(f, apply(m, z))
     return abs(fmz - derivative(m, z) * fz) / (abs(fz) + RESIDUAL_EPS)
 
@@ -180,7 +184,8 @@ def equivariance_report(
     This is the convergence evidence for a truncated field: residuals are
     reported, not assumed small.  The ball is enumerated once; the smaller
     one is its prefix, and each radius decides stabilization on its own
-    raw ball, as build_automorphic_field does.
+    raw ball, as build_automorphic_field does.  F is evaluated once per
+    sample point and radius, and that value serves every generator.
     """
     generators = tuple(generators)
     if sample_points is None:
@@ -195,22 +200,27 @@ def equivariance_report(
     raw_ball = enumerate_ball(generators, truncation)
     for radius in radii:
         f = _field_on_ball(raw_ball.truncated(radius), numerator_pole, denominator_pole)
-        per_gen = {}
-        for gi, g in enumerate(generators, 1):  # residuals measured against the original maps
-            residuals = []
-            for z in sample_points:
+        residuals = [[] for _ in generators]
+        for z in sample_points:
+            try:
+                fz = field_eval(f, z)
+            except NearPole:
+                continue
+            for g, found in zip(generators, residuals):  # against the original maps
                 try:
-                    residuals.append(equivariance_residual(f, g, z))
+                    found.append(_law_defect(f, g, z, fz))
                 except NearPole:
                     continue
-            per_gen[f"g{gi}"] = {
-                "median_residual": float(np.median(residuals)) if residuals else None,
-                "points_used": len(residuals),
-            }
         report["truncations"][str(radius)] = {
             "ball_size": len(f.ball),
             "stabilized": f.conjugation is not None,
-            "per_generator": per_gen,
+            "per_generator": {
+                f"g{gi}": {
+                    "median_residual": float(np.median(found)) if found else None,
+                    "points_used": len(found),
+                }
+                for gi, found in enumerate(residuals, 1)
+            },
         }
     return report
 

@@ -156,13 +156,15 @@ def curve_class(curve: str, genus: int) -> tuple[int, ...]:
 def compose_word(word, genus: int) -> GluingMatrix:
     """Ordered product of twist matrices for a word of (curve, exponent) pairs.
 
-    The twist about c with exponent e is T = I + e c w^T, where w = J^T c is
-    c's pairing partner (w_2i = -c_2i+1, w_2i+1 = c_2i).  So each letter
-    updates the product P as P <- P + e (P c) w^T: P c sums the columns of
-    P on c's support, and e w_k (P c) is added to column k on w's support.
-    c and w have one or two nonzero entries each, so a letter costs O(genus)
-    integer operations, not a dense 2g x 2g product.  Each transvection is
-    symplectic, so the product is checked once, as the result is built.
+    The twist about c is T = I + c w^T, where w = J^T c is c's pairing
+    partner (w_2i = -c_2i+1, w_2i+1 = c_2i).  <c, c> = 0 makes (c w^T)^2 = 0,
+    so T^e = I + e c w^T for every integer e, and a letter of any nonzero
+    exponent e updates the product P as P <- P + e (P c) w^T: P c sums the
+    columns of P on c's support, and e w_k (P c) is added to column k on
+    w's support.  c and w have one or two nonzero entries each, so a letter
+    costs O(genus) integer operations whatever its exponent.  Each
+    transvection is symplectic, so the product is checked once, as the
+    result is built.
     """
     if genus < 1:
         raise ValueError("genus must be positive")
@@ -170,8 +172,9 @@ def compose_word(word, genus: int) -> GluingMatrix:
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
     supports: dict[str, list[tuple[int, int]]] = {}  # c's nonzero entries, per curve in word
     for curve, exponent in word:
-        if exponent not in (1, -1):
-            raise ValueError("exponent must be +1 or -1")
+        exponent = exact_int(exponent, "exponent")
+        if exponent == 0:
+            raise ValueError("exponent must be nonzero")
         c = supports.get(curve)
         if c is None:
             c = supports[curve] = [(k, v) for k, v in enumerate(curve_class(curve, genus)) if v]
@@ -184,24 +187,42 @@ def compose_word(word, genus: int) -> GluingMatrix:
     return GluingMatrix(genus, tuple(zip(*cols)))
 
 
+@dataclass(frozen=True)
+class TwistWord:
+    """A twist word as its letters (curve, k), k != 0: "a1^3 b1" is
+    (("a1", 3), ("b1", 1)).
+
+    Iterating gives the letters.  len() is the word's length in unit
+    twists, sum |k| (4 for "a1^3 b1"), the count the word is measured by.
+    """
+
+    letters: tuple[tuple[str, int], ...]
+
+    def __iter__(self):
+        return iter(self.letters)
+
+    def __len__(self):
+        return sum(abs(k) for _, k in self.letters)
+
+
 _TOKEN_RE = re.compile(r"^([abg]\d+)(?:\^(-?\d+))?$")
 
 
-def parse_twist_word(text: str) -> list[tuple[str, int]]:
-    """Parse twist-word text like "a1 b1^-1 g1 a2" into (curve, exponent) letters.
+def parse_twist_word(text: str) -> TwistWord:
+    """Parse twist-word text like "a1 b1^-1 g1^3 a2" into (curve, exponent) letters.
 
-    Exponents beyond +-1 expand into repeated letters.
+    A power stays one letter (compose_word applies it as one update), and
+    a zero power is dropped.
     """
     letters: list[tuple[str, int]] = []
     for token in text.split():
         m = _TOKEN_RE.match(token)
         if not m:
             raise ValueError(f"bad twist token {token!r}")
-        curve = m.group(1)
         power = int(m.group(2)) if m.group(2) is not None else 1
-        sign = 1 if power >= 0 else -1
-        letters.extend((curve, sign) for _ in range(abs(power)))
-    return letters
+        if power:
+            letters.append((m.group(1), power))
+    return TwistWord(tuple(letters))
 
 
 def smith_diagonal(matrix) -> list[int]:

@@ -206,6 +206,23 @@ class TestEquivariance:
                 median = float(np.median([equivariance_residual(f, g, z) for z in sample]))
                 assert entry["per_generator"][f"g{gi}"]["median_residual"] == median
 
+    def test_report_evaluates_each_sample_point_once_per_radius(self, monkeypatch):
+        # F(z) is shared by the four generators: per radius and point, one
+        # evaluation at z and one at each g(z), 2 x 2 x (1 + 4) = 20 in all
+        from surfaceflows import autovec
+
+        calls = []
+        evaluate = autovec.field_eval
+
+        def counting(f, z):
+            calls.append(z)
+            return evaluate(f, z)
+
+        monkeypatch.setattr(autovec, "field_eval", counting)
+        equivariance_report(GENUS2_GENERATORS, S1, S2, truncation=1, sample_points=[1j, 1 + 2j])
+        assert len(calls) == 2 * 2 * (1 + len(GENUS2_GENERATORS))
+        assert calls.count(1j) == calls.count(1 + 2j) == 2
+
     def test_report_structure(self):
         report = equivariance_report(
             GENUS2_GENERATORS, S1, S2, truncation=1, sample_points=[1j, 1 + 2j]

@@ -25,7 +25,7 @@ from surfaceflows.errors import (
 from surfaceflows.flowlab import (
     DEFAULT_MAX_DISP,
     WINDING_MAX_SAMPLES,
-    WINDING_SAMPLES,
+    WINDING_START,
     Trajectory,
     classify_index,
     covariance_check,
@@ -43,6 +43,16 @@ from surfaceflows.flowlab import (
 from surfaceflows.moebius import MoebiusMap, apply, derivative
 
 from conftest import DENOMINATOR_POLE, GENUS2_GENERATORS, NUMERATOR_POLE
+
+def rational(z, zeros, poles):
+    """prod(z - zeros) / prod(z - poles)."""
+    out = 1 + 0j
+    for a in zeros:
+        out *= z - a
+    for b in poles:
+        out /= z - b
+    return out
+
 
 def walled(field, x_max):
     """``field``, not evaluable to the right of Re z = x_max."""
@@ -251,10 +261,10 @@ class TestWinding:
             winding_index(SADDLE, 0j, 1e-10)
 
     def test_non_integer_winding_when_sampling_cannot_settle(self):
-        # unit-magnitude vortex of degree 4000 just inside the contour:
-        # every sampling density aliases to a different count, so the
-        # adaptive doubling must give up rather than return a guess, having
-        # evaluated each point of the largest circle exactly once
+        # unit-magnitude vortex of degree 4000 just inside the contour: the
+        # arcs nearest 0.49 never pass the chord test, so bisection must
+        # give up at the finest arc width rather than return a guess,
+        # having evaluated no point twice
         import cmath
 
         calls = []
@@ -264,16 +274,16 @@ class TestWinding:
             w = z - 0.49
             return cmath.exp(4000j * math.atan2(w.imag, w.real))
 
-        with pytest.raises(NonIntegerWinding):
+        with pytest.raises(NonIntegerWinding, match=f"2 pi / {WINDING_MAX_SAMPLES} wide"):
             winding_index(PlanarField("custom", vortex), 0j, 0.5)
-        assert len(calls) == len(set(calls)) == WINDING_MAX_SAMPLES
+        assert len(calls) == len(set(calls)) <= WINDING_MAX_SAMPLES
 
     @pytest.mark.parametrize(
         "bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(math.nan, math.nan)]
     )
     def test_non_finite_sample_fails_at_once(self, bad):
-        # no sampling density can settle around a non-finite value, so the
-        # first sample set raises instead of doubling to WINDING_MAX_SAMPLES
+        # no bisection can settle around a non-finite value, so the first
+        # level raises instead of splitting arcs down to WINDING_MAX_SAMPLES
         calls = []
 
         def spiked(z):
@@ -282,7 +292,7 @@ class TestWinding:
 
         with pytest.raises(NonIntegerWinding, match="non-finite"):
             winding_index(PlanarField("custom", spiked), 0j, 0.5)
-        assert len(calls) <= 2 * WINDING_SAMPLES
+        assert len(calls) == WINDING_START
         with pytest.raises(NonIntegerWinding, match="non-finite"):
             winding_on_path(PlanarField("custom", spiked), [0.5, 0.5j, -0.5, -0.5j])
 
@@ -303,29 +313,65 @@ class TestWinding:
                 (z.real.hex(), z.imag.hex()) for z in expected
             ]
 
-    def test_settled_circle_reuses_samples(self, monkeypatch):
-        # the 2n-point circle contains the n-point one: a circle settled at
-        # the first doubling costs 2n evaluations, not 3n, and each
-        # estimate is bit-identical to a fresh count at its sample count
-        n = WINDING_SAMPLES
-        expected = [winding_estimate_circle(DIPOLE, 0.1j, 0.3, k).hex() for k in (n, 2 * n)]
+    def test_settled_circle_reuses_samples(self):
+        # an arc's midpoint becomes an endpoint of both its halves: every
+        # sample is a distinct point, the WINDING_START points come first,
+        # and each later point halves an arc between two earlier ones
         points = []
 
         def counting(z):
             points.append(z)
             return DIPOLE(z)
 
-        estimates = []
-        count = flowlab._winding_of_values
-
-        def recording(values):
-            estimates.append(count(values))
-            return estimates[-1]
-
-        monkeypatch.setattr(flowlab, "_winding_of_values", recording)
         assert winding_index(PlanarField("custom", counting), 0.1j, 0.3) == 2
-        assert len(points) == 2 * n
-        assert [e.hex() for e in estimates] == expected
+        assert len(points) == len(set(points))
+        assert WINDING_START < len(points) <= 4 * WINDING_START
+        grid = 2 * WINDING_MAX_SAMPLES  # midpoints of the finest arcs
+        ticks = [round(cmath.phase((z - 0.1j) / 0.3) % (2 * math.pi) * grid / (2 * math.pi)) % grid
+                 for z in points]
+        step = grid // WINDING_START
+        assert ticks[:WINDING_START] == [step * k for k in range(WINDING_START)]
+        seen = set(ticks[:WINDING_START])
+        for tick in ticks[WINDING_START:]:
+            width = tick & -tick  # half the arc this point bisects
+            assert width < step
+            assert {tick - width, (tick + width) % grid} <= seen
+            seen.add(tick)
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, 2.0, 3.3, 5.1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_straddling_pair_is_counted_exactly(self, t, sign):
+        # a zero and a pole 0.002 apart on either side of the unit circle
+        # fit between two samples of a 2,048-point circle; the chord test
+        # finds them and counts the one inside
+        u = cmath.exp(1j * t)
+        zero, pole = u * (1 - sign * 0.001), u * (1 + sign * 0.001)
+        field = PlanarField("custom", lambda z: (z - zero) / (z - pole))
+        assert winding_index(field, 0j, 1.0) == sign
+
+    def test_pair_that_fooled_a_phase_jump_rule(self):
+        # the zero -0.52337-0.85038i is inside the unit circle and the pole
+        # -0.52644-0.85296i just outside: no phase jump between samples
+        # shows the pair, so a rule bisecting on phase alone counts 0
+        zeros = (-1.25105 - 1.04610j, -0.52337 - 0.85038j)
+        poles = (-1.46381 + 0.99328j, -0.52644 - 0.85296j)
+        field = PlanarField("custom", lambda z: rational(z, zeros, poles))
+        assert winding_index(field, 0j, 1.0) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rational_function_index_is_zeros_minus_poles_inside(self, data):
+        # argument principle: the unit circle's index is the number of
+        # zeros inside minus the number of poles inside
+        def points():
+            radius = st.one_of(st.floats(0.0, 0.98), st.floats(1.02, 3.0))
+            return st.lists(st.builds(cmath.rect, radius, st.floats(0.0, 2 * math.pi)),
+                            max_size=5)
+
+        zeros, poles = data.draw(points()), data.draw(points())
+        field = PlanarField("custom", lambda z: rational(z, zeros, poles))
+        expected = sum(abs(z) < 1 for z in zeros) - sum(abs(p) < 1 for p in poles)
+        assert winding_index(field, 0j, 1.0) == expected
 
     def test_winding_additivity_polynomials(self):
         # boundary degree equals the number of enclosed simple roots

@@ -15,6 +15,7 @@ from surfaceflows.heegaard import (
     BallExtensionField,
     GluingMatrix,
     IndexSet,
+    TwistWord,
     _chart,
     _from_chart,
     compose_word,
@@ -206,6 +207,22 @@ class TestTwistWordHomology:
         # gluing by a1^p gives the lens space L(p, 1), with H1 = Z/p
         assert h1_from_gluing(compose_word(parse_twist_word(f"a1^{p}"), 1)) == AbelianGroup(0, (p,))
 
+    def test_power_stays_one_letter(self):
+        word = parse_twist_word("a1^3 b1^-2 a2^0 g1")
+        assert word == TwistWord((("a1", 3), ("b1", -2), ("g1", 1)))
+        assert list(word) == [("a1", 3), ("b1", -2), ("g1", 1)]
+        assert len(word) == 6  # unit twists: 3 + 2 + 1
+        assert len(parse_twist_word("")) == len(parse_twist_word("a1^0")) == 0
+
+    def test_huge_power_is_one_update(self):
+        # T^k = I + k c w^T: a1^1000000 b1 is two letters, not a million
+        word = parse_twist_word("a1^1000000 b1")
+        assert word.letters == (("a1", 1000000), ("b1", 1))
+        assert len(word) == 1000001
+        gluing = compose_word(word, 1)
+        assert gluing.entries == ((-999999, 1000000), (-1, 1))
+        assert h1_from_gluing(gluing) == AbelianGroup(0, (1000000,))
+
     def test_group_text(self):
         assert str(AbelianGroup(0, (2, 12))) == "Z/2 + Z/12"
         assert str(AbelianGroup(2)) == "Z^2"
@@ -297,7 +314,7 @@ class TestGluingMatrix:
             ([("a3", 1)], 2, "out of range"),
             ([("b1", 1), ("g2", 1)], 2, "chain curves"),
             ([("x1", 1)], 1, "bad curve id"),
-            ([("a1", 2)], 1, "exponent"),
+            ([("a1", 1.5)], 1, "exponent"),
             ([("a1", 1), ("b1", 0)], 1, "exponent"),
             ([], 0, "genus must be positive"),
             ([("a1", 1)], 0, "genus must be positive"),
@@ -336,6 +353,18 @@ class TestGluingMatrix:
         expected = sympy.eye(6) + k * step
         got = compose_word(parse_twist_word(f"{curve}^{k}"), 3)
         assert got.entries == tuple(tuple(int(x) for x in row) for row in expected.tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(twist_words(), st.lists(st.integers(-5, 5).filter(bool), min_size=60, max_size=60))
+    def test_power_letter_equals_its_unit_letters(self, case, powers):
+        # (curve, k) composes as |k| letters (curve, sign k), and exponents
+        # arrive through exact_int, so numpy integers pass
+        genus, word = case
+        word = [(curve, e * k) for (curve, e), k in zip(word, powers)]
+        units = [(curve, 1 if k > 0 else -1) for curve, k in word for _ in range(abs(k))]
+        expected = compose_word(units, genus).entries
+        assert compose_word(word, genus).entries == expected
+        assert compose_word([(c, np.int64(k)) for c, k in word], genus).entries == expected
 
     @settings(max_examples=60, deadline=None)
     @given(twist_words())
