@@ -37,7 +37,8 @@ FLOW_TOL = 1e-9
 MAX_STEPS = 200_000
 WINDING_START = 32
 WINDING_CHORD_TOL = 0.05
-WINDING_MAX_SAMPLES = 1 << 17
+WINDING_MAX_SAMPLES = 1 << 17  # field evaluations per circle
+WINDING_FINEST = 1 << 24  # the narrowest arc is 2 pi / WINDING_FINEST
 WINDING_INTEGER_TOL = 0.05
 NEWTON_MAX_ITER = 50
 COVARIANCE_SAMPLES = 32
@@ -283,10 +284,16 @@ def winding_index(field, center: complex, radius: float) -> int:
     straddling the unit circle is counted exactly down to a separation of
     0.002, against about 0.004 with the earlier sample doubling.
 
-    Arcs are halved down to 2 pi / WINDING_MAX_SAMPLES.  Raises
+    A circle costs at most WINDING_MAX_SAMPLES evaluations.  Arcs are
+    halved down to 2 pi / WINDING_FINEST, but past 2 pi /
+    WINDING_MAX_SAMPLES only while at most WINDING_START arcs are left:
+    a lone pole 1e-6 r off the circle leaves about 10 per level and
+    settles in about 250 evaluations, while thousands of unsettled
+    arcs mean the field turns faster than the samples resolve.  Raises
     ZeroOnContour when |F| < ZERO_TOL at a sample, and NonIntegerWinding
-    at once on a non-finite sample, when an arc of that finest width fails
-    the chord test, or when the phase sum is not within
+    at once on a non-finite sample, when arcs are still unsettled at the
+    width limit that applies, when the next level would pass the
+    evaluation budget, or when the phase sum is not within
     WINDING_INTEGER_TOL of a whole turn.  A non-finite centre or
     a radius that is not positive and finite raises ValueError.
     """
@@ -297,12 +304,15 @@ def winding_index(field, center: complex, radius: float) -> int:
     k = np.arange(n)  # arc k runs from point k to point k + 1 of the n-point circle
     fa = _contour_values([field(p) for p in _circle_at(center, radius, n, k)])
     fb = np.roll(fa, -1)
-    total = 0.0
+    total, evaluations = 0.0, n
     while k.size:
-        if n > WINDING_MAX_SAMPLES:
+        if n > WINDING_FINEST or (n > WINDING_MAX_SAMPLES and k.size > WINDING_START):
+            raise NonIntegerWinding(f"{k.size} arcs 2 pi / {n // 2} wide did not settle")
+        if evaluations + k.size > WINDING_MAX_SAMPLES:
             raise NonIntegerWinding(
-                f"{k.size} arcs 2 pi / {WINDING_MAX_SAMPLES} wide did not settle"
+                f"{k.size} arcs unsettled after {evaluations} of {WINDING_MAX_SAMPLES} evaluations"
             )
+        evaluations += k.size
         k = 2 * k + 1  # the midpoints, on the 2n-point circle
         n *= 2
         fm = _contour_values([field(p) for p in _circle_at(center, radius, n, k)])
@@ -490,7 +500,7 @@ def find_zeros(field, region, n: int) -> ZeroScan:
     winding index (with radius backoff when a contour is unusable).  The
     index comes from ``winding_index``'s adaptive arc bisection: an arc is
     accepted once the field is within WINDING_CHORD_TOL of its chord, arcs
-    are halved down to 2 pi / WINDING_MAX_SAMPLES, and a zero-pole
+    are halved as deep as 2 pi / WINDING_FINEST, and a zero-pole
     pair straddling a unit circle is counted exactly down to a separation
     of 0.002 (about 0.004 with the earlier sample doubling).
     Candidates that diverge, leave the region, or defeat the winding

@@ -8,15 +8,15 @@ by the first nonzero coefficient), which is what ball enumeration
 deduplicates on.  Deduplication is by matrix distance, never by word:
 generating sets may satisfy relations, and the enumeration must neither
 assume freeness nor assert any particular relation.  Maps check their
-input when built; enumeration works on plain (a, b, c, d) tuples, valid by
-construction as products of checked det-1 letters.
+input when built; enumeration works on (N, 4) arrays of (a, b, c, d) rows,
+valid by construction as products of checked det-1 letters, and its array
+arithmetic reproduces the scalar tuple arithmetic bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,15 +83,25 @@ def _sign_fixed(a: complex, b: complex, c: complex, d: complex) -> tuple:
     difference) would inject noise of order |coeff|^2 * eps, while matrix
     products of det-1 factors keep det 1 to relative rounding error.
     """
-    biggest = max(abs(a), abs(b), abs(c), abs(d))
-    for w in (a, b, c, d):
-        if abs(w) <= _SIGN_EPS * biggest:
-            continue
-        real_is_zero = abs(w.real) <= _SIGN_EPS * abs(w)
-        if (w.real < 0.0 and not real_is_zero) or (real_is_zero and w.imag < 0.0):
-            return (-a, -b, -c, -d)
-        break
-    return (a, b, c, d)
+    return tuple(_sign_fixed_rows(np.array([(a, b, c, d)], dtype=complex))[0].tolist())
+
+
+def _sign_fixed_rows(rows: np.ndarray) -> np.ndarray:
+    """The sign convention on each row of an (m, 4) complex array, in place.
+
+    A row is negated when its first coefficient above _SIGN_EPS times its
+    largest has negative real part, or a real part within _SIGN_EPS of
+    zero and negative imaginary part.  Moduli come from np.hypot, which
+    matches CPython's abs(complex) bit for bit where np.abs does not.
+    """
+    mag = np.hypot(rows.real, rows.imag)
+    significant = mag > _SIGN_EPS * mag.max(axis=1, keepdims=True)
+    pick = np.arange(len(rows)), significant.argmax(axis=1)  # first significant column
+    w = rows[pick]
+    real_is_zero = np.abs(w.real) <= _SIGN_EPS * mag[pick]
+    flip = significant.any(axis=1) & np.where(real_is_zero, w.imag < 0.0, w.real < 0.0)
+    rows[flip] = -rows[flip]
+    return rows
 
 
 def _product(p: tuple, q: tuple) -> tuple:
@@ -99,6 +109,28 @@ def _product(p: tuple, q: tuple) -> tuple:
     a1, b1, c1, d1 = p
     a2, b2, c2, d2 = q
     return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+
+
+def _products(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Coefficient-matrix products p q over broadcast (..., 4) complex arrays.
+
+    Written in real arithmetic in the operation order of CPython's complex
+    product, so each entry equals ``_product`` on the same tuples bit for
+    bit; numpy's complex multiply can differ from it in the last bit.
+    """
+    p_re, p_im, q_re, q_im = p.real, p.imag, q.real, q.imag
+
+    def mul(i, j):  # p[..., i] * q[..., j] as (real, imag)
+        return (p_re[..., i] * q_re[..., j] - p_im[..., i] * q_im[..., j],
+                p_re[..., i] * q_im[..., j] + p_im[..., i] * q_re[..., j])
+
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape), dtype=complex)
+    for row in (0, 2):
+        for col in (0, 1):
+            (re1, im1), (re2, im2) = mul(row, col), mul(row + 1, col + 2)
+            out.real[..., row + col] = re1 + re2
+            out.imag[..., row + col] = im1 + im2
+    return out
 
 
 def _inverse(p: tuple) -> tuple:
@@ -216,63 +248,103 @@ class GroupBall:
         ``m``, sign-fixed like an enumerated one.
         """
         unit = m.normalized().coeffs()
-        unit_inv = _inverse(unit)
-        rows = [_sign_fixed(*_product(_product(unit, g), unit_inv)) for g in self.coeffs.tolist()]
+        unit, unit_inv = np.array([unit]), np.array([_inverse(unit)])
+        rows = _sign_fixed_rows(_products(_products(unit, self.coeffs), unit_inv))
         generators = tuple(compose(compose(m, g), inverse(m)) for g in self.generators)
-        return GroupBall(generators, self.radius, self.letters, _frozen_rows(rows))
+        return GroupBall(generators, self.radius, self.letters, _frozen(rows))
 
 
-def _frozen_rows(rows) -> np.ndarray:
-    coeffs = np.array(rows, dtype=complex)
+def _frozen(coeffs: np.ndarray) -> np.ndarray:
     coeffs.flags.writeable = False
     return coeffs
 
 
-class _MatrixIndex:
-    """Spatial hash over the 8 real coordinates of normalized (a, b, c, d) tuples.
+# murmur3's 64-bit finalizer mixes each coordinate's bits; distinct odd
+# multipliers, one per coordinate, then make the sum order-dependent
+_MIX = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
+_HASH_MULTIPLIERS = np.uint64(0x9E3779B97F4A7C15) * np.arange(1, 16, 2, dtype=np.uint64)
+
+
+class _CellIndex:
+    """Spatial hash over the 8 real coordinates of normalized (a, b, c, d) rows.
 
     Distinct elements of a discrete group sit far apart while duplicates
     agree to rounding error, so a coarse grid with neighbour probing is
     enough.  Cells are 1000 * tol wide and centred on multiples of their
     width, so zeros and integers, frequent coordinates, sit mid-cell and a
-    lookup usually probes one cell (a power-of-two width would put odd
-    integers on cell edges).  Lookups also probe around the negated
-    matrix: the sign convention can flip for matrices whose leading
-    coefficient hugs the imaginary axis.
+    row usually touches one cell (a power-of-two width would put odd
+    integers on cell edges).  Rows also match the negated row: the sign
+    convention can flip for matrices whose leading coefficient hugs the
+    imaginary axis.  A cell is keyed by a 64-bit hash of its integer
+    coordinates; a collision only sends a row to the exact probe.
     """
 
     def __init__(self, tol: float):
         self.tol = tol
         self.h = max(tol * 1000.0, 1e-12)
-        self.buckets: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
+        self.hashes = np.empty(0, dtype=np.uint64)  # one per stored row
+        self.buckets: dict[int, list[list[float]]] = {}
+
+    def _cells(self, vecs: np.ndarray) -> np.ndarray:
+        return np.floor(vecs / self.h + 0.5)
 
     @staticmethod
-    def _vec(m: tuple) -> tuple[float, ...]:
-        a, b, c, d = m
-        return (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+    def _hash(cells: np.ndarray) -> np.ndarray:
+        k = np.ascontiguousarray(cells).view(np.uint64)
+        for mult in _MIX:
+            k = (k ^ (k >> np.uint64(33))) * mult
+        return ((k ^ (k >> np.uint64(33))) * _HASH_MULTIPLIERS).sum(axis=-1)
 
-    def _cell(self, vec) -> tuple[int, ...]:
-        return tuple(math.floor(x / self.h + 0.5) for x in vec)
+    def add_new(self, vecs: np.ndarray) -> np.ndarray:
+        """Store, in order, each row of (m, 8) ``vecs`` within tol of no stored row.
 
-    def _near(self, vec) -> bool:
-        ranges = [
-            range(math.floor((x - self.tol) / self.h + 0.5),
-                  math.floor((x + self.tol) / self.h + 0.5) + 1)
-            for x in vec
-        ]
-        for cell in itertools.product(*ranges):
-            for cand in self.buckets.get(cell, ()):
+        A row matches a stored one when they, or the row's negative and
+        the stored one, differ by less than tol in every coordinate.  Rows
+        are taken up to the first one whose cell is not finite; the
+        returned mask of new rows covers only those, so a shorter mask
+        means coefficient overflow.
+        """
+        finite = np.isfinite(vecs / self.h).all(axis=1)
+        vecs = vecs[: len(vecs) if finite.all() else int(finite.argmin())]
+        signed = np.stack((vecs, -vecs))  # v and -v
+        lo, hi = self._cells(signed - self.tol), self._cells(signed + self.tol)
+        own, other = self._hash(self._cells(vecs)), self._hash(lo[1])
+        # A row is new at once when it and its negative sit more than tol
+        # inside their cells and no stored or fellow row shares either cell
+        # (a row within tol of them would).  Every other row is probed in
+        # order against all rows stored before it.
+        pool = np.concatenate((self.hashes, own))
+        _, slot, counts = np.unique(pool, return_inverse=True, return_counts=True)
+        fast = (
+            (lo == hi).all(axis=(0, 2))
+            & (counts[slot[len(self.hashes):]] == 1)
+            & ~np.isin(other, pool)
+        )
+        new = fast.copy()
+        for k in np.flatnonzero(~fast).tolist():
+            vec = vecs[k].tolist()
+            if not (self._near(lo[0, k], hi[0, k], vec)
+                    or self._near(lo[1, k], hi[1, k], [-x for x in vec])):
+                new[k] = True
+                self.buckets.setdefault(int(own[k]), []).append(vec)
+        # fast rows own fresh cells, so each starts its own bucket
+        self.buckets.update(zip(own[fast].tolist(), ([vec] for vec in vecs[fast].tolist())))
+        self.hashes = np.concatenate((self.hashes, own[new]))
+        return new
+
+    def _near(self, lo: np.ndarray, hi: np.ndarray, vec: list[float]) -> bool:
+        """True when a stored row lies within tol of ``vec``, whose cells span lo..hi."""
+        ranges = [range(int(a), int(b) + 1) for a, b in zip(lo.tolist(), hi.tolist())]
+        cells = np.array(list(itertools.product(*ranges)), dtype=float)
+        for key in self._hash(cells).tolist():
+            for cand in self.buckets.get(key, ()):
                 if max(abs(x - y) for x, y in zip(vec, cand)) < self.tol:
                     return True
         return False
 
-    def contains(self, m: tuple) -> bool:
-        vec = self._vec(m)
-        return self._near(vec) or self._near(tuple(-x for x in vec))
 
-    def add(self, m: tuple) -> None:
-        vec = self._vec(m)
-        self.buckets.setdefault(self._cell(vec), []).append(vec)
+# blocks of at most this many parents bound the memory of a level's products
+_BLOCK = 4096
 
 
 def enumerate_ball(generators, radius: int) -> GroupBall:
@@ -281,7 +353,9 @@ def enumerate_ball(generators, radius: int) -> GroupBall:
     Words are extended in canonical letter order (g1, g1^-1, g2, ...), so
     the first word reaching an element is its canonical representative and
     the output order is schedule-independent: word length first, then
-    lexicographic word.
+    lexicographic word.  Each block of a level is one array pass: every
+    parent times every letter that does not cancel its last one, then the
+    sign fix and the dedup in canonical order.
 
     Raises BallTooLarge past BALL_CAP elements, ValueError on coefficient overflow.
     """
@@ -290,40 +364,44 @@ def enumerate_ball(generators, radius: int) -> GroupBall:
         raise ValueError("radius must be nonnegative")
     # Letters carry det 1, so products stay det-1 to rounding error and
     # canonical representatives only need the sign fix (see _sign_fixed).
-    alphabet = []
-    for i, g in enumerate(generators, start=1):
-        unit = g.normalized().coeffs()
-        alphabet.append(((i, 1), (i, -1), unit))
-        alphabet.append(((i, -1), (i, 1), _inverse(unit)))
+    # Letter 2i is g_(i+1) and letter 2i + 1 its inverse, so l ^ 1 undoes l.
+    units = [g.normalized().coeffs() for g in generators]
+    alphabet = np.array([m for unit in units for m in (unit, _inverse(unit))], dtype=complex)
+    names = [((i, e),) for i in range(1, len(generators) + 1) for e in (1, -1)]
+    undo = np.arange(len(alphabet)) ^ 1
 
-    index = _MatrixIndex(DEDUP_TOL)
-    index.add(_IDENTITY)
+    index = _CellIndex(DEDUP_TOL)
+    level = np.array([_IDENTITY], dtype=complex)
+    index.add_new(level.view(float))
     words: list[tuple[tuple[int, int], ...]] = [()]
-    rows: list[tuple] = [_IDENTITY]
-    level = range(1)  # positions of the last level's elements
+    blocks = [level]
+    last = np.array([-1])  # last letter of each element of the level
     for length in range(1, radius + 1):
-        for k in level:
-            word, matrix = words[k], rows[k]
-            last = word[-1] if word else None
-            for letter, undo, gen in alphabet:
-                if last == undo:
-                    continue  # immediate cancellation: not freely reduced
-                candidate = _sign_fixed(*_product(matrix, gen))
-                try:
-                    if index.contains(candidate):
-                        continue
-                except (OverflowError, ValueError) as exc:
-                    raise ValueError(f"coefficient overflow at word length {length}") from exc
-                if len(rows) + 1 > BALL_CAP:
-                    raise BallTooLarge(
-                        f"group ball exceeds cap of {BALL_CAP} elements at radius {radius}"
-                    )
-                index.add(candidate)
-                words.append(word + (letter,))
-                rows.append(candidate)
-        level = range(level.stop, len(rows))
+        if not len(level):
+            break  # the previous level added nothing, so the ball is complete
+        first = len(words)  # position of the level's first element
+        level_blocks, last_blocks = [], []
+        for start in range(0, len(level), _BLOCK):
+            parent, letter = np.nonzero(last[start:start + _BLOCK, None] != undo)
+            parent += start
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+                cand = _sign_fixed_rows(_products(level[parent], alphabet[letter]))
+                new = index.add_new(cand.view(float))
+            if len(words) + int(new.sum()) > BALL_CAP:
+                raise BallTooLarge(
+                    f"group ball exceeds cap of {BALL_CAP} elements at radius {radius}"
+                )
+            if len(new) < len(cand):
+                raise ValueError(f"coefficient overflow at word length {length}")
+            parent, letter = parent[new] + (first - len(level)), letter[new]
+            words.extend([words[k] + names[l] for k, l in zip(parent.tolist(), letter.tolist())])
+            level_blocks.append(cand[new])
+            last_blocks.append(letter)
+        level = np.concatenate(level_blocks)
+        last = np.concatenate(last_blocks)
+        blocks.append(level)
 
-    return GroupBall(generators, radius, tuple(words), _frozen_rows(rows))
+    return GroupBall(generators, radius, tuple(words), _frozen(np.concatenate(blocks)))
 
 
 def word_to_map(word: GroupWord, generators) -> MoebiusMap:

@@ -89,6 +89,7 @@ class SurfaceInventory:
     equilibria: tuple[EquilibriumSpec, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "genus", exact_int(self.genus, "genus"))
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
         if not self.orientable and self.genus == 0:
@@ -162,6 +163,8 @@ class SumPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", SumMode(self.mode))
+        object.__setattr__(self, "n11", exact_int(self.n11, "n11"))
+        object.__setattr__(self, "n21", exact_int(self.n21, "n21"))
         if self.n11 < 0 or self.n21 < 0:
             raise PlanMismatch("split counts must be nonnegative")
         if self.mode is not SumMode.SPLIT and (self.n11 or self.n21):

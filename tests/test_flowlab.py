@@ -24,6 +24,7 @@ from surfaceflows.errors import (
 )
 from surfaceflows.flowlab import (
     DEFAULT_MAX_DISP,
+    WINDING_FINEST,
     WINDING_MAX_SAMPLES,
     WINDING_START,
     Trajectory,
@@ -262,9 +263,10 @@ class TestWinding:
 
     def test_non_integer_winding_when_sampling_cannot_settle(self):
         # unit-magnitude vortex of degree 4000 just inside the contour: the
-        # arcs nearest 0.49 never pass the chord test, so bisection must
-        # give up at the finest arc width rather than return a guess,
-        # having evaluated no point twice
+        # arcs nearest 0.49 do not pass the chord test at 2 pi / 2^17, and
+        # thousands of them are left, so bisection gives up there rather
+        # than go deeper and return a guess, within the evaluation budget
+        # and having evaluated no point twice
         import cmath
 
         calls = []
@@ -278,12 +280,42 @@ class TestWinding:
             winding_index(PlanarField("custom", vortex), 0j, 0.5)
         assert len(calls) == len(set(calls)) <= WINDING_MAX_SAMPLES
 
+    @pytest.mark.parametrize("angle", [0.3, 1.9, 3.7, 5.2])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_lone_pole_next_to_the_circle(self, angle, side):
+        # a pole 1e-5 off the unit circle needs arcs about 1e-5 wide, far
+        # below 2 pi / 2^17; bisection there is local and cheap
+        b = (1 + side * 1e-5) * cmath.exp(1j * angle)
+        calls = []
+
+        def pole(z):
+            calls.append(z)
+            return 1 / (z - b)
+
+        assert winding_index(PlanarField("custom", pole), 0j, 1.0) == (0 if side > 0 else -1)
+        assert len(calls) < 300
+
+    def test_evaluation_budget_is_a_hard_cap(self):
+        # unit values of random phase: almost no arc settles, so the arcs
+        # nearly double each level until the next level would pass the budget
+        rng = np.random.default_rng(3)
+        calls = []
+
+        def noise(z):
+            calls.append(z)
+            return cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+        with pytest.raises(NonIntegerWinding, match=f"of {WINDING_MAX_SAMPLES} evaluations"):
+            winding_index(PlanarField("custom", noise), 0j, 1.0)
+        assert len(calls) == len(set(calls))
+        assert WINDING_MAX_SAMPLES // 2 < len(calls) <= WINDING_MAX_SAMPLES
+
     @pytest.mark.parametrize(
         "bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(math.nan, math.nan)]
     )
     def test_non_finite_sample_fails_at_once(self, bad):
         # no bisection can settle around a non-finite value, so the first
-        # level raises instead of splitting arcs down to WINDING_MAX_SAMPLES
+        # level raises instead of splitting arcs down to the finest width
         calls = []
 
         def spiked(z):
@@ -326,7 +358,7 @@ class TestWinding:
         assert winding_index(PlanarField("custom", counting), 0.1j, 0.3) == 2
         assert len(points) == len(set(points))
         assert WINDING_START < len(points) <= 4 * WINDING_START
-        grid = 2 * WINDING_MAX_SAMPLES  # midpoints of the finest arcs
+        grid = 2 * WINDING_FINEST  # midpoints of the finest arcs
         ticks = [round(cmath.phase((z - 0.1j) / 0.3) % (2 * math.pi) * grid / (2 * math.pi)) % grid
                  for z in points]
         step = grid // WINDING_START

@@ -234,6 +234,16 @@ class TestEnumeration:
         ball = enumerate_ball((T2, T2), 1)
         assert len(ball) == 3  # id, T2, T2^-1
 
+    @pytest.mark.parametrize("radius, size", [(1, 3), (2, 5)])
+    def test_near_duplicate_letters_across_a_cell_edge_collapse(self, radius, size):
+        # the two letters differ by 0.6 DEDUP_TOL across an edge of the
+        # dedup grid, so they are one element found by the neighbour probe
+        h, tol = 1000.0 * moebius.DEDUP_TOL, moebius.DEDUP_TOL
+        shears = [MoebiusMap(1, 7.5 * h + step * tol, 0, 1) for step in (-0.3, 0.3)]
+        ball = enumerate_ball(shears, radius)
+        assert len(ball) == size
+        assert ball.letters[:3] == ((), ((1, 1),), ((1, -1),))
+
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             enumerate_ball((T1,), -1)
@@ -260,8 +270,9 @@ class TestEnumeration:
 
     def test_maps_and_words_round_trip_through_word_to_map(self):
         # every stored row is the canonical representative word_to_map
-        # recomputes from its word, bit for bit
-        ball = enumerate_ball((T1, T2, T3, T4), 3)
+        # recomputes from its word, bit for bit (the demo generators at the
+        # demo's radius)
+        ball = enumerate_ball((T1, T2, T3, T4), 4)
         words, maps = ball.words(), ball.maps()
         assert len(words) == len(maps) == len(ball)
         assert tuple(w.letters for w in words) == ball.letters
@@ -281,21 +292,174 @@ class TestEnumeration:
             enumerate_ball([scaling], 51)
 
 
-class TestMatrixIndex:
+class TestCellIndex:
+    @staticmethod
+    def rows(*maps):
+        return np.array([m for m in maps], dtype=complex).view(float)
+
     def test_finds_sign_flipped_duplicate(self):
-        index = moebius._MatrixIndex(moebius.DEDUP_TOL)
+        index = moebius._CellIndex(moebius.DEDUP_TOL)
         m = T1.normalized().coeffs()
-        index.add(m)
-        assert index.contains(m)
-        assert index.contains(tuple(-x for x in m))
-        assert not index.contains(T2.normalized().coeffs())
+        assert index.add_new(self.rows(m)).tolist() == [True]
+        flipped = tuple(-x for x in m)
+        other = T2.normalized().coeffs()
+        assert index.add_new(self.rows(m, flipped, other)).tolist() == [False, False, True]
 
     def test_tolerance_is_the_match_radius(self):
-        index = moebius._MatrixIndex(moebius.DEDUP_TOL)
+        index = moebius._CellIndex(moebius.DEDUP_TOL)
         a, b, c, d = T3.normalized().coeffs()  # real matrix: its imaginary parts are exact zeros
-        index.add((a, b, c, d))
-        for step in (0.5, -0.5, 0.5j, -0.5j):
-            near = (a + step * moebius.DEDUP_TOL, b, c, d)
-            far = (a, b, c + 4.0 * step * moebius.DEDUP_TOL, d)
-            assert index.contains(near)
-            assert not index.contains(far)
+        index.add_new(self.rows((a, b, c, d)))
+        steps = (0.5, -0.5, 0.5j, -0.5j)
+        near = [(a + step * moebius.DEDUP_TOL, b, c, d) for step in steps]
+        far = [(a, b, c + 4.0 * step * moebius.DEDUP_TOL, d) for step in steps]
+        assert index.add_new(self.rows(*near, *far)).tolist() == [False] * 4 + [True] * 4
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_duplicate_across_a_cell_edge_is_merged(self, sign):
+        # two rows 0.6 tol apart on either side of a cell edge: their cells
+        # differ, so only the neighbour probe can merge them
+        index = moebius._CellIndex(moebius.DEDUP_TOL)
+        tol, edge = moebius.DEDUP_TOL, 7.5 * index.h
+        below, above = (1.0, edge - 0.3 * tol, 0.0, 1.0), (1.0, edge + 0.3 * tol, 0.0, 1.0)
+        cells = index._cells(self.rows(below, above))
+        assert (cells[0] != cells[1]).sum() == 1
+        assert index.add_new(self.rows(below)).tolist() == [True]
+        twin = tuple(sign * x for x in above)
+        assert index.add_new(self.rows(twin, (1.0, edge + 3 * tol, 0.0, 1.0))).tolist() == [
+            False, True]
+        # and within one call, against a row stored earlier in the same call
+        fresh = moebius._CellIndex(moebius.DEDUP_TOL)
+        assert fresh.add_new(self.rows(below, twin)).tolist() == [True, False]
+
+
+def _sign_fixed_loop(m):
+    """Reference sign convention, one coefficient at a time (as a loop)."""
+    biggest = max(abs(w) for w in m)
+    for w in m:
+        if abs(w) <= moebius._SIGN_EPS * biggest:
+            continue
+        real_is_zero = abs(w.real) <= moebius._SIGN_EPS * abs(w)
+        if (w.real < 0.0 and not real_is_zero) or (real_is_zero and w.imag < 0.0):
+            return tuple(-w for w in m)
+        break
+    return tuple(m)
+
+
+def _ball_loop(generators, radius):
+    """Reference enumeration: scalar products, and each candidate compared
+    with every element kept so far, up to sign, at DEDUP_TOL."""
+    alphabet = []
+    for i, g in enumerate(generators, start=1):
+        unit = g.normalized().coeffs()
+        alphabet += [((i, 1), (i, -1), unit), ((i, -1), (i, 1), moebius._inverse(unit))]
+    words, rows, level = [()], [(1.0 + 0j, 0j, 0j, 1.0 + 0j)], [0]
+    for _ in range(radius):
+        start = len(rows)
+        for k in level:
+            for letter, undo, gen in alphabet:
+                if words[k] and words[k][-1] == undo:
+                    continue
+                cand = _sign_fixed_loop(moebius._product(rows[k], gen))
+                if not any(max(abs(x - s * y) for x, y in zip(cand, row)) < moebius.DEDUP_TOL
+                           for row in rows for s in (1, -1)):
+                    words.append(words[k] + (letter,))
+                    rows.append(cand)
+        level = range(start, len(rows))
+    return tuple(words), np.array(rows, dtype=complex)
+
+
+def _hex(rows):
+    return [[(z.real.hex(), z.imag.hex()) for z in row] for row in rows]
+
+
+class TestArrayProducts:
+    def test_sign_fix_matches_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        rows = rng.normal(size=(2000, 4)) + 1j * rng.normal(size=(2000, 4))
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows.imag[rng.random(rows.shape) < 0.3] = 0.0
+        rows.real[rng.random(rows.shape) < 0.2] = 1e-14  # real part hugging zero
+        rows[rng.random(rows.shape) < 0.1] *= -1.0
+        expected = [_sign_fixed_loop(row) for row in rows.tolist()]
+        assert _hex(moebius._sign_fixed_rows(rows.copy()).tolist()) == _hex(expected)
+
+    def test_products_match_the_scalar_product_bit_for_bit(self):
+        # numpy's complex multiply differs from CPython's in the last bit
+        # for about a quarter of random products; the array product must not
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(500, 2, 4, 2)) * 10.0 ** rng.integers(-3, 4, size=(500, 2, 4, 2))
+        values[rng.random(values.shape) < 0.15] = 0.0
+        values[rng.random(values.shape) < 0.1] *= -0.0  # signed zeros
+        p = values[:, 0, :, 0] + 1j * 0.0
+        q = values[:, 1, :, 0] + 1j * 0.0
+        p.imag, q.imag = values[:, 0, :, 1], values[:, 1, :, 1]
+        got = moebius._products(p, q)
+        expected = [moebius._product(tuple(pp), tuple(qq)) for pp, qq in zip(p.tolist(), q.tolist())]
+        assert _hex(got.tolist()) == _hex(expected)
+
+    def test_conjugated_rows_match_scalar_conjugation(self):
+        from surfaceflows.autovec import CAYLEY_DISK
+
+        ball = enumerate_ball((T1, T2, T3, T4), 3)
+        got = ball.conjugated(CAYLEY_DISK)
+        unit = CAYLEY_DISK.normalized().coeffs()
+        for row, g in zip(got.coeffs.tolist(), ball.coeffs.tolist()):
+            expected = _sign_fixed_loop(
+                moebius._product(moebius._product(unit, tuple(g)), moebius._inverse(unit)))
+            assert _hex([row]) == _hex([expected])
+        assert not got.coeffs.flags.writeable
+
+
+def _free_words(n_generators, radius):
+    """Every freely reduced word of length <= radius, as letter tuples."""
+    letters = [(i, e) for i in range(1, n_generators + 1) for e in (1, -1)]
+    words, level = [()], [()]
+    for _ in range(radius):
+        level = [w + (x,) for w in level for x in letters if not (w and w[-1] == (x[0], -x[1]))]
+        words += level
+    return words
+
+
+class TestBallsWithRelations:
+    @pytest.mark.parametrize("generators, radius", [
+        ((T1, T2, T3, T4), 2),
+        ((MoebiusMap(0, -1, 1, 0), MoebiusMap(1, 1, 0, 1)), 5),
+        # near-duplicate letters across a dedup-grid edge, and an elliptic
+        # whose powers have leading coefficients on the imaginary axis
+        ((MoebiusMap(1, 7.5e-6 - 3e-10, 0, 1), MoebiusMap(1, 7.5e-6 + 3e-10, 0, 1),
+          MoebiusMap(1j, 0, 0, -1j)), 3),
+        ((MoebiusMap(1 + 0.2j, 0.3, -0.1j, 1), MoebiusMap(0.7, 1j, 0.4, 2 - 1j)), 3),
+    ])
+    def test_matches_the_loop_reference_bit_for_bit(self, generators, radius):
+        words, rows = _ball_loop(generators, radius)
+        ball = enumerate_ball(generators, radius)
+        assert ball.letters == words
+        assert ball.coeffs.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("radius", range(5))
+    def test_order_five_rotation(self, radius):
+        # z -> rotation by 2 pi / 5 about i: g^5 = id, so the ball is
+        # {g^k : |k| <= r} modulo 5
+        theta = math.pi / 5
+        rot = MoebiusMap(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
+        ball = enumerate_ball([rot], radius)
+        assert len(ball) == min(2 * radius + 1, 5)
+
+    @pytest.mark.parametrize("radius", range(7))
+    def test_modular_group_matches_a_word_oracle(self, radius):
+        # oracle: compose every freely reduced word over S and T and merge
+        # maps whose canonical representatives agree to DEDUP_TOL, pairwise
+        gens = (MoebiusMap(0, -1, 1, 0), MoebiusMap(1, 1, 0, 1))
+        distinct = []
+        for word in _free_words(2, radius):
+            m = word_to_map(GroupWord(word), gens)
+            if all(max(abs(x - y) for x, y in zip(m.coeffs(), d.coeffs())) >= moebius.DEDUP_TOL
+                   for d in distinct):
+                distinct.append(m)
+        ball = enumerate_ball(gens, radius)
+        assert len(ball) == len(distinct)
+        # the same elements: each oracle map is within DEDUP_TOL of one ball row
+        rows = ball.coeffs
+        for m in distinct:
+            gap = np.abs(rows - np.array(m.coeffs())).max(axis=1)
+            assert np.count_nonzero(gap < moebius.DEDUP_TOL) == 1

@@ -226,3 +226,29 @@ class TestEquilibriumSpecInput:
         spec = EquilibriumSpec(np.int64(2), 1.0)
         assert (spec.n_e, spec.n_h) == (2, 1)
         assert type(spec.n_e) is int and type(spec.n_h) is int
+
+
+class TestIntegerInputs:
+    @pytest.mark.parametrize("genus", [2.5, math.nan, math.inf])
+    def test_fractional_or_non_finite_genus_rejected(self, genus):
+        # 2.5 used to give chi = -3.0 and nan a nan chi
+        with pytest.raises(ValueError, match="genus must be"):
+            SurfaceInventory(genus, True)
+
+    def test_whole_genus_becomes_int(self):
+        for genus in (np.int64(2), 2.0):
+            inv = SurfaceInventory(genus, True)
+            assert type(inv.genus) is int and inv.chi == -2
+        assert SurfaceInventory(np.int32(3), False).chi == -1
+
+    @pytest.mark.parametrize("n11, n21", [(0.5, 0), (0, 1.5), (math.nan, 0), (0, -math.inf)])
+    def test_fractional_or_non_finite_split_counts_rejected(self, n11, n21):
+        r = EquilibriumSpec(2, 2)
+        with pytest.raises(ValueError, match="n[12]1 must be"):
+            SumPlan(SumMode.SPLIT, r, r, n11=n11, n21=n21)
+
+    def test_whole_split_counts_become_ints(self):
+        r = EquilibriumSpec(2, 2)
+        plan = SumPlan("Split", r, r, n11=np.int64(1), n21=2.0)
+        assert (plan.n11, plan.n21) == (1, 2)
+        assert type(plan.n11) is int and type(plan.n21) is int
