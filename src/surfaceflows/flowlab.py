@@ -37,8 +37,8 @@ FLOW_TOL = 1e-9
 MAX_STEPS = 200_000
 WINDING_START = 32
 WINDING_CHORD_TOL = 0.05
-WINDING_MAX_SAMPLES = 1 << 17  # field evaluations per circle
-WINDING_FINEST = 1 << 24  # the narrowest arc is 2 pi / WINDING_FINEST
+WINDING_MAX_SAMPLES = 1 << 17  # field evaluations per loop
+WINDING_FINEST = 1 << 24  # the narrowest arc is 1 / WINDING_FINEST of the loop
 WINDING_INTEGER_TOL = 0.05
 NEWTON_MAX_ITER = 50
 COVARIANCE_SAMPLES = 32
@@ -223,16 +223,6 @@ def integrate(field, z0: complex, t_end: float, region=None) -> Trajectory:
 # winding numbers
 
 
-def winding_on_path(field, points) -> float:
-    """Accumulated change of arg(field)/2pi along a closed polyline.
-
-    ``points`` is traversed in order and closed back to the first point.
-    Raises ZeroOnContour when |field| < ZERO_TOL on the path and
-    NonIntegerWinding at a non-finite value; evaluation failures propagate.
-    """
-    return _winding_of_values([field(p) for p in points])
-
-
 def _contour_values(values) -> np.ndarray:
     """``values`` as a complex array, once no sample rules out a winding count."""
     v = np.asarray(values, dtype=complex)
@@ -241,16 +231,6 @@ def _contour_values(values) -> np.ndarray:
     if np.abs(v).min() < ZERO_TOL:
         raise ZeroOnContour("field magnitude below tolerance on the contour")
     return v
-
-
-def _winding_of_values(values) -> float:
-    v = _contour_values(values)
-    return float(np.angle(np.roll(v, -1) / v).sum() / (2.0 * math.pi))
-
-
-def _circle(center: complex, radius: float, n: int, first: int = 0, stride: int = 1):
-    """Points k = first, first + stride, ... < n of the n-point circle."""
-    return _circle_at(center, radius, n, np.arange(first, n, stride))
 
 
 def _circle_at(center: complex, radius: float, n: int, k) -> list[complex]:
@@ -263,61 +243,55 @@ def _circle_at(center: complex, radius: float, n: int, k) -> list[complex]:
     return (center + radius * (np.cos(angles) + 1j * np.sin(angles))).tolist()
 
 
-def winding_estimate_circle(field, center, radius, samples) -> float:
-    """Un-rounded winding estimate on a circle (counterclockwise)."""
-    return winding_on_path(field, _circle(complex(center), radius, samples))
+def _winding(field, path) -> int:
+    """Degree of the field around a closed loop, by adaptive arc bisection.
 
+    ``path(k, n)`` returns points k (an integer array) of the loop cut into
+    n equal parts; point k sits at loop fraction k / n.  The loop starts as
+    WINDING_START arcs.  Each level evaluates the midpoint m of every
+    unsettled arc (a, b), one scalar call per point and no point twice.  It
+    accepts the arc when F is close to its chord, |F(m) - (F(a) + F(b))/2|
+    <= WINDING_CHORD_TOL * min(|F(a)|, |F(m)|, |F(b)|), and each half-arc
+    turns F by less than a quarter turn; it then adds arg(F(m)/F(a)) +
+    arg(F(b)/F(m)) to the phase sum.  A rejected arc is split in two for the
+    next level, so each arc settles on its own and a smooth field costs a
+    few dozen evaluations.  The chord test, not a phase-jump test, catches a
+    zero and a pole close together (the argument principle on arcs: Ying &
+    Katz, Numer. Math. 53, 1988): a pair straddling the unit circle is
+    counted exactly down to a separation of 0.002.
 
-def winding_index(field, center: complex, radius: float) -> int:
-    """Degree of the field around a circle, by adaptive arc bisection.
-
-    The circle starts as WINDING_START equal arcs.  Each level evaluates
-    the midpoint m of every unsettled arc (a, b), one scalar call per
-    point and no point twice, and accepts the arc when F is close to its
-    chord there: |F(m) - (F(a) + F(b))/2| <= WINDING_CHORD_TOL * min(|F(a)|,
-    |F(m)|, |F(b)|).  An accepted arc adds arg(F(m)/F(a)) + arg(F(b)/F(m))
-    to the phase sum; a rejected one is split into its two halves for the
-    next level.  Each arc settles on its own, so a smooth field costs a few
-    dozen evaluations per circle.  The chord test, not a phase-jump test,
-    is what catches a zero and a pole close together (the argument
-    principle on arcs: Ying & Katz, Numer. Math. 53, 1988): a pair
-    straddling the unit circle is counted exactly down to a separation of
-    0.002, against about 0.004 with the earlier sample doubling.
-
-    A circle costs at most WINDING_MAX_SAMPLES evaluations.  Arcs are
-    halved down to 2 pi / WINDING_FINEST, but past 2 pi /
-    WINDING_MAX_SAMPLES only while at most WINDING_START arcs are left:
-    a lone pole 1e-6 r off the circle leaves about 10 per level and
-    settles in about 250 evaluations, while thousands of unsettled
-    arcs mean the field turns faster than the samples resolve.  Raises
-    ZeroOnContour when |F| < ZERO_TOL at a sample, and NonIntegerWinding
-    at once on a non-finite sample, when arcs are still unsettled at the
-    width limit that applies, when the next level would pass the
-    evaluation budget, or when the phase sum is not within
-    WINDING_INTEGER_TOL of a whole turn.  A non-finite centre or
-    a radius that is not positive and finite raises ValueError.
+    A loop costs at most WINDING_MAX_SAMPLES evaluations.  Arcs are halved
+    down to 1 / WINDING_FINEST of the loop, but below 1 /
+    WINDING_MAX_SAMPLES only while at most WINDING_START arcs are left: a
+    lone pole 1e-6 r off a circle leaves about 10 per level and settles in
+    about 250 evaluations, while thousands of unsettled arcs mean the field
+    turns faster than the samples resolve.  Raises ZeroOnContour when |F| <
+    ZERO_TOL at a sample, and NonIntegerWinding at once on a non-finite
+    sample, when arcs are still unsettled at the width limit that applies,
+    when the next level would pass the evaluation budget, or when the phase
+    sum is not within WINDING_INTEGER_TOL of a whole turn.
     """
-    if not 0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
-    center = _finite_point(center, "centre")
     n = WINDING_START
-    k = np.arange(n)  # arc k runs from point k to point k + 1 of the n-point circle
-    fa = _contour_values([field(p) for p in _circle_at(center, radius, n, k)])
+    k = np.arange(n)  # arc k runs from point k to point k + 1 of the n-point loop
+    fa = _contour_values([field(p) for p in path(k, n)])
     fb = np.roll(fa, -1)
     total, evaluations = 0.0, n
     while k.size:
         if n > WINDING_FINEST or (n > WINDING_MAX_SAMPLES and k.size > WINDING_START):
-            raise NonIntegerWinding(f"{k.size} arcs 2 pi / {n // 2} wide did not settle")
+            raise NonIntegerWinding(f"{k.size} arcs 1/{n // 2} of the loop wide did not settle")
         if evaluations + k.size > WINDING_MAX_SAMPLES:
             raise NonIntegerWinding(
                 f"{k.size} arcs unsettled after {evaluations} of {WINDING_MAX_SAMPLES} evaluations"
             )
         evaluations += k.size
-        k = 2 * k + 1  # the midpoints, on the 2n-point circle
+        k = 2 * k + 1  # the midpoints, on the 2n-point loop
         n *= 2
-        fm = _contour_values([field(p) for p in _circle_at(center, radius, n, k)])
+        fm = _contour_values([field(p) for p in path(k, n)])
+        turn_a, turn_b = np.angle(fm / fa), np.angle(fb / fm)
         ok = np.abs(fm - 0.5 * (fa + fb)) <= WINDING_CHORD_TOL * np.abs([fa, fm, fb]).min(axis=0)
-        total += float((np.angle(fm[ok] / fa[ok]) + np.angle(fb[ok] / fm[ok])).sum())
+        # a half-arc step near +-pi may have aliased, so each is held under a quarter turn
+        ok &= (np.abs(turn_a) < np.pi / 2) & (np.abs(turn_b) < np.pi / 2)
+        total += float((turn_a[ok] + turn_b[ok]).sum())
         # a rejected arc (a, b) becomes its halves (a, m) and (m, b)
         bad = ~ok
         k = np.stack([k[bad] - 1, k[bad]], axis=1).ravel()
@@ -328,6 +302,37 @@ def winding_index(field, center: complex, radius: float) -> int:
     if abs(estimate - nearest) > WINDING_INTEGER_TOL:
         raise NonIntegerWinding(f"estimate {estimate:.4f} is not near an integer")
     return int(nearest)
+
+
+def winding_index(field, center: complex, radius: float) -> int:
+    """Degree of the field around a circle (counterclockwise), by ``_winding``.
+
+    Raises ValueError for a non-finite centre or a radius not in (0, inf).
+    """
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
+    center = _finite_point(center, "centre")
+    return _winding(field, lambda k, n: _circle_at(center, radius, n, k))
+
+
+def winding_on_path(field, vertices) -> int:
+    """Degree of the field around a closed polygon, as ``winding_index``.
+
+    ``vertices`` are traversed in order and closed back to the first; each
+    of the m sides is 1/m of the loop, placed by exact integer arithmetic so
+    that a sample at a vertex is that vertex.  Fewer than 3 vertices or a
+    non-finite vertex raise ValueError.
+    """
+    v = np.array([_finite_point(p, "vertex") for p in vertices], dtype=complex)
+    if v.size < 3:
+        raise ValueError("a polygon needs at least 3 vertices")
+    step = np.roll(v, -1) - v
+
+    def polygon(k, n):
+        side, t = np.divmod(k * v.size, n)
+        return (v[side] + step[side] * (t / n)).tolist()
+
+    return _winding(field, polygon)
 
 
 def sector_index(n_e: int, n_h: int) -> Fraction:
@@ -497,14 +502,10 @@ def find_zeros(field, region, n: int) -> ZeroScan:
 
     Cells where both field components bracket zero seed a damped Newton
     refinement; converged locations are deduplicated, and each zero gets a
-    winding index (with radius backoff when a contour is unusable).  The
-    index comes from ``winding_index``'s adaptive arc bisection: an arc is
-    accepted once the field is within WINDING_CHORD_TOL of its chord, arcs
-    are halved as deep as 2 pi / WINDING_FINEST, and a zero-pole
-    pair straddling a unit circle is counted exactly down to a separation
-    of 0.002 (about 0.004 with the earlier sample doubling).
-    Candidates that diverge, leave the region, or defeat the winding
-    computation are reported in ``dropped`` rather than silently ignored.
+    winding index from ``winding_index`` (with radius backoff when a
+    contour is unusable).  Candidates that diverge, leave the region, or
+    defeat the winding computation are reported in ``dropped`` rather than
+    silently ignored.
     Non-finite bounds or an empty rectangle raise ValueError.
     """
     x0, x1, y0, y1 = (float(v) for v in region)

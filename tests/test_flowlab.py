@@ -37,7 +37,6 @@ from surfaceflows.flowlab import (
     poincare_hopf_check,
     rectify,
     sector_index,
-    winding_estimate_circle,
     winding_index,
     winding_on_path,
 )
@@ -246,7 +245,8 @@ class TestWinding:
     def test_matches_brute_force_oracle(self, kind):
         # independent oracle: plain 4096-point angle accumulation
         field = canonical_field(kind)
-        brute = winding_estimate_circle(field, 0j, 0.1, 4096)
+        values = np.array([field(z) for z in 0.1 * np.exp(2j * np.pi * np.arange(4096) / 4096)])
+        brute = np.angle(np.roll(values, -1) / values).sum() / (2 * math.pi)
         assert winding_index(field, 0j, 0.1) == round(brute)
         assert abs(brute - round(brute)) < 1e-6
 
@@ -276,7 +276,7 @@ class TestWinding:
             w = z - 0.49
             return cmath.exp(4000j * math.atan2(w.imag, w.real))
 
-        with pytest.raises(NonIntegerWinding, match=f"2 pi / {WINDING_MAX_SAMPLES} wide"):
+        with pytest.raises(NonIntegerWinding, match=f"1/{WINDING_MAX_SAMPLES} of the loop wide"):
             winding_index(PlanarField("custom", vortex), 0j, 0.5)
         assert len(calls) == len(set(calls)) <= WINDING_MAX_SAMPLES
 
@@ -294,6 +294,22 @@ class TestWinding:
 
         assert winding_index(PlanarField("custom", pole), 0j, 1.0) == (0 if side > 0 else -1)
         assert len(calls) < 300
+
+    @pytest.mark.parametrize("d", [1e-6, 1e-7])
+    def test_lone_zero_just_inside_the_circle(self, d):
+        # F turns by about half a turn across the arc above the zero while
+        # staying close to its chord, so a half-arc phase step near pi must
+        # send the arc to bisection rather than be summed as it stands
+        for j in range(16):
+            b = (1 - d) * cmath.exp(1j * (0.1 + 2 * math.pi * j / 16))
+            calls = []
+
+            def zero(z):
+                calls.append(z)
+                return z - b
+
+            assert winding_index(PlanarField("custom", zero), 0j, 1.0) == 1
+            assert len(calls) < 150
 
     def test_evaluation_budget_is_a_hard_cap(self):
         # unit values of random phase: almost no arc settles, so the arcs
@@ -340,7 +356,7 @@ class TestWinding:
                                           math.sin(2.0 * math.pi * k / n))
                 for k in range(first, n, stride)
             ]
-            points = flowlab._circle(center, radius, n, first, stride)
+            points = flowlab._circle_at(center, radius, n, np.arange(first, n, stride))
             assert [(z.real.hex(), z.imag.hex()) for z in points] == [
                 (z.real.hex(), z.imag.hex()) for z in expected
             ]
@@ -405,6 +421,34 @@ class TestWinding:
         expected = sum(abs(z) < 1 for z in zeros) - sum(abs(p) < 1 for p in poles)
         assert winding_index(field, 0j, 1.0) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rectangle_index_is_zeros_minus_poles_inside(self, data):
+        # argument principle on the non-square rectangle [-1.5, 1] x [-0.5, 0.8],
+        # with every zero and pole at least 0.02 from its boundary
+        x0, x1, y0, y1 = -1.5, 1.0, -0.5, 0.8
+
+        def inside(z, margin=0.0):
+            return x0 + margin < z.real < x1 - margin and y0 + margin < z.imag < y1 - margin
+
+        def clear(z):
+            return inside(z, 0.02) or not inside(z, -0.02)
+
+        def points():
+            point = st.builds(complex, st.floats(-2.5, 2.0), st.floats(-1.5, 1.8)).filter(clear)
+            return st.lists(point, max_size=5)
+
+        zeros, poles = data.draw(points()), data.draw(points())
+        field = PlanarField("custom", lambda z: rational(z, zeros, poles))
+        corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+        expected = sum(map(inside, zeros)) - sum(map(inside, poles))
+        assert winding_on_path(field, corners) == expected
+
+    @pytest.mark.parametrize("vertices", [[0.5, 0.5j], [0.5, complex(math.nan, 0), -0.5]])
+    def test_polygon_needs_three_finite_vertices(self, vertices):
+        with pytest.raises(ValueError):
+            winding_on_path(SADDLE, vertices)
+
     def test_winding_additivity_polynomials(self):
         # boundary degree equals the number of enclosed simple roots
         rng = np.random.default_rng(5)
@@ -418,13 +462,7 @@ class TestWinding:
                 return out
 
             field = PlanarField("custom", poly)
-            rect = [complex(x, y) for x, y in
-                    [(-1, -1), (1, -1), (1, 1), (-1, 1)]]
-            pts = []
-            for a, b in zip(rect, rect[1:] + rect[:1]):
-                pts.extend(a + (b - a) * t for t in np.linspace(0, 1, 256, endpoint=False))
-            boundary = winding_on_path(field, pts)
-            assert round(boundary) == 3
+            assert winding_on_path(field, [-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j]) == 3
             scan = find_zeros(field, (-1, 1, -1, 1), 24)
             assert sum(z.winding_index for z in scan) == 3
 
