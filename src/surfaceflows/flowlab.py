@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DenominatorVanishes,
@@ -447,10 +446,41 @@ def newton_refine(field, z0, step_cap):
     raise NewtonDiverged("iteration budget exhausted")
 
 
-def _locate_zero_points(field, region, n) -> tuple[list[complex], list[dict]]:
+def _annulus(annulus) -> tuple[complex, float, float]:
+    """``annulus`` as (centre, r_inner, r_outer), or ValueError unless the
+    centre is finite and 0 <= r_inner < r_outer < inf."""
+    centre, r_inner, r_outer = annulus
+    centre = _finite_point(centre, "annulus centre")
+    r_inner, r_outer = float(r_inner), float(r_outer)
+    if not 0.0 <= r_inner < r_outer < math.inf:
+        raise ValueError("annulus radii must satisfy 0 <= r_inner < r_outer < inf")
+    return centre, r_inner, r_outer
+
+
+def _cells_meeting(xs, ys, annulus) -> np.ndarray:
+    """Mask of the grid cells that meet the closed annulus; cell (j, i) is
+    [xs[i], xs[i + 1]] x [ys[j], ys[j + 1]].
+
+    A cell meets it when its nearest point is within r_outer of the centre
+    and its farthest point at least r_inner away.
+    """
+    centre, r_inner, r_outer = annulus
+    near, far = [], []
+    for t, c in ((ys, centre.imag), (xs, centre.real)):
+        lo, hi = t[:-1] - c, t[1:] - c
+        near.append(np.maximum(np.maximum(lo, -hi), 0.0))
+        far.append(np.maximum(np.abs(lo), np.abs(hi)))
+    return ((np.hypot(near[0][:, None], near[1]) <= r_outer)
+            & (np.hypot(far[0][:, None], far[1]) >= r_inner))
+
+
+def _locate_zero_points(field, region, n, annulus=None) -> tuple[list[complex], list[dict]]:
     """Grid-bracketed, Newton-refined, deduplicated zero locations.
 
     A cell with an unevaluable or non-finite corner seeds no Newton start.
+    With a validated ``annulus``, only the corners of cells that meet it are
+    evaluated, only those cells seed, and a zero outside the closed annulus
+    is dropped.
     """
     x0, x1, y0, y1 = (float(v) for v in region)
     if not all(map(math.isfinite, (x0, x1, y0, y1))):
@@ -459,19 +489,32 @@ def _locate_zero_points(field, region, n) -> tuple[list[complex], list[dict]]:
         raise ValueError("degenerate region")
     if n < 8:
         raise ValueError("grid resolution must be at least 8")
-    xs = np.linspace(x0, x1, n + 1).tolist()
-    ys = np.linspace(y0, y1, n + 1).tolist()
-    nodes = [_eval_or_none(field, complex(x, y)) for y in ys for x in xs]
-    values = np.array([math.nan if v is None else v for v in nodes], dtype=complex)
+    xs = np.linspace(x0, x1, n + 1)
+    ys = np.linspace(y0, y1, n + 1)
+    meets = np.ones((n, n), bool) if annulus is None else _cells_meeting(xs, ys, annulus)
+    # corners (j, i), (j, i + 1), (j + 1, i) and (j + 1, i + 1) of cell (j, i)
+    quarters = ((slice(None, -1), slice(None, -1)), (slice(None, -1), slice(1, None)),
+                (slice(1, None), slice(None, -1)), (slice(1, None), slice(1, None)))
+    needed = np.zeros((n + 1, n + 1), bool)
+    for q in quarters:
+        needed[q] |= meets
+    xs, ys = xs.tolist(), ys.tolist()
+    nodes = [_eval_or_none(field, complex(xs[i], ys[j])) for j, i in np.argwhere(needed).tolist()]
+    values = np.full((n + 1, n + 1), math.nan, dtype=complex)
+    values[needed] = [math.nan if v is None else v for v in nodes]
 
     diag = math.hypot(x1 - x0, y1 - y0)
     cell = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
     dedup_dist = max(1e-12, 1e-5 * diag)
 
-    corners = sliding_window_view(values.reshape(n + 1, n + 1), (2, 2))
-    seeds = np.isfinite(corners).all(axis=(2, 3))
-    for part in (corners.real, corners.imag):
-        seeds &= (part.min(axis=(2, 3)) <= 0.0) & (part.max(axis=(2, 3)) >= 0.0)
+    corners = [values[q] for q in quarters]
+    seeds = meets
+    for v in corners:
+        seeds = seeds & np.isfinite(v)
+    for part in ([v.real for v in corners], [v.imag for v in corners]):
+        low = np.minimum(np.minimum(part[0], part[1]), np.minimum(part[2], part[3]))
+        high = np.maximum(np.maximum(part[0], part[1]), np.maximum(part[2], part[3]))
+        seeds &= (low <= 0.0) & (high >= 0.0)
     candidates = [complex(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
                   for j, i in np.argwhere(seeds).tolist()]
 
@@ -487,6 +530,9 @@ def _locate_zero_points(field, region, n) -> tuple[list[complex], list[dict]]:
         if not (x0 - pad <= z.real <= x1 + pad and y0 - pad <= z.imag <= y1 + pad):
             dropped.append({"start": [start.real, start.imag], "reason": "left the region"})
             continue
+        if annulus is not None and not annulus[1] <= abs(z - annulus[0]) <= annulus[2]:
+            dropped.append({"start": [start.real, start.imag], "reason": "left the annulus"})
+            continue
         converged.append(z)
 
     converged.sort(key=lambda z: (z.real, z.imag))
@@ -497,7 +543,7 @@ def _locate_zero_points(field, region, n) -> tuple[list[complex], list[dict]]:
     return zeros, dropped
 
 
-def find_zeros(field, region, n: int) -> ZeroScan:
+def find_zeros(field, region, n: int, annulus=None) -> ZeroScan:
     """Grid scan for zeros on an axis-aligned rectangle (x0, x1, y0, y1).
 
     Cells where both field components bracket zero seed a damped Newton
@@ -506,10 +552,22 @@ def find_zeros(field, region, n: int) -> ZeroScan:
     contour is unusable).  Candidates that diverge, leave the region, or
     defeat the winding computation are reported in ``dropped`` rather than
     silently ignored.
-    Non-finite bounds or an empty rectangle raise ValueError.
+
+    ``annulus`` = (centre, r_inner, r_outer) restricts the scan to the
+    closed annulus r_inner <= |z - centre| <= r_outer; r_inner = 0 asks
+    about a disc, which has no inner boundary.  Only the corners of cells
+    that meet the annulus are evaluated (in the same row-major order), only
+    those cells seed, and a zero outside the annulus is dropped ("left the
+    annulus").  The winding circle of each zero is capped at 0.9 times its
+    distance to the annulus boundary: a wider circle could reach cells that
+    were never scanned and enclose a zero that was never found.
+    Non-finite bounds, an empty rectangle, or an annulus without a finite
+    centre and 0 <= r_inner < r_outer < inf raise ValueError.
     """
     x0, x1, y0, y1 = (float(v) for v in region)
-    zeros, dropped = _locate_zero_points(field, region, n)
+    if annulus is not None:
+        annulus = _annulus(annulus)
+    zeros, dropped = _locate_zero_points(field, region, n, annulus)
 
     records: list[ZeroRecord] = []
     width, height = x1 - x0, y1 - y0
@@ -521,6 +579,11 @@ def find_zeros(field, region, n: int) -> ZeroScan:
         edge = min(z.real - x0, x1 - z.real, z.imag - y0, y1 - z.imag)
         if edge > 0:
             radius = min(radius, 0.9 * edge)
+        if annulus is not None:
+            centre, r_inner, r_outer = annulus
+            d = abs(z - centre)
+            gap = r_outer - d if r_inner == 0 else min(d - r_inner, r_outer - d)
+            radius = min(radius, 0.9 * gap)
         radius = max(radius, 64.0 * ZERO_TOL)
         index = None
         for _ in range(6):

@@ -311,15 +311,16 @@ class ConnectedSumChart:
 
 
 def _check_disc_clear(field, center: complex, radius: float, which: str):
+    """Raise DiscContainsZero for a zero in the closed disc, also one whose
+    winding index could not be computed."""
     box = (center.real - 1.5 * radius, center.real + 1.5 * radius,
            center.imag - 1.5 * radius, center.imag + 1.5 * radius)
-    scan = find_zeros(field, box, TUBE_GRID // 2)
-    for record in scan:
-        if abs(record.location - center) <= radius:
-            raise DiscContainsZero(
-                f"{which} contains a zero at "
-                f"({record.location.real:.6g}, {record.location.imag:.6g})"
-            )
+    scan = find_zeros(field, box, TUBE_GRID // 2, annulus=(center, 0.0, radius))
+    located = [record.location for record in scan]
+    located += [complex(*d["start"]) for d in scan.dropped if d["reason"] == "winding failed"]
+    if located:
+        z = located[0]
+        raise DiscContainsZero(f"{which} contains a zero at ({z.real:.6g}, {z.imag:.6g})")
 
 
 def numeric_connected_sum(
@@ -373,7 +374,7 @@ def numeric_connected_sum(
     r_outer = (1.0 + tube.width) * r1
     span = r_outer * 1.02
     box = (c1.real - span, c1.real + span, c1.imag - span, c1.imag + span)
-    scan = find_zeros(composite, box, TUBE_GRID)
+    scan = find_zeros(composite, box, TUBE_GRID, annulus=(c1, r_inner, r_outer))
     in_tube = [z for z in scan if r_inner < abs(z.location - c1) < r_outer]
     tube_scan = ZeroScan(zeros=in_tube, dropped=scan.dropped)
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surfaceflows import flowlab
 from surfaceflows.autovec import (
+    CANONICAL_KINDS,
     PlanarField,
     build_automorphic_field,
     canonical_field,
@@ -81,13 +82,14 @@ def grid_field(values, region, n):
     return PlanarField("custom", f), xs, ys
 
 
+def record_only(field, start, step_cap):
+    """Stand-in for ``newton_refine`` that drops every start it is given."""
+    raise NewtonDiverged("recorded")
+
+
 def grid_starts(values, region, n):
     """The Newton starts the zero scan seeds on a grid of node values, in order."""
     field, _, _ = grid_field(values, region, n)
-
-    def record_only(field, start, step_cap):
-        raise NewtonDiverged("recorded")
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flowlab, "newton_refine", record_only)
         _, dropped = flowlab._locate_zero_points(field, region, n)
@@ -118,6 +120,62 @@ NODE_VALUES = st.one_of(
     ]),
     st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
 )
+
+
+def counting(field):
+    """``field``, and the list of the points it is evaluated at, in order."""
+    seen = []
+
+    def f(z):
+        seen.append(z)
+        return field(z)
+
+    return PlanarField("custom", f), seen
+
+
+def cells_meeting(xs, ys, annulus, slack):
+    """Per-cell reference loop: cells (j, i) whose nearest point lies within
+    r_outer + slack of the centre and whose farthest point lies at least
+    r_inner - slack from it."""
+    centre, r_inner, r_outer = annulus
+    cells = []
+    for j in range(len(ys) - 1):
+        for i in range(len(xs) - 1):
+            dx = (xs[i] - centre.real, xs[i + 1] - centre.real)
+            dy = (ys[j] - centre.imag, ys[j + 1] - centre.imag)
+            near = math.hypot(max(dx[0], -dx[1], 0.0), max(dy[0], -dy[1], 0.0))
+            far = math.hypot(max(map(abs, dx)), max(map(abs, dy)))
+            if near <= r_outer + slack and far >= r_inner - slack:
+                cells.append((j, i))
+    return cells
+
+
+ANNULI = st.tuples(
+    st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False),
+    st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+    st.floats(0.05, 1.5),
+).map(lambda a: (a[0], a[1], a[1] + a[2]))
+
+
+@st.composite
+def fields_with_zeros(draw):
+    """A canonical field (zero at 0), or a rational one whose zeros are 0.1
+    apart and at least 0.3 from every pole: a winding circle on (-1, 1)^2,
+    at most 0.25 wide, then holds one zero and no pole."""
+    if draw(st.booleans()):
+        return canonical_field(draw(st.sampled_from(CANONICAL_KINDS))), [0j]
+    points = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
+    zeros = draw(st.lists(points, min_size=1, max_size=3))
+    poles = draw(st.lists(points, max_size=2))
+    assume(all(abs(a - b) >= 0.1 for k, a in enumerate(zeros) for b in zeros[:k]))
+    assume(all(abs(a - b) >= 0.3 for a in zeros for b in poles))
+
+    def f(z):
+        if any(abs(z - b) < 1e-6 for b in poles):
+            raise NearPole("at a pole")
+        return rational(z, zeros, poles)
+
+    return PlanarField("custom", f), zeros
 
 
 SADDLE = canonical_field("saddle")
@@ -587,6 +645,53 @@ class TestFindZeros:
         region = (-1.0, 2.0, -0.5, 1.5)
         _, xs, ys = grid_field(values, region, n)
         assert grid_starts(values, region, n) == reference_starts(values, xs, ys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ANNULI, fields_with_zeros(), st.integers(8, 24))
+    def test_annulus_scan_evaluates_only_meeting_cells(self, annulus, case, n):
+        field, seen = counting(case[0])
+        region = (-1.0, 1.0, -1.0, 1.0)
+        xs = np.linspace(-1.0, 1.0, n + 1).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            # no Newton run: the scan evaluates grid corners only
+            mp.setattr(flowlab, "newton_refine", record_only)
+            find_zeros(field, region, n, annulus=annulus)
+        allowed = {complex(xs[i + di], xs[j + dj])
+                   for j, i in cells_meeting(xs, xs, annulus, 1e-9)
+                   for dj in (0, 1) for di in (0, 1)}
+        required = {complex(xs[i + di], xs[j + dj])
+                    for j, i in cells_meeting(xs, xs, annulus, -1e-9)
+                    for dj in (0, 1) for di in (0, 1)}
+        assert len(set(seen)) == len(seen)
+        assert required <= set(seen) <= allowed
+        assert seen == sorted(seen, key=lambda z: (z.imag, z.real))  # row-major
+
+    @settings(max_examples=60, deadline=None)
+    @given(ANNULI, fields_with_zeros(), st.integers(16, 24))
+    def test_annulus_scan_matches_the_filtered_full_scan(self, annulus, case, n):
+        field, zeros = case
+        centre, r_inner, r_outer = annulus
+
+        def to_boundary(z):  # signed: negative outside the annulus
+            d = abs(z - centre)
+            return r_outer - d if r_inner == 0 else min(d - r_inner, r_outer - d)
+
+        # a zero on the boundary may converge to either side of it
+        assume(all(abs(to_boundary(z)) > 1e-3 for z in zeros))
+        region = (-1.0, 1.0, -1.0, 1.0)
+        inside = [z for z in find_zeros(field, region, n)
+                  if r_inner <= abs(z.location - centre) <= r_outer]
+        scan = find_zeros(field, region, n, annulus=annulus)
+        assert len(scan) == len(inside)
+        for z in scan:  # matched by location: the sort order breaks ties on rounding noise
+            match = [w.winding_index for w in inside if abs(w.location - z.location) <= 1e-9]
+            assert match == [z.winding_index]
+
+    @pytest.mark.parametrize("annulus", [(0j, 0.5, 0.5), (0j, -0.1, 0.5), (0j, 0.0, math.inf),
+                                         (complex(math.nan, 0.0), 0.0, 0.5)])
+    def test_bad_annulus_rejected(self, annulus):
+        with pytest.raises(ValueError):
+            find_zeros(NODE, (-1, 1, -1, 1), 8, annulus=annulus)
 
     def test_grid_too_coarse_rejected(self):
         with pytest.raises(ValueError):

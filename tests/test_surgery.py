@@ -7,20 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfaceflows import flowlab
 from surfaceflows.autovec import canonical_field
 from surfaceflows.errors import (
     DiscContainsZero,
     MissingEquilibrium,
+    NonIntegerWinding,
     NotInverse,
     PlanMismatch,
 )
-from surfaceflows.flowlab import sector_index
+from surfaceflows.flowlab import find_zeros, sector_index
 from surfaceflows.surgery import (
+    TUBE_GRID,
     EquilibriumSpec,
     SumMode,
     SumPlan,
     Sum3Inventory,
     SurfaceInventory,
+    TubeBlend,
     connect_inventories,
     elliptic_spec,
     hyperbolic_spec,
@@ -168,6 +172,42 @@ class TestNumericConnectedSum:
             numeric_connected_sum(
                 canonical_field("node"), DISC1, canonical_field("node"), (0.1 + 0j, 0.5)
             )
+
+    def test_disc_centred_on_a_zero_rejected(self):
+        # a disc has no inner boundary: a zero at its centre lies inside it
+        with pytest.raises(DiscContainsZero, match="disc1"):
+            numeric_connected_sum(
+                canonical_field("node"), (0j, 0.5), canonical_field("node"), DISC2
+            )
+
+    def test_disc_zero_without_an_index_rejected(self, monkeypatch):
+        # the zero is located but its winding fails: the disc is still not clear
+        def no_index(field, center, radius):
+            raise NonIntegerWinding("patched")
+
+        monkeypatch.setattr(flowlab, "winding_index", no_index)
+        with pytest.raises(DiscContainsZero, match="disc1"):
+            numeric_connected_sum(
+                canonical_field("node"), (0.1 + 0j, 0.5), canonical_field("node"), DISC2
+            )
+
+    def test_winding_circle_stays_in_the_scanned_annulus(self):
+        # field2's zero pulls back to 1.995+0.097i, 0.36 from c1: inside the
+        # inner disc (radius 0.42), so never scanned, and 0.13 from the tube
+        # zero at 1.868+0.108i, whose winding circle would give index 0 if
+        # it reached that far
+        c1 = 2.35 + 0.03j
+        chart = numeric_connected_sum(canonical_field("saddle"), (c1, 0.52),
+                                      canonical_field("node"), (0.58 - 0.11j, 0.41),
+                                      TubeBlend(width=0.19))
+        span = 1.02 * chart.r_outer
+        full = find_zeros(chart.field, (c1.real - span, c1.real + span,
+                                        c1.imag - span, c1.imag + span), TUBE_GRID)
+        assert any(abs(z.location - c1) < chart.r_inner - 0.05 for z in full)
+        in_tube = [z.winding_index for z in full
+                   if chart.r_inner < abs(z.location - c1) < chart.r_outer]
+        assert [z.winding_index for z in chart.zeros] == in_tube == [-1, -1]
+        assert chart.boundary_winding == sum(in_tube)
 
 
 class TestSum3:
