@@ -26,7 +26,7 @@ from .errors import (
     PoleHit,
     ZeroOnContour,
 )
-from .moebius import MoebiusMap, apply
+from .moebius import MoebiusMap, apply, exact_int
 
 _POLE_ERRORS = (NearPole, PoleHit, DenominatorVanishes)
 
@@ -178,23 +178,6 @@ def _finite_point(z, name: str) -> complex:
     if not cmath.isfinite(z):
         raise ValueError(f"{name} must be finite")
     return z
-
-
-def exact_int(x, name: str) -> int:
-    """``x`` as an int, or ValueError unless it is a finite whole number.
-
-    numpy and sympy integers pass, and so does a whole float such as 2.0;
-    a fractional or non-finite value is rejected, never truncated.
-    """
-    if type(x) is int:
-        return x
-    try:
-        i = int(x)
-    except (OverflowError, ValueError):
-        raise ValueError(f"{name} must be a finite integer, got {x!r}") from None
-    if i != x:
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    return i
 
 
 def integrate(field, z0: complex, t_end: float, region=None) -> Trajectory:
@@ -480,13 +463,15 @@ def _locate_zero_points(field, region, n, annulus=None) -> tuple[list[complex], 
     A cell with an unevaluable or non-finite corner seeds no Newton start.
     With a validated ``annulus``, only the corners of cells that meet it are
     evaluated, only those cells seed, and a zero outside the closed annulus
-    is dropped.
+    is dropped.  Zeros come sorted by real part, rounded to the dedup
+    distance, then by imaginary part.
     """
     x0, x1, y0, y1 = (float(v) for v in region)
     if not all(map(math.isfinite, (x0, x1, y0, y1))):
         raise ValueError("region bounds must be finite")
     if not (x1 > x0 and y1 > y0):
         raise ValueError("degenerate region")
+    n = exact_int(n, "grid resolution")
     if n < 8:
         raise ValueError("grid resolution must be at least 8")
     xs = np.linspace(x0, x1, n + 1)
@@ -540,6 +525,9 @@ def _locate_zero_points(field, region, n, annulus=None) -> tuple[list[complex], 
     for z in converged:
         if all(abs(z - w) > dedup_dist for w in zeros):
             zeros.append(z)
+    # real parts rounded to the dedup distance: zeros on one vertical line
+    # keep their order whatever the noise in their real parts
+    zeros.sort(key=lambda z: (round(z.real / dedup_dist), z.imag))
     return zeros, dropped
 
 
@@ -551,7 +539,8 @@ def find_zeros(field, region, n: int, annulus=None) -> ZeroScan:
     winding index from ``winding_index`` (with radius backoff when a
     contour is unusable).  Candidates that diverge, leave the region, or
     defeat the winding computation are reported in ``dropped`` rather than
-    silently ignored.
+    silently ignored.  Zeros come sorted by real part, rounded to the dedup
+    distance, then by imaginary part.
 
     ``annulus`` = (centre, r_inner, r_outer) restricts the scan to the
     closed annulus r_inner <= |z - centre| <= r_outer; r_inner = 0 asks
@@ -605,7 +594,6 @@ def find_zeros(field, region, n: int, annulus=None) -> ZeroScan:
             )
         )
 
-    records.sort(key=lambda r: (r.location.real, r.location.imag))
     return ZeroScan(zeros=records, dropped=dropped)
 
 
@@ -633,6 +621,7 @@ class PoincareHopfReport:
 
 def poincare_hopf_check(zeros, chi: int) -> PoincareHopfReport:
     """Compare the sum of winding indices against a target characteristic."""
+    chi = exact_int(chi, "chi")
     records = list(zeros)
     for i, r in enumerate(records):
         for other in records[i + 1:]:
@@ -640,7 +629,7 @@ def poincare_hopf_check(zeros, chi: int) -> PoincareHopfReport:
                 raise ValueError("zeros must be pairwise distinct")
     total = sum(r.winding_index for r in records)
     table = tuple((r.location, r.winding_index) for r in records)
-    return PoincareHopfReport(total=total, chi=int(chi), ok=(total == int(chi)), table=table)
+    return PoincareHopfReport(total=total, chi=chi, ok=(total == chi), table=table)
 
 
 # ---------------------------------------------------------------------------

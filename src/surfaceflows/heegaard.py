@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NewtonDiverged, TooManyEquilibria
-from .flowlab import ZERO_TOL, exact_int, newton_refine
+from .errors import TooManyEquilibria
+from .flowlab import ZERO_TOL, exact_int, find_zeros
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,7 @@ def feasible_genera(s: IndexSet) -> set[int]:
 
 def corollary_check(s: IndexSet, p: int) -> bool:
     """At least 2(p-1) hyperbolic points are needed at splitting genus p >= 1."""
+    p = exact_int(p, "p")
     if p < 1:
         raise ValueError("p must be at least 1")
     return s.hyperbolic_count >= 2 * (p - 1)
@@ -166,6 +167,7 @@ def compose_word(word, genus: int) -> GluingMatrix:
     transvection is symplectic, so the product is checked once, as the
     result is built.
     """
+    genus = exact_int(genus, "genus")
     if genus < 1:
         raise ValueError("genus must be positive")
     n = 2 * genus
@@ -350,62 +352,40 @@ def h1_from_gluing(m: GluingMatrix) -> AbelianGroup:
 
 SPHERE_SAMPLES = 4000
 SPHERE_ZERO_TOL = 1e-10
-MAX_SPHERE_ZEROS = 16
 INTERIOR_HIT_TOL = 1e-4
 ORIGIN_EXCLUSION = 1e-3
-
-
-def _default_tangential_profile(r: float) -> float:
-    return r
-
-
-def _default_normal_profile(r: float) -> float:
-    return r * (1.0 - r)
 
 
 @dataclass(frozen=True, eq=False)
 class BallExtensionField:
     """Sphere dynamics scaled onto nested spheres plus an interior normal push.
 
-    ``surface`` maps a unit 3-vector to a tangent 3-vector.  The
-    tangential profile ``a`` starts at zero (continuity at the centre) and
-    the normal profile ``b`` vanishes exactly at the centre and the
-    boundary, staying positive between, so the only interior equilibrium
-    is the centre itself.
+    ``surface`` maps a unit 3-vector to a tangent 3-vector.  At x = r u
+    the field is r * surface(u) + r (1 - r) * u: the tangential part
+    vanishes at the centre (continuity there), and the normal push vanishes
+    at the centre and on the boundary and points outward between them, so
+    the only interior equilibrium is the centre itself.
     """
 
     surface: Callable
-    a: Callable[[float], float] = _default_tangential_profile
-    b: Callable[[float], float] = _default_normal_profile
-
-    def __post_init__(self):
-        if abs(self.a(0.0)) > 1e-12 or abs(self.b(0.0)) > 1e-12 or abs(self.b(1.0)) > 1e-12:
-            raise ValueError("profiles must satisfy a(0) = b(0) = b(1) = 0")
-        for r in (1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-3):
-            if not self.b(r) > 0.0:
-                raise ValueError(f"normal profile must be positive inside (0,1); b({r}) <= 0")
 
     def __call__(self, x) -> np.ndarray:
-        return extend_to_ball(self, x)
-
-
-def extend_to_ball(f: BallExtensionField, x) -> np.ndarray:
-    """Field value a(r) * surface(u) + b(r) * u at x = r u, with V(0) = 0."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("x must be a 3-vector")
-    r = float(np.linalg.norm(x))
-    if r > 1.0 + 1e-12:
-        raise ValueError(f"|x| = {r:.6g} outside the unit ball")
-    if r < 1e-300:
-        return np.zeros(3)
-    u = x / r
-    return f.a(r) * np.asarray(f.surface(u), dtype=float) + f.b(r) * u
+        x = np.asarray(x, dtype=float)
+        if x.shape != (3,):
+            raise ValueError("x must be a 3-vector")
+        r = float(np.linalg.norm(x))
+        if r > 1.0 + 1e-12:
+            raise ValueError(f"|x| = {r:.6g} outside the unit ball")
+        if r < 1e-300:
+            return np.zeros(3)
+        u = x / r
+        return r * np.asarray(self.surface(u), dtype=float) + r * (1.0 - r) * u
 
 
 def handle_equilibria(genus: int) -> int:
     """Interior equilibria of the extended handlebody system: centre + one
     per handle."""
+    genus = exact_int(genus, "genus")
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     return 1 + genus
@@ -492,41 +472,39 @@ def _chart(surface: Callable, s: float) -> Callable[[complex], complex]:
 def sphere_surface_zeros(surface: Callable) -> list[np.ndarray]:
     """Locate zeros of a tangent field on the unit sphere.
 
-    SPHERE_SAMPLES deterministic samples pick candidate minima of |field|.
-    Each candidate is refined by flowlab's damped Newton solver in the
-    stereographic chart from the pole farther from it.  The chart field is
+    ``flowlab.find_zeros`` scans the disc |w| <= 1.25 of each stereographic
+    chart of ``_chart`` on a 31 x 31 grid; the odd grid keeps the chart
+    centre, the pole opposite the projection pole, off the grid corners.
+    Each chart keeps the zeros in its closed unit disc, its hemisphere, to
+    within the 1e-6 dedup distance: both charts may place an equator zero
+    just outside, and the dedup reports it once.  The chart field is
     scaled by ZERO_TOL / SPHERE_ZERO_TOL, so the solver's acceptance
-    |value| <= ZERO_TOL means |field| <= SPHERE_ZERO_TOL; the result is
-    kept only if |field| <= SPHERE_ZERO_TOL holds on the sphere itself.  At
-    most MAX_SPHERE_ZEROS distinct zeros are returned.  A field that
-    vanishes on more than half the samples is treated as identically zero
-    and returns an empty list (no isolated zeros).
+    |value| <= ZERO_TOL means |field| <= SPHERE_ZERO_TOL; a zero is kept
+    only if |field| <= SPHERE_ZERO_TOL holds on the sphere itself.  A
+    field that vanishes on more than half of SPHERE_SAMPLES deterministic
+    samples is treated as identically zero and returns an empty list (no
+    isolated zeros).  Zeros are sorted by (z, y, x), with z and y rounded
+    to the dedup distance so that rounding noise cannot reorder them.
     """
     pts = _fibonacci_sphere(SPHERE_SAMPLES)
-    mags = np.array([np.linalg.norm(surface(p)) for p in pts])
-    if np.median(mags) < SPHERE_ZERO_TOL:
+    if np.median([np.linalg.norm(surface(p)) for p in pts]) < SPHERE_ZERO_TOL:
         return []
-    order = np.argsort(mags, kind="stable")
     scale = ZERO_TOL / SPHERE_ZERO_TOL
-
+    reach, dedup = 1.25, 1e-6
     zeros: list[np.ndarray] = []
-    for idx in order[: MAX_SPHERE_ZEROS * 4]:
-        p = pts[idx]
-        s = 1.0 if p[2] <= 0.0 else -1.0
+    for s in (1.0, -1.0):
         chart = _chart(surface, s)
-        start = complex(p[0], p[1]) / (1.0 - s * p[2])
-        try:
-            w = newton_refine(lambda w: scale * chart(w), start, step_cap=0.5)
-        except NewtonDiverged:
-            continue
-        u = _from_chart(w, s)
-        if np.linalg.norm(surface(u)) > SPHERE_ZERO_TOL:
-            continue
-        if all(np.linalg.norm(u - z) > 1e-6 for z in zeros):
-            zeros.append(u)
-        if len(zeros) >= MAX_SPHERE_ZEROS:
-            break
-    zeros.sort(key=lambda z: (z[2], z[1], z[0]))
+        scan = find_zeros(lambda w: scale * chart(w), (-reach, reach, -reach, reach), 31,
+                          annulus=(0j, 0.0, reach))
+        for record in scan:
+            if abs(record.location) > 1.0 + dedup:
+                continue
+            u = _from_chart(record.location, s)
+            if np.linalg.norm(surface(u)) > SPHERE_ZERO_TOL:
+                continue
+            if all(np.linalg.norm(u - z) > dedup for z in zeros):
+                zeros.append(u)
+    zeros.sort(key=lambda z: (round(z[2] / dedup), round(z[1] / dedup), z[0]))
     return zeros
 
 
@@ -537,6 +515,7 @@ def interior_zero_scan(f: BallExtensionField, n: int, seed: int = 0) -> dict:
     is the one intended equilibrium); any remaining sample with
     |V| < INTERIOR_HIT_TOL counts as a hit and is reported.
     """
+    n = exact_int(n, "sample count")
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -553,7 +532,7 @@ def interior_zero_scan(f: BallExtensionField, n: int, seed: int = 0) -> dict:
             if np.linalg.norm(p) <= ORIGIN_EXCLUSION:
                 continue
             checked += 1
-            mag = float(np.linalg.norm(extend_to_ball(f, p)))
+            mag = float(np.linalg.norm(f(p)))
             if mag < min_mag:
                 min_mag = mag
             if mag < INTERIOR_HIT_TOL:

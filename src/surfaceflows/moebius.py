@@ -31,6 +31,23 @@ _SIGN_EPS = 1e-12
 _IDENTITY = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
 
 
+def exact_int(x, name: str) -> int:
+    """``x`` as an int, or ValueError unless it is a finite whole number.
+
+    numpy and sympy integers pass, and so does a whole float such as 2.0;
+    a fractional or non-finite value is rejected, never truncated.
+    """
+    if type(x) is int:
+        return x
+    try:
+        i = int(x)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{name} must be a finite integer, got {x!r}") from None
+    if i != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return i
+
+
 @dataclass(frozen=True)
 class MoebiusMap:
     """Fractional-linear map z -> (a z + b) / (c z + d), with a d - b c != 0."""
@@ -360,6 +377,7 @@ def enumerate_ball(generators, radius: int) -> GroupBall:
     Raises BallTooLarge past BALL_CAP elements, ValueError on coefficient overflow.
     """
     generators = tuple(generators)
+    radius = exact_int(radius, "radius")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     # Letters carry det 1, so products stay det-1 to rounding error and

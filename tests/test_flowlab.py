@@ -41,7 +41,16 @@ from surfaceflows.flowlab import (
     winding_index,
     winding_on_path,
 )
-from surfaceflows.moebius import MoebiusMap, apply, derivative
+from surfaceflows.heegaard import (
+    BallExtensionField,
+    IndexSet,
+    compose_word,
+    corollary_check,
+    dipole_sphere_field,
+    handle_equilibria,
+    interior_zero_scan,
+)
+from surfaceflows.moebius import MoebiusMap, apply, derivative, enumerate_ball
 
 from conftest import DENOMINATOR_POLE, GENUS2_GENERATORS, NUMERATOR_POLE
 
@@ -595,6 +604,27 @@ class TestExactInt:
             exact_int(x, "x")
 
 
+WHOLE_NUMBER_INPUTS = {
+    "poincare_hopf_check chi": (lambda k: poincare_hopf_check([], k).chi, 2.0),
+    "handle_equilibria genus": (handle_equilibria, 2.0),
+    "corollary_check p": (lambda k: corollary_check(IndexSet((1, -1), 2), k), 2.0),
+    "find_zeros n": (lambda k: find_zeros(NODE, (-1, 1, -1, 1), k).zeros, 8.0),
+    "enumerate_ball radius": (lambda k: len(enumerate_ball(GENUS2_GENERATORS, k)), 2.0),
+    "compose_word genus": (lambda k: compose_word([("a1", 1)], k).entries, 2.0),
+    "interior_zero_scan n": (
+        lambda k: interior_zero_scan(BallExtensionField(dipole_sphere_field()), k), 2.0),
+}
+
+
+@pytest.mark.parametrize("call, whole", WHOLE_NUMBER_INPUTS.values(), ids=WHOLE_NUMBER_INPUTS)
+def test_integer_inputs_go_through_exact_int(call, whole):
+    # a whole float acts as its int; a fractional one is rejected, never
+    # truncated (poincare_hopf_check(..., 1.5) used to audit against 1)
+    assert call(whole) == call(int(whole))
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(whole + 0.5)
+
+
 class TestFindZeros:
     def test_pendulum_window(self):
         scan = find_zeros(PENDULUM, (-4, 4, -3, 3), 48)
@@ -686,6 +716,21 @@ class TestFindZeros:
         for z in scan:  # matched by location: the sort order breaks ties on rounding noise
             match = [w.winding_index for w in inside if abs(w.location - z.location) <= 1e-9]
             assert match == [z.winding_index]
+
+    @pytest.mark.parametrize("noise", [1e-22, -1e-22])
+    def test_zeros_on_a_vertical_line_keep_their_order(self, noise):
+        # Newton lands on each zero with rounding noise in its real part;
+        # the order must come from the imaginary parts alone
+        targets = (complex(noise, 0.109375), complex(-noise, -0.375))
+        field = PlanarField("custom", lambda z: rational(z, [0.109375j, -0.375j], []))
+
+        def nearest(field, start, step_cap):
+            return min(targets, key=lambda t: abs(t - start))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flowlab, "newton_refine", nearest)
+            scan = find_zeros(field, (-1, 1, -1, 1), 16)
+        assert [z.location for z in scan] == [targets[1], targets[0]]
 
     @pytest.mark.parametrize("annulus", [(0j, 0.5, 0.5), (0j, -0.1, 0.5), (0j, 0.0, math.inf),
                                          (complex(math.nan, 0.0), 0.0, 0.5)])

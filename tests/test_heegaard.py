@@ -43,6 +43,16 @@ def rotation(u):
     return np.cross(NORTH, u)
 
 
+def tangential(grad):
+    """Tangential part of the ambient vector field ``grad``."""
+
+    def surf(u):
+        g = grad(u)
+        return g - (g @ u) * u
+
+    return surf
+
+
 def xy_gradient(u):
     # tangential part of grad(xy): saddles at both poles, and a maximum or
     # minimum at each of the four equator points (+-1, +-1, 0)/sqrt(2)
@@ -396,24 +406,17 @@ class TestGluingMatrix:
 
 
 class TestBallExtension:
-    @pytest.mark.parametrize(
-        "profiles",
-        [
-            {"a": lambda r: r + 0.1},            # a(0) != 0
-            {"b": lambda r: r * (1.0 - r) + 0.1},  # b(0), b(1) != 0
-            {"b": lambda r: r * (r - 1.0)},       # negative inside
-            {"b": lambda r: r * (1.0 - r) * (r - 0.5) ** 2},  # zero at r = 1/2
-        ],
-    )
-    def test_bad_profiles_rejected(self, profiles):
-        with pytest.raises(ValueError):
-            BallExtensionField(dipole_sphere_field(), **profiles)
-
     def test_dipole_extension_has_no_interior_zero(self):
         scan = interior_zero_scan(BallExtensionField(dipole_sphere_field()), 2000, seed=3)
         assert scan["interior_hits"] == 0
         assert scan["hit_points"] == []
         assert scan["checked"] > 0
+
+    def test_value_is_the_scaled_surface_field_plus_a_normal_push(self):
+        u = np.array([2.0, -1.0, 2.0]) / 3.0
+        f = BallExtensionField(rotation)
+        assert np.allclose(f(0.5 * u), 0.5 * rotation(u) + 0.25 * u, rtol=0, atol=1e-15)
+        assert np.allclose(f(u), rotation(u), rtol=0, atol=1e-15)
 
     def test_centre_is_an_equilibrium(self):
         f = BallExtensionField(dipole_sphere_field())
@@ -444,6 +447,35 @@ class TestSphereSurfaceZeros:
             assert len(zeros) == len(expected)
             for z in expected:
                 assert min(np.linalg.norm(z - w) for w in zeros) < 1e-9
+
+    def test_all_critical_points_of_a_quartic(self):
+        # the tangential gradient of x^4 + 2y^4 + 3z^4 vanishes where
+        # a_i x_i^2 is equal on the support: 6 + 12 + 8 points
+        weights = np.array([1.0, 2.0, 3.0])
+        expected = []
+        for support in itertools.chain(*(itertools.combinations(range(3), k) for k in (1, 2, 3))):
+            support = list(support)
+            squares = 1.0 / weights[support]
+            for signs in itertools.product((-1.0, 1.0), repeat=len(support)):
+                p = np.zeros(3)
+                p[support] = np.array(signs) * np.sqrt(squares / squares.sum())
+                expected.append(p)
+        zeros = sphere_surface_zeros(tangential(lambda u: 4.0 * weights * u**3))
+        assert len(expected) == 26
+        assert len(zeros) == 26
+        for z in expected:
+            assert min(np.linalg.norm(z - w) for w in zeros) < 1e-9
+
+    @pytest.mark.parametrize("theta", [0.0] + [math.pi * k / 4.0 + 0.1 for k in range(8)])
+    def test_equator_zeros_reported_once(self, theta):
+        # a zero on the equator lies on |w| = 1 in both charts, and each
+        # chart may place it just outside its unit disc; theta = 0 is the
+        # gradient of x, with zeros at +-e1
+        a = np.array([math.cos(theta), math.sin(theta), 0.0])
+        zeros = sphere_surface_zeros(tangential(lambda u: a))
+        assert len(zeros) == 2
+        for z in (a, -a):
+            assert min(np.linalg.norm(z - w) for w in zeros) < 1e-9
 
     def test_identically_zero_field_has_no_isolated_zeros(self):
         assert sphere_surface_zeros(zero_sphere_field()) == []
