@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DenominatorVanishes, NearPole
-from .moebius import GroupBall, MoebiusMap, apply, derivative, enumerate_ball
+from .moebius import GroupBall, MoebiusMap, apply, derivative, enumerate_ball, exact_int
 
 POLE_GUARD = 1e-6
 DENOMINATOR_TOL = 1e-10
@@ -188,6 +188,7 @@ def equivariance_report(
     sample point and radius, and that value serves every generator.
     """
     generators = tuple(generators)
+    truncation = exact_int(truncation, "truncation")
     if sample_points is None:
         sample_points = EQUIVARIANCE_SAMPLE
     sample_points = [complex(z) for z in sample_points]
@@ -246,10 +247,6 @@ class PlanarField:
 
     def __call__(self, z: complex) -> complex:
         return self.func(complex(z))
-
-    def xy(self, x: float, y: float) -> tuple[float, float]:
-        v = self.func(complex(x, y))
-        return (v.real, v.imag)
 
 
 def pendulum_field(k: float) -> PlanarField:

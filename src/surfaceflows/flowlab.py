@@ -641,9 +641,9 @@ class FlowBoxChart:
     """Local chart in which the flow is numerically straightened.
 
     The grid point at (s_i, t_j) is the time-t_j flow image of the
-    transversal point at arc parameter s_i.  ``speed`` is the constant of
-    the straightened system (1: chart time is flow time), and ``residual``
-    the worst interior deviation of the pushed-forward field from (1, 0).
+    transversal point at arc parameter s_i, so chart time is flow time and
+    the straightened field is (1, 0); ``residual`` is the worst interior
+    deviation of the pushed-forward field from it.
     """
 
     base: complex
@@ -652,7 +652,6 @@ class FlowBoxChart:
     t_values: tuple[float, ...]
     points: tuple[tuple[complex, ...], ...]  # rows by s, columns by t
     residual: float
-    speed: float = 1.0
 
 
 def rectify(field, p: complex, box: float) -> FlowBoxChart:

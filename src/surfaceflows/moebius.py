@@ -200,7 +200,8 @@ class GroupWord:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple((int(i), int(e)) for i, e in self.letters))
+        object.__setattr__(self, "letters", tuple(
+            (exact_int(i, "generator index"), exact_int(e, "exponent")) for i, e in self.letters))
         for i, e in self.letters:
             if i < 1 or e not in (1, -1):
                 raise ValueError(f"bad letter ({i}, {e})")
@@ -252,6 +253,7 @@ class GroupBall:
         ``radius`` levels are exactly those of the smaller enumeration: the
         smaller ball is a prefix of this one.
         """
+        radius = exact_int(radius, "radius")
         if not 0 <= radius <= self.radius:
             raise ValueError(f"radius must lie in [0, {self.radius}]")
         size = sum(1 for word in self.letters if len(word) <= radius)
@@ -384,7 +386,8 @@ def enumerate_ball(generators, radius: int) -> GroupBall:
     # canonical representatives only need the sign fix (see _sign_fixed).
     # Letter 2i is g_(i+1) and letter 2i + 1 its inverse, so l ^ 1 undoes l.
     units = [g.normalized().coeffs() for g in generators]
-    alphabet = np.array([m for unit in units for m in (unit, _inverse(unit))], dtype=complex)
+    alphabet = np.array([m for unit in units for m in (unit, _inverse(unit))],
+                        dtype=complex).reshape(-1, 4)  # (0, 4) with no generators
     names = [((i, e),) for i in range(1, len(generators) + 1) for e in (1, -1)]
     undo = np.arange(len(alphabet)) ^ 1
 

@@ -30,12 +30,6 @@ from .errors import (
 )
 from .flowlab import ZeroScan, exact_int, find_zeros, sector_index, winding_index
 
-# Specs for equilibria created by a gluing.  A centre (no sectors at all,
-# closed orbits only) is the minimal structure with index +1; a four-sector
-# saddle is the minimal one with index -1.
-ELLIPTIC_SPEC_SECTORS = (0, 0)
-HYPERBOLIC_SPEC_SECTORS = (0, 4)
-
 # Zero-scan resolution of the numeric connected sum's tube chart; the disc
 # clearance scans use half of it.
 TUBE_GRID = 64
@@ -63,17 +57,17 @@ class EquilibriumSpec:
         """Sector-swapped partner; indices of a spec and its dual sum to 2."""
         return EquilibriumSpec(self.n_h, self.n_e)
 
-    def to_dict(self) -> dict:
-        return {"n_e": self.n_e, "n_h": self.n_h, "index": str(self.index)}
-
 
 def elliptic_spec() -> EquilibriumSpec:
-    """Index +1 equilibrium carrying cycles only (a centre)."""
-    return EquilibriumSpec(*ELLIPTIC_SPEC_SECTORS)
+    """Index +1 equilibrium carrying cycles only (a centre): no sectors at
+    all, the minimal structure with index +1 a gluing creates."""
+    return EquilibriumSpec(0, 0)
 
 
 def hyperbolic_spec() -> EquilibriumSpec:
-    return EquilibriumSpec(*HYPERBOLIC_SPEC_SECTORS)
+    """Index -1 equilibrium with four hyperbolic sectors (a saddle), the
+    minimal structure with index -1 a gluing creates."""
+    return EquilibriumSpec(0, 4)
 
 
 @dataclass(frozen=True)
@@ -107,35 +101,6 @@ class SurfaceInventory:
     @property
     def balanced(self) -> bool:
         return self.index_sum == self.chi
-
-    def to_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "orientable": self.orientable,
-            "equilibria": [e.to_dict() for e in self.equilibria],
-        }
-
-
-@dataclass(frozen=True)
-class InventoryReport:
-    total: Fraction
-    chi: int
-    ok: bool
-    table: tuple[dict, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "index_sum": str(self.total),
-            "chi": self.chi,
-            "ok": self.ok,
-            "equilibria": list(self.table),
-        }
-
-
-def verify_inventory(inv: SurfaceInventory) -> InventoryReport:
-    """Index-sum audit of one inventory against its Euler characteristic."""
-    table = tuple(e.to_dict() for e in inv.equilibria)
-    return InventoryReport(total=inv.index_sum, chi=inv.chi, ok=inv.balanced, table=table)
 
 
 class SumMode(str, enum.Enum):
@@ -177,15 +142,6 @@ class SumPlan:
         elif self.mode is SumMode.SPLIT and (
                 self.n11 > self.removed1.n_e or self.n21 > self.removed1.n_h):
             raise PlanMismatch("split counts exceed removed1's sectors")
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "removed1": self.removed1.to_dict() if self.removed1 else None,
-            "removed2": self.removed2.to_dict() if self.removed2 else None,
-            "n11": self.n11,
-            "n21": self.n21,
-        }
 
 
 def _remove_one(equilibria: list[EquilibriumSpec], spec: EquilibriumSpec, which: str):
@@ -293,7 +249,6 @@ class ConnectedSumChart:
     disc_radius: float
     r_inner: float
     r_outer: float
-    swap_map: object            # callable: chart-1 annulus -> chart-2 annulus
     zeros: ZeroScan
     boundary_winding: int
     blend: TubeBlend
@@ -391,7 +346,6 @@ def numeric_connected_sum(
         disc_radius=r1,
         r_inner=r_inner,
         r_outer=r_outer,
-        swap_map=swap,
         zeros=tube_scan,
         boundary_winding=boundary,
         blend=tube,
@@ -419,9 +373,6 @@ class Sum3Inventory:
             raise ValueError("three-dimensional index sum must be zero")
         if self.marker not in ("none", "circle-of-equilibria", "limit-cycle"):
             raise ValueError(f"unknown marker {self.marker!r}")
-
-    def to_dict(self) -> dict:
-        return {"indices": list(self.indices), "marker": self.marker}
 
 
 def sum3_check(

@@ -101,6 +101,13 @@ class TestAutomorphicField:
             z = complex(x, y)
             assert field_eval(f, z) == pytest.approx(complex(oracle(z)), abs=1e-12)
 
+    def test_no_generators_gives_the_one_term_field(self):
+        # the ball of the trivial group is the identity at every truncation
+        f = build_automorphic_field([], S1, S2, truncation=3)
+        assert len(f.ball) == 1
+        for z in (0.3 + 2.5j, -1.1 + 0.9j):
+            assert field_eval(f, z) == pytest.approx((z - S2) / (z - S1), abs=1e-12)
+
     def test_demo_field_is_stabilized(self, demo_field):
         f = demo_field(4)
         assert f.conjugation is not None
@@ -265,10 +272,6 @@ class TestPlanarFields:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             canonical_field("vortex")
-
-    def test_xy_view(self):
-        f = canonical_field("saddle")
-        assert f.xy(2.0, 3.0) == (2.0, -3.0)
 
     def test_custom_field(self):
         f = PlanarField(kind="custom", func=lambda z: z - 1)

@@ -13,6 +13,7 @@ from surfaceflows.autovec import (
     PlanarField,
     build_automorphic_field,
     canonical_field,
+    equivariance_report,
     field_eval,
     pendulum_field,
 )
@@ -50,7 +51,7 @@ from surfaceflows.heegaard import (
     handle_equilibria,
     interior_zero_scan,
 )
-from surfaceflows.moebius import MoebiusMap, apply, derivative, enumerate_ball
+from surfaceflows.moebius import GroupWord, MoebiusMap, apply, derivative, enumerate_ball
 
 from conftest import DENOMINATOR_POLE, GENUS2_GENERATORS, NUMERATOR_POLE
 
@@ -613,6 +614,15 @@ WHOLE_NUMBER_INPUTS = {
     "compose_word genus": (lambda k: compose_word([("a1", 1)], k).entries, 2.0),
     "interior_zero_scan n": (
         lambda k: interior_zero_scan(BallExtensionField(dipole_sphere_field()), k), 2.0),
+    # repr, so that a whole float kept as a float shows
+    "GroupWord index": (lambda k: repr(GroupWord(((k, 1),)).letters), 1.0),
+    "GroupWord exponent": (lambda k: repr(GroupWord(((2, k),)).letters), -1.0),
+    "GroupBall.truncated radius": (
+        lambda k: repr(enumerate_ball(GENUS2_GENERATORS, 2).truncated(k).radius), 1.0),
+    "equivariance_report truncation": (
+        lambda k: list(equivariance_report(GENUS2_GENERATORS, NUMERATOR_POLE, DENOMINATOR_POLE,
+                                           truncation=k, sample_points=[0.4 + 1.8j])["truncations"]),
+        2.0),
 }
 
 
@@ -795,7 +805,11 @@ class TestRectify:
         const = PlanarField("custom", lambda z: 1 + 0j)
         chart = rectify(const, 0.3 + 0.2j, 0.1)
         assert chart.residual < 1e-10
-        assert chart.speed == 1.0
+        # chart time is flow time: the point at (s, t) is the transversal
+        # point s, carried t along the unit flow
+        for s, row in zip(chart.s_values, chart.points):
+            for t, z in zip(chart.t_values, row):
+                assert z == pytest.approx(0.3 + 0.2j + 1j * s + t, abs=1e-12)
 
     def test_pendulum_regular_point(self):
         chart = rectify(PENDULUM, 0 + 1j, 0.1)

@@ -183,6 +183,13 @@ class TestEnumeration:
         assert ball.letters == ((),)
         assert normalized_distance(ball.maps()[0], IDENTITY) < 1e-15
 
+    def test_no_generators_is_identity_only(self):
+        # the empty alphabet has shape (0, 4): nothing to multiply by
+        ball = enumerate_ball([], 3)
+        assert len(ball) == 1
+        assert ball.letters == ((),)
+        assert ball.radius == 3
+
     def test_single_affine_generator_radius_two(self):
         # free cyclic: id, T, T^-1, T^2, T^-2 -- direct word enumeration oracle
         ball = enumerate_ball([T4], 2)
