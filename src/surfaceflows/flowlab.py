@@ -2,10 +2,12 @@
 index-sum audits, flow-box rectification, and trajectory covariance checks.
 
 Fields are callables taking a complex point and returning a complex value
-(u + iv).  Evaluation may raise NearPole / PoleHit / DenominatorVanishes;
-every routine here treats those as "the point is not evaluable" and either
-terminates, skips, or retries at a safer location, as documented per
-function.
+(u + iv).  One rule: a point is not evaluable where the field raises
+NearPole, PoleHit, DenominatorVanishes or ZeroDivisionError (``_value`` reads
+these as NaN) or returns a non-finite value.  Scans, Newton, winding loops
+and flow steps then skip, drop, fail or retry, as documented per function;
+at a point the caller hands in (``integrate``'s z0, ``rectify``'s p) the
+field's own exception propagates.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .errors import (
 )
 from .moebius import MoebiusMap, apply, exact_int
 
-_POLE_ERRORS = (NearPole, PoleHit, DenominatorVanishes)
+# the exceptions that mean "the field cannot be evaluated here"
+_NOT_EVALUABLE = (NearPole, PoleHit, DenominatorVanishes, ZeroDivisionError)
 
 ZERO_TOL = 1e-8
 DEFAULT_MAX_DISP = 0.1
@@ -43,20 +46,13 @@ NEWTON_MAX_ITER = 50
 COVARIANCE_SAMPLES = 32
 RECTIFY_GRID = 9
 
-CLASS_HYPERBOLIC = "hyperbolic-like"
-CLASS_ELLIPTIC = "elliptic/center-like"
-CLASS_HIGHER = "higher"
-CLASS_UNCLASSIFIED = "unclassified"
 
-
-def classify_index(index: int) -> str:
-    if index == -1:
-        return CLASS_HYPERBOLIC
-    if index == 1:
-        return CLASS_ELLIPTIC
-    if abs(index) >= 2:
-        return CLASS_HIGHER
-    return CLASS_UNCLASSIFIED
+def _value(field, z) -> complex:
+    """F(z), or NaN where the field is not evaluable."""
+    try:
+        return field(z)
+    except _NOT_EVALUABLE:
+        return complex(math.nan, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +110,12 @@ def _flow(field, z0, targets, region=None):
     extrapolated dz = two + (two - full) / 15 is taken when err <= tol =
     FLOW_TOL * max(1, |z|) and |dz| <= DEFAULT_MAX_DISP.  The next size is
     0.9 * min((tol / err)^(1/5), DEFAULT_MAX_DISP / |dz|) times this one,
-    clamped to [0.1, 2]; a step meeting a pole error, ZeroDivisionError or
-    a non-finite value is retried at half the size.  The first step tries
-    the whole way to the first target.
+    clamped to [0.1, 2]; a step meeting a point that is not evaluable is
+    retried at half the size.  A step is also rejected, with the next size
+    capped at half, when the half-step value k_half = F(z + first) differs
+    from k1 = F(z) by more than |k1|: the field turned around within half a
+    step, so the step may have jumped a pole.  The first step tries the
+    whole way to the first target.
 
     With s = max(1, |target|) for the target being approached, the target
     counts as reached within 1e-15 * s, and a rejected step that leaves a
@@ -145,15 +144,20 @@ def _flow(field, z0, targets, region=None):
                 k1 = field(z)
                 full = _rk4_step(field, z, step, k1)
                 first = _rk4_step(field, z, 0.5 * step, k1)
-                two = first + _rk4_step(field, z + first, 0.5 * step, field(z + first))
+                k_half = field(z + first)
+                two = first + _rk4_step(field, z + first, 0.5 * step, k_half)
                 err = abs(two - full) / 15.0
                 dz = two + (two - full) / 15.0
-            except (*_POLE_ERRORS, ZeroDivisionError):
+                turned = abs(k_half - k1) > abs(k1)
+            except _NOT_EVALUABLE:
                 err = dz = math.nan
+                turned = False
             tol = FLOW_TOL * max(1.0, abs(z))
             room = min((tol / max(err, 1e-300)) ** 0.2, DEFAULT_MAX_DISP / max(abs(dz), 1e-300))
             h = abs(step) * (min(2.0, max(0.1, 0.9 * room)) if math.isfinite(err) else 0.5)
-            # NaN, from a failed or non-finite step, fails every comparison
+            if turned:  # F moved by more than |k1| in half a step: it may have jumped a pole
+                h, err = min(h, 0.5 * abs(step)), math.nan
+            # NaN, from a failed, non-finite or turned step, fails every comparison
             if not (err <= tol and abs(dz) <= DEFAULT_MAX_DISP):
                 if h < 1e-14 * scale:
                     return times, points, hits, "pole-proximity"
@@ -185,10 +189,10 @@ def integrate(field, z0: complex, t_end: float, region=None) -> Trajectory:
 
     Each step's size comes from its own step-doubling error estimate, held
     to FLOW_TOL * max(1, |z|), and no step moves more than DEFAULT_MAX_DISP
-    (``_flow``).  A step meeting a pole, a division by zero or a non-finite
-    value is halved, so an orbit running into a pole ends with
-    "pole-proximity" before reaching it.  Negative ``t_end`` integrates in
-    reverse time; exhausting MAX_STEPS reports "time-limit".
+    (``_flow``).  A step meeting a point that is not evaluable, or across
+    which the field turns around, is halved, so an orbit running into a pole
+    ends with "pole-proximity" before reaching it.  Negative ``t_end``
+    integrates in reverse time; exhausting MAX_STEPS reports "time-limit".
 
     Raises ValueError for a non-finite ``z0`` or a zero or non-finite
     ``t_end``, and NearPole (or kin) only if the starting point itself is
@@ -231,7 +235,7 @@ def _winding(field, path) -> int:
     ``path(k, n)`` returns points k (an integer array) of the loop cut into
     n equal parts; point k sits at loop fraction k / n.  The loop starts as
     WINDING_START arcs.  Each level evaluates the midpoint m of every
-    unsettled arc (a, b), one scalar call per point and no point twice.  It
+    unsettled arc (a, b), one ``_value`` call per point and no point twice.  It
     accepts the arc when F is close to its chord, |F(m) - (F(a) + F(b))/2|
     <= WINDING_CHORD_TOL * min(|F(a)|, |F(m)|, |F(b)|), and each half-arc
     turns F by less than a quarter turn; it then adds arg(F(m)/F(a)) +
@@ -248,14 +252,15 @@ def _winding(field, path) -> int:
     lone pole 1e-6 r off a circle leaves about 10 per level and settles in
     about 250 evaluations, while thousands of unsettled arcs mean the field
     turns faster than the samples resolve.  Raises ZeroOnContour when |F| <
-    ZERO_TOL at a sample, and NonIntegerWinding at once on a non-finite
-    sample, when arcs are still unsettled at the width limit that applies,
-    when the next level would pass the evaluation budget, or when the phase
-    sum is not within WINDING_INTEGER_TOL of a whole turn.
+    ZERO_TOL at a sample, and NonIntegerWinding at once on a sample that is
+    not evaluable or not finite, when arcs are still unsettled at the width
+    limit that applies, when the next level would pass the evaluation
+    budget, or when the phase sum is not within WINDING_INTEGER_TOL of a
+    whole turn.
     """
     n = WINDING_START
     k = np.arange(n)  # arc k runs from point k to point k + 1 of the n-point loop
-    fa = _contour_values([field(p) for p in path(k, n)])
+    fa = _contour_values([_value(field, p) for p in path(k, n)])
     fb = np.roll(fa, -1)
     total, evaluations = 0.0, n
     while k.size:
@@ -268,7 +273,7 @@ def _winding(field, path) -> int:
         evaluations += k.size
         k = 2 * k + 1  # the midpoints, on the 2n-point loop
         n *= 2
-        fm = _contour_values([field(p) for p in path(k, n)])
+        fm = _contour_values([_value(field, p) for p in path(k, n)])
         turn_a, turn_b = np.angle(fm / fa), np.angle(fb / fm)
         ok = np.abs(fm - 0.5 * (fa + fb)) <= WINDING_CHORD_TOL * np.abs([fa, fm, fb]).min(axis=0)
         # a half-arc step near +-pi may have aliased, so each is held under a quarter turn
@@ -289,6 +294,7 @@ def _winding(field, path) -> int:
 def winding_index(field, center: complex, radius: float) -> int:
     """Degree of the field around a circle (counterclockwise), by ``_winding``.
 
+    A circle through a point that is not evaluable raises NonIntegerWinding.
     Raises ValueError for a non-finite centre or a radius not in (0, inf).
     """
     if not 0 < radius < math.inf:
@@ -337,14 +343,12 @@ class ZeroRecord:
     location: complex
     winding_index: int
     residual: float
-    classification: str
 
     def to_dict(self) -> dict:
         return {
             "location": [self.location.real, self.location.imag],
             "winding_index": self.winding_index,
             "residual": self.residual,
-            "classification": self.classification,
         }
 
 
@@ -365,24 +369,17 @@ class ZeroScan:
         return self.zeros[i]
 
 
-def _eval_or_none(field, z):
-    try:
-        return field(z)
-    except _POLE_ERRORS:
-        return None
-
-
 def newton_refine(field, z0, step_cap):
     z = complex(z0)
-    fz = _eval_or_none(field, z)
-    if fz is None:
+    fz = _value(field, z)
+    if cmath.isnan(fz):
         raise NewtonDiverged("start not evaluable")
     below_tol = False
     for _ in range(NEWTON_MAX_ITER):
         below_tol = abs(fz) <= ZERO_TOL
         h = 1e-7 * max(1.0, abs(z))
-        probes = [_eval_or_none(field, z + dz) for dz in (h, -h, 1j * h, -1j * h)]
-        if any(p is None for p in probes):
+        probes = [_value(field, z + dz) for dz in (h, -h, 1j * h, -1j * h)]
+        if any(map(cmath.isnan, probes)):
             if below_tol:
                 return z
             raise NewtonDiverged("jacobian probe hit a pole")
@@ -403,9 +400,8 @@ def newton_refine(field, z0, step_cap):
         # negligible: stopping at |f| <= tol alone leaves a sqrt(tol)-sized
         # ring of pseudo-locations around a multiple zero
         if below_tol and abs(delta) <= 1e-10 * max(1.0, abs(z)):
-            # take that last step too, unless it makes |f| larger
-            fstep = _eval_or_none(field, z + delta)
-            if fstep is not None and abs(fstep) <= abs(fz):
+            # take that last step too, unless it makes |f| larger (or NaN)
+            if abs(_value(field, z + delta)) <= abs(fz):
                 return z + delta
             return z
         if abs(delta) > step_cap:
@@ -414,8 +410,8 @@ def newton_refine(field, z0, step_cap):
         accepted = False
         while lam >= 1.0 / 1024.0:
             trial = z + lam * delta
-            ftrial = _eval_or_none(field, trial)
-            if ftrial is not None and (abs(ftrial) < abs(fz) or abs(ftrial) <= ZERO_TOL):
+            ftrial = _value(field, trial)
+            if abs(ftrial) < abs(fz) or abs(ftrial) <= ZERO_TOL:
                 z, fz = trial, ftrial
                 accepted = True
                 break
@@ -457,15 +453,25 @@ def _cells_meeting(xs, ys, annulus) -> np.ndarray:
             & (np.hypot(far[0][:, None], far[1]) >= r_inner))
 
 
-def _locate_zero_points(field, region, n, annulus=None) -> tuple[list[complex], list[dict]]:
-    """Grid-bracketed, Newton-refined, deduplicated zero locations.
+def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], list[dict]]:
+    """(zeros, dropped): zero locations on the rectangle (x0, x1, y0, y1),
+    for callers that ask only where zeros are, not their indices.
 
-    A cell with an unevaluable or non-finite corner seeds no Newton start.
-    With a validated ``annulus``, only the corners of cells that meet it are
-    evaluated, only those cells seed, and a zero outside the closed annulus
-    is dropped.  Zeros come sorted by real part, rounded to the dedup
-    distance, then by imaginary part.
+    A cell of the n x n grid whose corners are all evaluable and finite, and
+    bracket zero in both field components, seeds a damped Newton refinement;
+    converged locations are deduplicated.  A candidate that diverges or
+    leaves the region is reported in ``dropped`` with a reason.  Zeros come
+    sorted by real part, rounded to the dedup distance, then by imaginary
+    part.  ``annulus`` = (centre, r_inner, r_outer) restricts the scan to the
+    closed annulus r_inner <= |z - centre| <= r_outer (r_inner = 0 is a
+    disc): only the corners of cells that meet it are evaluated, in
+    row-major order, only those cells seed, and a zero outside it is dropped
+    ("left the annulus").  Non-finite bounds, an empty rectangle, n < 8, or
+    an annulus without a finite centre and 0 <= r_inner < r_outer < inf
+    raise ValueError.
     """
+    if annulus is not None:
+        annulus = _annulus(annulus)
     x0, x1, y0, y1 = (float(v) for v in region)
     if not all(map(math.isfinite, (x0, x1, y0, y1))):
         raise ValueError("region bounds must be finite")
@@ -484,9 +490,8 @@ def _locate_zero_points(field, region, n, annulus=None) -> tuple[list[complex], 
     for q in quarters:
         needed[q] |= meets
     xs, ys = xs.tolist(), ys.tolist()
-    nodes = [_eval_or_none(field, complex(xs[i], ys[j])) for j, i in np.argwhere(needed).tolist()]
     values = np.full((n + 1, n + 1), math.nan, dtype=complex)
-    values[needed] = [math.nan if v is None else v for v in nodes]
+    values[needed] = [_value(field, complex(xs[i], ys[j])) for j, i in np.argwhere(needed).tolist()]
 
     diag = math.hypot(x1 - x0, y1 - y0)
     cell = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
@@ -532,31 +537,19 @@ def _locate_zero_points(field, region, n, annulus=None) -> tuple[list[complex], 
 
 
 def find_zeros(field, region, n: int, annulus=None) -> ZeroScan:
-    """Grid scan for zeros on an axis-aligned rectangle (x0, x1, y0, y1).
+    """``locate_zeros`` (same arguments, order and errors) plus a winding
+    index for each zero, as a ZeroScan.
 
-    Cells where both field components bracket zero seed a damped Newton
-    refinement; converged locations are deduplicated, and each zero gets a
-    winding index from ``winding_index`` (with radius backoff when a
-    contour is unusable).  Candidates that diverge, leave the region, or
-    defeat the winding computation are reported in ``dropped`` rather than
-    silently ignored.  Zeros come sorted by real part, rounded to the dedup
-    distance, then by imaginary part.
-
-    ``annulus`` = (centre, r_inner, r_outer) restricts the scan to the
-    closed annulus r_inner <= |z - centre| <= r_outer; r_inner = 0 asks
-    about a disc, which has no inner boundary.  Only the corners of cells
-    that meet the annulus are evaluated (in the same row-major order), only
-    those cells seed, and a zero outside the annulus is dropped ("left the
-    annulus").  The winding circle of each zero is capped at 0.9 times its
-    distance to the annulus boundary: a wider circle could reach cells that
-    were never scanned and enclose a zero that was never found.
-    Non-finite bounds, an empty rectangle, or an annulus without a finite
-    centre and 0 <= r_inner < r_outer < inf raise ValueError.
+    The circle around a zero is at most min(width, height) / 8, 0.45 of the
+    distance to the next zero and 0.9 of that to the region edge.  With an
+    ``annulus`` it is also capped at 0.9 times the distance to the annulus
+    boundary: a wider circle could reach cells that were never scanned and
+    enclose a zero that was never found.  A circle whose winding fails is
+    halved, up to six tries; a zero whose every try fails is reported in
+    ``dropped`` ("winding failed").
     """
+    zeros, dropped = locate_zeros(field, region, n, annulus)
     x0, x1, y0, y1 = (float(v) for v in region)
-    if annulus is not None:
-        annulus = _annulus(annulus)
-    zeros, dropped = _locate_zero_points(field, region, n, annulus)
 
     records: list[ZeroRecord] = []
     width, height = x1 - x0, y1 - y0
@@ -569,7 +562,7 @@ def find_zeros(field, region, n: int, annulus=None) -> ZeroScan:
         if edge > 0:
             radius = min(radius, 0.9 * edge)
         if annulus is not None:
-            centre, r_inner, r_outer = annulus
+            centre, r_inner, r_outer = _annulus(annulus)
             d = abs(z - centre)
             gap = r_outer - d if r_inner == 0 else min(d - r_inner, r_outer - d)
             radius = min(radius, 0.9 * gap)
@@ -579,20 +572,12 @@ def find_zeros(field, region, n: int, annulus=None) -> ZeroScan:
             try:
                 index = winding_index(field, z, radius)
                 break
-            except (ZeroOnContour, NonIntegerWinding, *_POLE_ERRORS):
+            except (ZeroOnContour, NonIntegerWinding):
                 radius *= 0.5
         if index is None:
             dropped.append({"start": [z.real, z.imag], "reason": "winding failed"})
             continue
-        residual = abs(field(z))
-        records.append(
-            ZeroRecord(
-                location=z,
-                winding_index=index,
-                residual=residual,
-                classification=classify_index(index),
-            )
-        )
+        records.append(ZeroRecord(location=z, winding_index=index, residual=abs(field(z))))
 
     return ZeroScan(zeros=records, dropped=dropped)
 
@@ -669,7 +654,7 @@ def rectify(field, p: complex, box: float) -> FlowBoxChart:
     if abs(fp) <= max(ZERO_TOL, 1e-12):
         raise EquilibriumInBox(f"|field| = {abs(fp):.3g} at the base point")
     probe = 1.2 * box
-    zeros_nearby, _ = _locate_zero_points(
+    zeros_nearby, _ = locate_zeros(
         field, (p.real - probe, p.real + probe, p.imag - probe, p.imag + probe), 16
     )
     if zeros_nearby:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TooManyEquilibria
-from .flowlab import ZERO_TOL, exact_int, find_zeros
+from .flowlab import ZERO_TOL, exact_int, locate_zeros
 
 
 @dataclass(frozen=True)
@@ -472,19 +472,22 @@ def _chart(surface: Callable, s: float) -> Callable[[complex], complex]:
 def sphere_surface_zeros(surface: Callable) -> list[np.ndarray]:
     """Locate zeros of a tangent field on the unit sphere.
 
-    ``flowlab.find_zeros`` scans the disc |w| <= 1.25 of each stereographic
+    ``flowlab.locate_zeros`` scans the disc |w| <= 1.25 of each stereographic
     chart of ``_chart`` on a 31 x 31 grid; the odd grid keeps the chart
     centre, the pole opposite the projection pole, off the grid corners.
-    Each chart keeps the zeros in its closed unit disc, its hemisphere, to
-    within the 1e-6 dedup distance: both charts may place an equator zero
-    just outside, and the dedup reports it once.  The chart field is
-    scaled by ZERO_TOL / SPHERE_ZERO_TOL, so the solver's acceptance
-    |value| <= ZERO_TOL means |field| <= SPHERE_ZERO_TOL; a zero is kept
-    only if |field| <= SPHERE_ZERO_TOL holds on the sphere itself.  A
-    field that vanishes on more than half of SPHERE_SAMPLES deterministic
-    samples is treated as identically zero and returns an empty list (no
-    isolated zeros).  Zeros are sorted by (z, y, x), with z and y rounded
-    to the dedup distance so that rounding noise cannot reorder them.
+    Only locations are asked for, so no zero is lost to a failed winding
+    circle: a non-isolated zero set, such as a circle of zeros, shows as
+    the points Newton reaches from its grid cells.  Each chart keeps the
+    zeros in its closed unit disc, its hemisphere, to within the 1e-6 dedup
+    distance: both charts may place an equator zero just outside, and the
+    dedup reports it once.  The chart field is scaled by ZERO_TOL /
+    SPHERE_ZERO_TOL, so the solver's acceptance |value| <= ZERO_TOL means
+    |field| <= SPHERE_ZERO_TOL; a zero is kept only if |field| <=
+    SPHERE_ZERO_TOL holds on the sphere itself.  A field that vanishes on
+    more than half of SPHERE_SAMPLES deterministic samples is treated as
+    identically zero and returns an empty list (no isolated zeros).  Zeros
+    are sorted by (z, y, x), with z and y rounded to the dedup distance so
+    that rounding noise cannot reorder them.
     """
     pts = _fibonacci_sphere(SPHERE_SAMPLES)
     if np.median([np.linalg.norm(surface(p)) for p in pts]) < SPHERE_ZERO_TOL:
@@ -494,12 +497,12 @@ def sphere_surface_zeros(surface: Callable) -> list[np.ndarray]:
     zeros: list[np.ndarray] = []
     for s in (1.0, -1.0):
         chart = _chart(surface, s)
-        scan = find_zeros(lambda w: scale * chart(w), (-reach, reach, -reach, reach), 31,
-                          annulus=(0j, 0.0, reach))
-        for record in scan:
-            if abs(record.location) > 1.0 + dedup:
+        located, _ = locate_zeros(lambda w: scale * chart(w), (-reach, reach, -reach, reach),
+                                  31, annulus=(0j, 0.0, reach))
+        for w in located:
+            if abs(w) > 1.0 + dedup:
                 continue
-            u = _from_chart(record.location, s)
+            u = _from_chart(w, s)
             if np.linalg.norm(surface(u)) > SPHERE_ZERO_TOL:
                 continue
             if all(np.linalg.norm(u - z) > dedup for z in zeros):

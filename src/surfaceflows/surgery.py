@@ -28,7 +28,7 @@ from .errors import (
     PlanMismatch,
     ZeroOnContour,
 )
-from .flowlab import ZeroScan, exact_int, find_zeros, sector_index, winding_index
+from .flowlab import ZeroScan, exact_int, find_zeros, locate_zeros, sector_index, winding_index
 
 # Zero-scan resolution of the numeric connected sum's tube chart; the disc
 # clearance scans use half of it.
@@ -266,15 +266,14 @@ class ConnectedSumChart:
 
 
 def _check_disc_clear(field, center: complex, radius: float, which: str):
-    """Raise DiscContainsZero for a zero in the closed disc, also one whose
-    winding index could not be computed."""
+    """Raise DiscContainsZero for a zero that ``locate_zeros`` finds in the
+    closed disc.  Only its location matters, so no winding index is taken,
+    and a zero whose index could not be computed is found all the same."""
     box = (center.real - 1.5 * radius, center.real + 1.5 * radius,
            center.imag - 1.5 * radius, center.imag + 1.5 * radius)
-    scan = find_zeros(field, box, TUBE_GRID // 2, annulus=(center, 0.0, radius))
-    located = [record.location for record in scan]
-    located += [complex(*d["start"]) for d in scan.dropped if d["reason"] == "winding failed"]
-    if located:
-        z = located[0]
+    zeros, _ = locate_zeros(field, box, TUBE_GRID // 2, annulus=(center, 0.0, radius))
+    if zeros:
+        z = zeros[0]
         raise DiscContainsZero(f"{which} contains a zero at ({z.real:.6g}, {z.imag:.6g})")
 
 

@@ -30,11 +30,11 @@ from surfaceflows.flowlab import (
     WINDING_MAX_SAMPLES,
     WINDING_START,
     Trajectory,
-    classify_index,
     covariance_check,
     exact_int,
     find_zeros,
     integrate,
+    locate_zeros,
     newton_refine,
     poincare_hopf_check,
     rectify,
@@ -102,7 +102,7 @@ def grid_starts(values, region, n):
     field, _, _ = grid_field(values, region, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flowlab, "newton_refine", record_only)
-        _, dropped = flowlab._locate_zero_points(field, region, n)
+        _, dropped = locate_zeros(field, region, n)
     return [complex(*d["start"]) for d in dropped]
 
 
@@ -251,6 +251,15 @@ class TestIntegrate:
         assert tr.termination == "pole-proximity"
         assert tr.end_time < 5e-5
 
+    def test_minus_one_over_z_does_not_jump_its_pole(self):
+        # near the pole the error test is absolute, so a step as long as |z|
+        # can pass it and land across 0; F turning round within half a step
+        # must reject that step (t* = z0^2 / 2)
+        tr = integrate(PlanarField("custom", lambda z: -1 / z), 0.01, 5.652638276924169)
+        assert tr.termination == "pole-proximity"
+        assert tr.end_time < 0.01 * 0.01 / 2
+        assert all(z.real > 0 for z in tr.points)
+
     def test_guarded_pole_is_not_crossed(self):
         tr = integrate(GUARDED_POLE, 0.99, 1.0)
         assert tr.termination == "pole-proximity"
@@ -393,6 +402,14 @@ class TestWinding:
             winding_index(PlanarField("custom", noise), 0j, 1.0)
         assert len(calls) == len(set(calls))
         assert WINDING_MAX_SAMPLES // 2 < len(calls) <= WINDING_MAX_SAMPLES
+
+    def test_pole_on_the_circle_is_not_evaluable(self):
+        # point 0 of the circle is the pole at 1: a division by zero there
+        # means no winding count, not a crash
+        with pytest.raises(NonIntegerWinding, match="non-finite"):
+            winding_index(lambda z: 1 / (z - 1), 0, 1.0)
+        with pytest.raises(NonIntegerWinding, match="non-finite"):
+            winding_on_path(lambda z: 1 / (z - 1), [1, 1j, -1, -1j])
 
     @pytest.mark.parametrize(
         "bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(math.nan, math.nan)]
@@ -644,8 +661,6 @@ class TestFindZeros:
         assert all(abs(z.location.imag) < 1e-6 for z in scan)
         indices = [z.winding_index for z in sorted(scan, key=lambda r: r.location.real)]
         assert indices == [-1, 1, -1]
-        classes = {z.classification for z in scan}
-        assert classes == {"hyperbolic-like", "elliptic/center-like"}
 
     def test_saddle_origin(self):
         scan = find_zeros(SADDLE, (-1, 1, -1, 1), 16)
@@ -759,12 +774,17 @@ class TestFindZeros:
         with pytest.raises(ValueError, match="region bounds must be finite"):
             find_zeros(NODE, region, 8)
 
-    def test_classify_index(self):
-        assert classify_index(-1) == "hyperbolic-like"
-        assert classify_index(1) == "elliptic/center-like"
-        assert classify_index(2) == "higher"
-        assert classify_index(-3) == "higher"
-        assert classify_index(0) == "unclassified"
+    @pytest.mark.parametrize("field, expected", [
+        (lambda z: 1 / z, []),
+        (lambda z: (z - 0.5) / z, [(0.5, 1)]),
+    ])
+    def test_pole_on_a_grid_corner_is_not_evaluable(self, field, expected):
+        # the corner at 0 divides by zero: that cell seeds nothing, and the
+        # rest of the scan goes on
+        scan = find_zeros(field, (-1, 1, -1, 1), 8)
+        assert [(z.location, z.winding_index) for z in scan] == [
+            (pytest.approx(w, abs=1e-12), k) for w, k in expected]
+        assert locate_zeros(field, (-1, 1, -1, 1), 8)[0] == [z.location for z in scan]
 
 
 class TestPoincareHopf:

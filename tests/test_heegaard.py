@@ -477,6 +477,18 @@ class TestSphereSurfaceZeros:
         for z in (a, -a):
             assert min(np.linalg.norm(z - w) for w in zeros) < 1e-9
 
+    def test_circle_of_zeros_shows_as_equator_points(self):
+        # u2 (e3 - u2 u) vanishes at both poles and on the whole equator; no
+        # winding circle can be drawn around a point of the equator, but its
+        # zeros are still located
+        field = tangential(lambda u: np.array([0.0, 0.0, u[2]]))
+        zeros = sphere_surface_zeros(field)
+        for pole in (SOUTH, NORTH):
+            assert min(np.linalg.norm(pole - w) for w in zeros) < 1e-9
+        assert all(np.linalg.norm(field(z)) <= SPHERE_ZERO_TOL for z in zeros)
+        on_equator = [z for z in zeros if abs(z[2]) < 1e-9]
+        assert on_equator and len(on_equator) == len(zeros) - 2
+
     def test_identically_zero_field_has_no_isolated_zeros(self):
         assert sphere_surface_zeros(zero_sphere_field()) == []
 
