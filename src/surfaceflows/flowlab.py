@@ -2,12 +2,16 @@
 index-sum audits, flow-box rectification, and trajectory covariance checks.
 
 Fields are callables taking a complex point and returning a complex value
-(u + iv).  One rule: a point is not evaluable where the field raises
-NearPole, PoleHit, DenominatorVanishes or ZeroDivisionError (``_value`` reads
-these as NaN) or returns a non-finite value.  Scans, Newton, winding loops
-and flow steps then skip, drop, fail or retry, as documented per function;
-at a point the caller hands in (``integrate``'s z0, ``rectify``'s p) the
-field's own exception propagates.
+(u + iv).  A field may also carry ``on_array``, its elementwise form on a
+complex ndarray; the grid scan and the winding loops then read all the
+points of one scan or level in one call (``_values``), while Newton and the
+flow steps stay scalar.  One rule: a point is not evaluable where the field
+raises NearPole, PoleHit, DenominatorVanishes or ZeroDivisionError (``_value``
+reads these as NaN) or returns a non-finite value, and an element of an
+array result is not evaluable where it is not finite.  Scans, Newton,
+winding loops and flow steps then skip, drop, fail or retry, as documented
+per function; at a point the caller hands in (``integrate``'s z0,
+``rectify``'s p) the field's own exception propagates.
 """
 
 from __future__ import annotations
@@ -53,6 +57,20 @@ def _value(field, z) -> complex:
         return field(z)
     except _NOT_EVALUABLE:
         return complex(math.nan, math.nan)
+
+
+def _values(field, points: np.ndarray) -> np.ndarray:
+    """The array twin of ``_value``: F at each of ``points`` (a complex array).
+
+    A field carrying ``on_array`` gets one call with the whole array, under
+    np.errstate(all="ignore"); any other field is called once per point with
+    a Python complex.  An element whose value is not finite is not evaluable.
+    """
+    on_array = getattr(field, "on_array", None)
+    if on_array is not None:
+        with np.errstate(all="ignore"):
+            return np.asarray(on_array(points), dtype=complex)
+    return np.array([_value(field, z) for z in points.tolist()], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -219,23 +237,23 @@ def _contour_values(values) -> np.ndarray:
     return v
 
 
-def _circle_at(center: complex, radius: float, n: int, k) -> list[complex]:
-    """Points k (an integer array) of the n-point circle.
+def _circle_at(center: complex, radius: float, n: int, k) -> np.ndarray:
+    """Points k (an integer array) of the n-point circle, as a complex array.
 
     Point k depends on 2 pi k / n alone: numpy's cos and sin act per element
     (and match ``math.cos``/``math.sin`` bit for bit on x86-64, numpy 2.4).
     """
     angles = 2.0 * np.pi * k / n
-    return (center + radius * (np.cos(angles) + 1j * np.sin(angles))).tolist()
+    return center + radius * (np.cos(angles) + 1j * np.sin(angles))
 
 
 def _winding(field, path) -> int:
     """Degree of the field around a closed loop, by adaptive arc bisection.
 
     ``path(k, n)`` returns points k (an integer array) of the loop cut into
-    n equal parts; point k sits at loop fraction k / n.  The loop starts as
-    WINDING_START arcs.  Each level evaluates the midpoint m of every
-    unsettled arc (a, b), one ``_value`` call per point and no point twice.  It
+    n equal parts, as a complex array; point k sits at loop fraction k / n.
+    The loop starts as WINDING_START arcs.  Each level evaluates the midpoint
+    m of every unsettled arc (a, b) in one ``_values`` call, no point twice.  It
     accepts the arc when F is close to its chord, |F(m) - (F(a) + F(b))/2|
     <= WINDING_CHORD_TOL * min(|F(a)|, |F(m)|, |F(b)|), and each half-arc
     turns F by less than a quarter turn; it then adds arg(F(m)/F(a)) +
@@ -260,7 +278,7 @@ def _winding(field, path) -> int:
     """
     n = WINDING_START
     k = np.arange(n)  # arc k runs from point k to point k + 1 of the n-point loop
-    fa = _contour_values([_value(field, p) for p in path(k, n)])
+    fa = _contour_values(_values(field, path(k, n)))
     fb = np.roll(fa, -1)
     total, evaluations = 0.0, n
     while k.size:
@@ -273,7 +291,7 @@ def _winding(field, path) -> int:
         evaluations += k.size
         k = 2 * k + 1  # the midpoints, on the 2n-point loop
         n *= 2
-        fm = _contour_values([_value(field, p) for p in path(k, n)])
+        fm = _contour_values(_values(field, path(k, n)))
         turn_a, turn_b = np.angle(fm / fa), np.angle(fb / fm)
         ok = np.abs(fm - 0.5 * (fa + fb)) <= WINDING_CHORD_TOL * np.abs([fa, fm, fb]).min(axis=0)
         # a half-arc step near +-pi may have aliased, so each is held under a quarter turn
@@ -318,7 +336,7 @@ def winding_on_path(field, vertices) -> int:
 
     def polygon(k, n):
         side, t = np.divmod(k * v.size, n)
-        return (v[side] + step[side] * (t / n)).tolist()
+        return v[side] + step[side] * (t / n)
 
     return _winding(field, polygon)
 
@@ -457,18 +475,18 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
     """(zeros, dropped): zero locations on the rectangle (x0, x1, y0, y1),
     for callers that ask only where zeros are, not their indices.
 
-    A cell of the n x n grid whose corners are all evaluable and finite, and
-    bracket zero in both field components, seeds a damped Newton refinement;
-    converged locations are deduplicated.  A candidate that diverges or
-    leaves the region is reported in ``dropped`` with a reason.  Zeros come
-    sorted by real part, rounded to the dedup distance, then by imaginary
-    part.  ``annulus`` = (centre, r_inner, r_outer) restricts the scan to the
-    closed annulus r_inner <= |z - centre| <= r_outer (r_inner = 0 is a
-    disc): only the corners of cells that meet it are evaluated, in
-    row-major order, only those cells seed, and a zero outside it is dropped
-    ("left the annulus").  Non-finite bounds, an empty rectangle, n < 8, or
-    an annulus without a finite centre and 0 <= r_inner < r_outer < inf
-    raise ValueError.
+    The needed grid corners are read in one ``_values`` call, in row-major
+    order.  A cell of the n x n grid whose corners are all evaluable and
+    finite, and bracket zero in both field components, seeds a damped Newton
+    refinement; converged locations are deduplicated.  A candidate that
+    diverges or leaves the region is reported in ``dropped`` with a reason.
+    Zeros come sorted by real part, rounded to the dedup distance, then by
+    imaginary part.  ``annulus`` = (centre, r_inner, r_outer) restricts the
+    scan to the closed annulus r_inner <= |z - centre| <= r_outer (r_inner =
+    0 is a disc): only the corners of cells that meet it are evaluated, only
+    those cells seed, and a zero outside it is dropped ("left the annulus").
+    Non-finite bounds, an empty rectangle, n < 8, or an annulus without a
+    finite centre and 0 <= r_inner < r_outer < inf raise ValueError.
     """
     if annulus is not None:
         annulus = _annulus(annulus)
@@ -489,9 +507,12 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
     needed = np.zeros((n + 1, n + 1), bool)
     for q in quarters:
         needed[q] |= meets
-    xs, ys = xs.tolist(), ys.tolist()
+    rows, cols = np.nonzero(needed)  # row-major
+    points = np.empty(rows.size, dtype=complex)
+    points.real, points.imag = xs[cols], ys[rows]
     values = np.full((n + 1, n + 1), math.nan, dtype=complex)
-    values[needed] = [_value(field, complex(xs[i], ys[j])) for j, i in np.argwhere(needed).tolist()]
+    values[needed] = _values(field, points)
+    xs, ys = xs.tolist(), ys.tolist()
 
     diag = math.hypot(x1 - x0, y1 - y0)
     cell = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
@@ -551,6 +572,8 @@ def find_zeros(field, region, n: int, annulus=None) -> ZeroScan:
     zeros, dropped = locate_zeros(field, region, n, annulus)
     x0, x1, y0, y1 = (float(v) for v in region)
 
+    if annulus is not None:
+        centre, r_inner, r_outer = _annulus(annulus)
     records: list[ZeroRecord] = []
     width, height = x1 - x0, y1 - y0
     for z in zeros:
@@ -562,7 +585,6 @@ def find_zeros(field, region, n: int, annulus=None) -> ZeroScan:
         if edge > 0:
             radius = min(radius, 0.9 * edge)
         if annulus is not None:
-            centre, r_inner, r_outer = _annulus(annulus)
             d = abs(z - centre)
             gap = r_outer - d if r_inner == 0 else min(d - r_inner, r_outer - d)
             radius = min(radius, 0.9 * gap)

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     BlendDegenerate,
     DiscContainsZero,
@@ -304,25 +306,39 @@ def numeric_connected_sum(
     k = r1 * r2
     half = 0.5 * tube.width
 
-    def swap(z: complex) -> complex:
-        return c2 + k / (z - c1).conjugate()
-
-    def pulled_back(z: complex) -> complex:
-        zeta = z - c1
-        if abs(zeta) < 1e-9 * r1:
-            # compactification point of the far chart; nothing to evaluate
-            raise NearPole("pullback evaluated at the disc centre")
-        w = swap(z)
-        return -field2(w).conjugate() * zeta * zeta / k
+    def pulled_back(f2, zeta):
+        # f2 at the swapped point w = c2 + k / conj(zeta), pulled back to z = c1 + zeta
+        return -f2(c2 + k / zeta.conjugate()).conjugate() * zeta * zeta / k
 
     def composite(z: complex) -> complex:
-        rho = abs(z - c1) / r1
+        zeta = z - c1
+        rho = abs(zeta) / r1
         if rho >= 1.0 + half:
             return field1(z)
         if rho <= 1.0 - half:
-            return pulled_back(z)
+            if abs(zeta) < 1e-9 * r1:
+                # compactification point of the far chart; nothing to evaluate
+                raise NearPole("pullback evaluated at the disc centre")
+            return pulled_back(field2, zeta)
         beta = _smoothstep((rho - (1.0 - half)) / tube.width)
-        return (1.0 - beta) * pulled_back(z) + beta * field1(z)
+        return (1.0 - beta) * pulled_back(field2, zeta) + beta * field1(z)
+
+    def composite_array(z: np.ndarray) -> np.ndarray:
+        zeta = z - c1
+        size = np.hypot(zeta.real, zeta.imag)  # abs(zeta) bit for bit, unlike np.abs
+        rho = size / r1
+        near = field1.on_array(z)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the disc centre swaps to infinity
+            far = pulled_back(field2.on_array, zeta)
+        t = np.clip((rho - (1.0 - half)) / tube.width, 0.0, 1.0)  # as _smoothstep clamps it
+        beta = t * t * (3.0 - 2.0 * t)
+        band = (1.0 - beta) * far + beta * near
+        # NaN where the scalar form raises NearPole
+        return np.select([rho >= 1.0 + half, size < 1e-9 * r1, rho <= 1.0 - half],
+                         [near, np.nan, far], band)
+
+    if all(getattr(f, "on_array", None) is not None for f in (field1, field2)):
+        composite.on_array = composite_array
 
     r_inner = (1.0 - tube.width) * r1
     r_outer = (1.0 + tube.width) * r1

@@ -1,9 +1,12 @@
+import cmath
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from surfaceflows.autovec import build_automorphic_field
+from surfaceflows.errors import NearPole
 from surfaceflows.moebius import MoebiusMap
 
 # CI sets HYPOTHESIS_PROFILE=ci: the same examples on every run, so a new
@@ -41,3 +44,18 @@ def demo_field():
         return cache[truncation]
 
     return get
+
+
+def assert_array_form_matches(field, points):
+    """``field.on_array`` on ``points`` equals the scalar field point by point
+    within 1e-14 max(1, |F|), and is NaN exactly where the scalar form raises
+    NearPole."""
+    got = field.on_array(np.array(points, dtype=complex)).tolist()
+    assert len(got) == len(points)
+    for z, g in zip(points, got):
+        try:
+            want = field(z)
+        except NearPole:
+            assert cmath.isnan(g), z
+            continue
+        assert abs(g - want) <= 1e-14 * max(1.0, abs(want)), (z, g, want)

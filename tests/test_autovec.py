@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfaceflows.autovec import (
     CAYLEY_DISK,
     EQUIVARIANCE_SAMPLE,
+    CANONICAL_KINDS,
     AutomorphicField,
     PlanarField,
     ball_has_affine_element,
@@ -26,7 +29,12 @@ from surfaceflows.moebius import (
     inverse,
 )
 
-from conftest import DENOMINATOR_POLE, GENUS2_GENERATORS, NUMERATOR_POLE
+from conftest import (
+    DENOMINATOR_POLE,
+    GENUS2_GENERATORS,
+    NUMERATOR_POLE,
+    assert_array_form_matches,
+)
 
 S1 = NUMERATOR_POLE
 S2 = DENOMINATOR_POLE
@@ -276,3 +284,12 @@ class TestPlanarFields:
     def test_custom_field(self):
         f = PlanarField(kind="custom", func=lambda z: z - 1)
         assert f(1 + 0j) == 0j
+        assert f.on_array is None  # evaluated point by point
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(CANONICAL_KINDS), st.floats(0.1, 10.0),
+           st.lists(st.complex_numbers(max_magnitude=100.0, allow_nan=False,
+                                       allow_infinity=False), min_size=1, max_size=20))
+    def test_array_forms_match_the_scalar_fields(self, kind, k, points):
+        assert_array_form_matches(canonical_field(kind), points)
+        assert_array_form_matches(pendulum_field(k), points)

@@ -787,6 +787,64 @@ class TestFindZeros:
         assert locate_zeros(field, (-1, 1, -1, 1), 8)[0] == [z.location for z in scan]
 
 
+def array_counting(field):
+    """``field`` with an array form, and the list of the arrays that form is
+    called with, in order; scalar calls are not recorded."""
+    calls = []
+
+    def on_array(z):
+        calls.append(z.copy())
+        return field.on_array(z)
+
+    return PlanarField("custom", field.func, on_array=on_array), calls
+
+
+class TestArrayFields:
+    """A field carrying ``on_array`` is read one array per scan or winding
+    level; any other field one Python complex per point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.none(), ANNULI), st.sampled_from(CANONICAL_KINDS), st.integers(8, 24))
+    def test_scan_reads_the_needed_corners_as_one_array(self, annulus, kind, n):
+        scalar, seen = counting(canonical_field(kind))
+        array, calls = array_counting(canonical_field(kind))
+        region = (-1.0, 1.0, -1.0, 1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            # no Newton run: the scan evaluates grid corners only
+            mp.setattr(flowlab, "newton_refine", record_only)
+            locate_zeros(scalar, region, n, annulus)
+            locate_zeros(array, region, n, annulus)
+        assert all(type(z) is complex for z in seen)
+        assert len(calls) == 1
+        assert calls[0].dtype == complex and calls[0].tolist() == seen  # row-major, bit for bit
+
+    @pytest.mark.parametrize("kind", CANONICAL_KINDS)
+    def test_winding_reads_one_array_per_level(self, kind):
+        scalar, seen = counting(canonical_field(kind))
+        array, calls = array_counting(canonical_field(kind))
+        for wind in (lambda f: winding_index(f, 0.1 - 0.05j, 0.4),
+                     lambda f: winding_on_path(f, [0.5, 0.3 + 0.4j, -0.5j])):
+            seen.clear()
+            calls.clear()
+            assert wind(array) == wind(scalar)
+            assert all(type(z) is complex for z in seen)
+            assert calls[0].size == WINDING_START
+            assert all(0 < c.size <= 2 * p.size for p, c in zip(calls, calls[1:]))
+            assert np.concatenate(calls).tolist() == seen
+
+    @pytest.mark.parametrize("on_array, expected", [
+        (lambda z: 1 / z, []),
+        (lambda z: (z - 0.5) / z, [(0.5, 1)]),
+    ])
+    def test_non_finite_array_element_is_not_evaluable(self, on_array, expected):
+        # the corner at 0 divides by zero without a warning: that cell seeds
+        # nothing, and the rest of the scan goes on
+        field = PlanarField("custom", lambda z: on_array(np.array([z]))[0], on_array=on_array)
+        scan = find_zeros(field, (-1, 1, -1, 1), 8)
+        assert [(z.location, z.winding_index) for z in scan] == [
+            (pytest.approx(w, abs=1e-12), k) for w, k in expected]
+
+
 class TestPoincareHopf:
     def test_pendulum_fundamental_strip(self):
         # one period: theta in [-pi, pi), so (pi, 0) is identified away

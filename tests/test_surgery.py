@@ -1,5 +1,7 @@
+import cmath
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfaceflows import flowlab
-from surfaceflows.autovec import canonical_field
+from surfaceflows.autovec import CANONICAL_KINDS, canonical_field
 from surfaceflows.errors import (
     DiscContainsZero,
     MissingEquilibrium,
@@ -32,6 +34,8 @@ from surfaceflows.surgery import (
     numeric_connected_sum,
     sum3_check,
 )
+
+from conftest import assert_array_form_matches
 
 specs = st.builds(EquilibriumSpec, st.integers(0, 4), st.integers(0, 4))
 
@@ -153,6 +157,18 @@ DISC1 = (2 + 0j, 0.5)
 DISC2 = (-1 + 1.5j, 0.6)
 
 
+def clear_disc(uniform):
+    """A disc clear of the canonical fields' zero at 0, its centre 2r + 0.5
+    to 2r + 1.5 from it; ``uniform(lo, hi)`` draws each number."""
+    r = uniform(0.3, 0.8)
+    return cmath.rect(uniform(2.0 * r + 0.5, 2.0 * r + 1.5), uniform(0.0, 2.0 * math.pi)), r
+
+
+def chart_summary(chart):
+    return (chart.boundary_winding, [z.winding_index for z in chart.zeros],
+            len(chart.zeros.zeros), len(chart.zeros.dropped))
+
+
 class TestNumericConnectedSum:
     @pytest.mark.parametrize(
         "kind1, kind2", [("center", "center"), ("node", "saddle"), ("saddle", "saddle")]
@@ -208,6 +224,38 @@ class TestNumericConnectedSum:
                    if chart.r_inner < abs(z.location - c1) < chart.r_outer]
         assert [z.winding_index for z in chart.zeros] == in_tube == [-1, -1]
         assert chart.boundary_winding == sum(in_tube)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(CANONICAL_KINDS), st.sampled_from(CANONICAL_KINDS),
+           st.floats(0.05, 0.6), st.data())
+    def test_array_form_matches_the_scalar_chart(self, kind1, kind2, width, data):
+        def uniform(lo, hi):
+            return data.draw(st.floats(lo, hi))
+
+        (c1, r1), disc2 = clear_disc(uniform), clear_disc(uniform)
+        chart = numeric_connected_sum(canonical_field(kind1), (c1, r1), canonical_field(kind2),
+                                      disc2, TubeBlend(width))
+        # both band edges, both tube edges, the disc centre, a point the
+        # scalar form calls the centre (NearPole) and one just outside it
+        rhos = (1.0 - 0.5 * width, 1.0 + 0.5 * width, 1.0 - width, 1.0 + width, 0.0, 1e-10, 1e-8)
+        points = [c1 + r1 * rho * cmath.exp(1j * uniform(0.0, 2.0 * math.pi)) for rho in rhos]
+        points += data.draw(st.lists(st.complex_numbers(
+            max_magnitude=1.6 * r1, allow_nan=False, allow_infinity=False).map(lambda d: c1 + d),
+            max_size=30))
+        assert_array_form_matches(chart.field, points)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_scalar_fallback_gives_the_same_chart(self, seed):
+        # fields without an array form make the chart's scans loop point by point
+        rng = random.Random(seed)
+        for kind1, kind2 in zip(CANONICAL_KINDS, CANONICAL_KINDS[::-1]):
+            f1, f2 = canonical_field(kind1), canonical_field(kind2)
+            disc1, disc2 = clear_disc(rng.uniform), clear_disc(rng.uniform)
+            tube = TubeBlend(rng.uniform(0.15, 0.45))
+            charts = [numeric_connected_sum(a, disc1, b, disc2, tube)
+                      for a, b in ((f1, f2), (lambda z: f1(z), lambda z: f2(z)), (f1, lambda z: f2(z)))]
+            assert [hasattr(c.field, "on_array") for c in charts] == [True, False, False]
+            assert chart_summary(charts[1]) == chart_summary(charts[0])
 
     def test_chart_dict_survives_json(self):
         chart = numeric_connected_sum(canonical_field("node"), (2.5 + 0j, 0.5),
