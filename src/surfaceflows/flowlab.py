@@ -3,15 +3,16 @@ index-sum audits, flow-box rectification, and trajectory covariance checks.
 
 Fields are callables taking a complex point and returning a complex value
 (u + iv).  A field may also carry ``on_array``, its elementwise form on a
-complex ndarray; the grid scan and the winding loops then read all the
-points of one scan or level in one call (``_values``), while Newton and the
-flow steps stay scalar.  One rule: a point is not evaluable where the field
-raises NearPole, PoleHit, DenominatorVanishes or ZeroDivisionError (``_value``
-reads these as NaN) or returns a non-finite value, and an element of an
-array result is not evaluable where it is not finite.  Scans, Newton,
-winding loops and flow steps then skip, drop, fail or retry, as documented
-per function; at a point the caller hands in (``integrate``'s z0,
-``rectify``'s p) the field's own exception propagates.
+complex ndarray; the grid scan, the winding loops and ``rectify``'s chart
+grid then read all the points of one scan, level or grid in one call
+(``_values``), while Newton and the flow steps stay scalar.  One rule: a
+point is not evaluable where the field raises NearPole, PoleHit,
+DenominatorVanishes or ZeroDivisionError (``_value`` reads these as NaN) or
+returns a non-finite value, and an element of an array result is not
+evaluable where it is not finite.  Scans, Newton, winding loops and flow
+steps then skip, drop, fail or retry, and ``rectify`` raises NearPole for
+such a grid point, as documented per function; at a point the caller hands in
+(``integrate``'s z0, ``rectify``'s p) the field's own exception propagates.
 """
 
 from __future__ import annotations
@@ -665,15 +666,17 @@ def rectify(field, p: complex, box: float) -> FlowBoxChart:
     """Build a RECTIFY_GRID x RECTIFY_GRID flow-box chart of half-width
     ``box`` around a regular point.
 
+    The grid's values are read in one ``_values`` call, in row-major order.
     Raises EquilibriumInBox when the field is below tolerance at the base
-    point or anywhere on the constructed grid, and ValueError for a
+    point or anywhere on the constructed grid, NearPole when a flow line
+    meets a pole or a grid point is not evaluable, and ValueError for a
     non-finite ``p`` or a ``box`` that is not positive and finite.
     """
     p = _finite_point(p, "p")
     if not 0 < box < math.inf:
         raise ValueError("box must be positive and finite")
     fp = field(p)
-    if abs(fp) <= max(ZERO_TOL, 1e-12):
+    if abs(fp) <= ZERO_TOL:
         raise EquilibriumInBox(f"|field| = {abs(fp):.3g} at the base point")
     probe = 1.2 * box
     zeros_nearby, _ = locate_zeros(
@@ -689,50 +692,45 @@ def rectify(field, p: complex, box: float) -> FlowBoxChart:
     t_span = box / speed0
     s_values = tuple(np.linspace(-box, box, RECTIFY_GRID).tolist())
     t_values = tuple(np.linspace(-t_span, t_span, RECTIFY_GRID).tolist())
-    t_pos = [t for t in t_values if t > 0]
-    t_neg = [t for t in t_values if t < 0][::-1]  # toward more negative
+    mid = RECTIFY_GRID // 2  # t_values[mid] is 0.0
+    sides = ((t_values[mid + 1:], np.s_[mid + 1:]), (t_values[mid - 1::-1], np.s_[mid - 1::-1]))
 
-    rows: list[tuple[complex, ...]] = []
-    for s in s_values:
-        zs = p + s * normal
-        row = {0.0: zs}
-        for targets in (t_pos, t_neg):
-            if not targets:
-                continue
+    grid = np.empty((RECTIFY_GRID, RECTIFY_GRID), dtype=complex)  # rows by s, columns by t
+    for row, s in zip(grid, s_values):
+        row[mid] = zs = p + s * normal
+        for targets, columns in sides:
             _, pts, hits, _ = _flow(field, zs, targets)
             if len(hits) < len(targets):
                 raise NearPole("chart integration hit a pole inside the box")
-            for t, i in zip(targets, hits):
-                row[t] = pts[i]
-        rows.append(tuple(row[t] for t in t_values))
-    points = tuple(rows)
+            row[columns] = [pts[i] for i in hits]
 
-    values = [[field(z) for z in row] for row in points]
-    smallest = min(abs(fz) for row in values for fz in row)
+    values = _values(field, grid.ravel()).reshape(grid.shape)
+    if not np.isfinite(values).all():
+        raise NearPole("a chart grid point is not evaluable")
+    smallest = float(np.hypot(values.real, values.imag).min())  # abs() bit for bit
     if smallest <= ZERO_TOL:
         raise EquilibriumInBox(f"|field| = {smallest:.3g} inside the requested box")
 
-    dt = t_values[1] - t_values[0]
-    ds = s_values[1] - s_values[0]
-    residual = 0.0
-    for i in range(1, RECTIFY_GRID - 1):
-        for j in range(1, RECTIFY_GRID - 1):
-            pt = (points[i][j + 1] - points[i][j - 1]) / (2.0 * dt)
-            ps = (points[i + 1][j] - points[i - 1][j]) / (2.0 * ds)
-            fz = values[i][j]
-            det = pt.real * ps.imag - pt.imag * ps.real
-            if abs(det) < 1e-300:
-                raise EquilibriumInBox("degenerate chart jacobian")
-            alpha = (ps.imag * fz.real - ps.real * fz.imag) / det
-            beta = (-pt.imag * fz.real + pt.real * fz.imag) / det
-            residual = max(residual, math.hypot(alpha - 1.0, beta))
+    # central differences at the interior points, each part divided on its own
+    # as Python divides a complex by a float (numpy's complex division is not bit-equal)
+    dp_t = grid[1:-1, 2:] - grid[1:-1, :-2]
+    dp_s = grid[2:, 1:-1] - grid[:-2, 1:-1]
+    dt2, ds2 = 2.0 * (t_values[1] - t_values[0]), 2.0 * (s_values[1] - s_values[0])
+    pt_re, pt_im, ps_re, ps_im = dp_t.real / dt2, dp_t.imag / dt2, dp_s.real / ds2, dp_s.imag / ds2
+    f_re, f_im = values.real[1:-1, 1:-1], values.imag[1:-1, 1:-1]
+    det = pt_re * ps_im - pt_im * ps_re
+    if (np.abs(det) < 1e-300).any():
+        raise EquilibriumInBox("degenerate chart jacobian")
+    alpha = (ps_im * f_re - ps_re * f_im) / det
+    beta = (-pt_im * f_re + pt_re * f_im) / det
+    residual = max([0.0, *map(math.hypot, (alpha - 1.0).ravel().tolist(), beta.ravel().tolist())])
 
     return FlowBoxChart(
         base=p,
         transversal=(p - box * normal, p + box * normal),
         s_values=s_values,
         t_values=t_values,
-        points=points,
+        points=tuple(map(tuple, grid.tolist())),
         residual=residual,
     )
 

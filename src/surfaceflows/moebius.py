@@ -88,9 +88,6 @@ class MoebiusMap:
         root = cmath.sqrt(self.det)
         return MoebiusMap(*_sign_fixed(*(w / root for w in self.coeffs())))
 
-    def __call__(self, z: complex) -> complex:
-        return apply(self, z)
-
 
 def _sign_fixed(a: complex, b: complex, c: complex, d: complex) -> tuple:
     """Apply the sign convention to coefficients already scaled to det 1.
@@ -208,9 +205,6 @@ class GroupWord:
         for (i1, e1), (i2, e2) in zip(self.letters, self.letters[1:]):
             if i1 == i2 and e1 == -e2:
                 raise ValueError(f"word not freely reduced at {(i1, e1)}{(i2, e2)}")
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def __str__(self) -> str:
         if not self.letters:

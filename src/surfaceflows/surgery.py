@@ -234,11 +234,8 @@ class TubeBlend:
             raise ValueError("width must lie in (0, 0.6]")
 
 
-def _smoothstep(t: float) -> float:
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
+def _ramp(t):
+    """The blend's cubic ramp at t in [0, 1], a float or an array."""
     return t * t * (3.0 - 2.0 * t)
 
 
@@ -320,7 +317,8 @@ def numeric_connected_sum(
                 # compactification point of the far chart; nothing to evaluate
                 raise NearPole("pullback evaluated at the disc centre")
             return pulled_back(field2, zeta)
-        beta = _smoothstep((rho - (1.0 - half)) / tube.width)
+        # in the band rho - (1 - half) is exact, positive and short of width: t is in (0, 1)
+        beta = _ramp((rho - (1.0 - half)) / tube.width)
         return (1.0 - beta) * pulled_back(field2, zeta) + beta * field1(z)
 
     def composite_array(z: np.ndarray) -> np.ndarray:
@@ -330,8 +328,7 @@ def numeric_connected_sum(
         near = field1.on_array(z)
         with np.errstate(divide="ignore", invalid="ignore"):  # the disc centre swaps to infinity
             far = pulled_back(field2.on_array, zeta)
-        t = np.clip((rho - (1.0 - half)) / tube.width, 0.0, 1.0)  # as _smoothstep clamps it
-        beta = t * t * (3.0 - 2.0 * t)
+        beta = _ramp(np.clip((rho - (1.0 - half)) / tube.width, 0.0, 1.0))
         band = (1.0 - beta) * far + beta * near
         # NaN where the scalar form raises NearPole
         return np.select([rho >= 1.0 + half, size < 1e-9 * r1, rho <= 1.0 - half],

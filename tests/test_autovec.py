@@ -19,7 +19,7 @@ from surfaceflows.autovec import (
     field_eval,
     pendulum_field,
 )
-from surfaceflows.errors import NearPole
+from surfaceflows.errors import DenominatorVanishes, NearPole
 from surfaceflows.moebius import (
     MoebiusMap,
     apply,
@@ -66,6 +66,12 @@ class TestThetaSeries:
         g = AutomorphicField(enumerate_ball([GENUS2_GENERATORS[1]], 1), S1, S2)
         with pytest.raises(NearPole, match="pole line"):
             field_eval(g, -4 + 1e-8)
+
+    def test_vanishing_denominator_series(self):
+        # the one-term denominator series is 1/(z - s2), about 1e-11 at z = 1e11
+        f = build_automorphic_field(GENUS2_GENERATORS, S1, S2, truncation=0)
+        with pytest.raises(DenominatorVanishes, match="denominator series"):
+            field_eval(f, 1e11)
 
     def test_seed_poles_must_be_finite(self):
         for poles in ((complex("inf"), S2), (S1, complex("nan"))):
@@ -237,6 +243,13 @@ class TestEquivariance:
         equivariance_report(GENUS2_GENERATORS, S1, S2, truncation=1, sample_points=[1j, 1 + 2j])
         assert len(calls) == 2 * 2 * (1 + len(GENUS2_GENERATORS))
         assert calls.count(1j) == calls.count(1 + 2j) == 2
+
+    def test_report_skips_a_sample_point_on_the_numerator_pole(self):
+        # F is not evaluable at S1: the report reads as if S1 was not sampled
+        with_pole = equivariance_report(GENUS2_GENERATORS, S1, S2, 1, [S1, 1j])
+        without = equivariance_report(GENUS2_GENERATORS, S1, S2, 1, [1j])
+        assert with_pole["truncations"] == without["truncations"]
+        assert with_pole["truncations"]["1"]["per_generator"]["g1"]["points_used"] == 1
 
     def test_report_structure(self):
         report = equivariance_report(

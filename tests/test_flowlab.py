@@ -22,6 +22,7 @@ from surfaceflows.errors import (
     NearPole,
     NewtonDiverged,
     NonIntegerWinding,
+    PoleHit,
     ZeroOnContour,
 )
 from surfaceflows.flowlab import (
@@ -290,6 +291,13 @@ class TestIntegrate:
     def test_non_finite_start_rejected(self, z0):
         with pytest.raises(ValueError, match="z0 must be finite"):
             integrate(NODE, z0, 1.0)
+
+    def test_step_budget_ends_the_run(self, monkeypatch):
+        # the circle of the center field is never left: only the step budget ends the run
+        monkeypatch.setattr(flowlab, "MAX_STEPS", 5)
+        trajectory = integrate(CENTER, 1 + 0j, 100.0)
+        assert trajectory.termination == "time-limit"
+        assert len(trajectory.points) == 6 and trajectory.end_time < 100.0
 
     def test_max_step_displacement(self):
         # the node's speed reaches e^3 ~ 20, so DEFAULT_MAX_DISP, not the
@@ -570,6 +578,10 @@ class TestNewtonRefine:
         field = PlanarField("custom", lambda z: (z - r) + (z - r) ** 2)
         assert abs(newton_refine(field, r + offset, step_cap=0.5) - r) <= 1e-14
 
+    def test_constant_field_has_a_singular_jacobian(self):
+        with pytest.raises(NewtonDiverged, match="singular jacobian"):
+            newton_refine(PlanarField("custom", lambda z: 1 + 0j), 0j, step_cap=1.0)
+
 
 class TestSectorIndex:
     def test_four_hyperbolic_sectors_is_saddle(self):
@@ -675,6 +687,19 @@ class TestFindZeros:
     def test_residuals_below_tolerance(self):
         scan = find_zeros(PENDULUM, (-4, 4, -3, 3), 48)
         assert all(z.residual < 1e-8 for z in scan)
+
+    def test_failing_winding_is_halved_six_times_then_dropped(self, monkeypatch):
+        radii = []
+
+        def no_index(field, center, radius):
+            radii.append(radius)
+            raise NonIntegerWinding("patched")
+
+        monkeypatch.setattr(flowlab, "winding_index", no_index)
+        scan = find_zeros(SADDLE, (-1, 1, -1, 1), 16)
+        assert len(scan) == 0
+        assert radii == [0.25 * 0.5 ** k for k in range(6)]  # min(width, height) / 8 first
+        assert [d["reason"] for d in scan.dropped] == ["winding failed"]
 
     def test_non_finite_corner_seeds_nothing(self):
         # cell (0, 0) brackets zero over its three finite corners; the NaN
@@ -920,6 +945,38 @@ class TestRectify:
         with pytest.raises(ValueError, match="p must be finite"):
             rectify(PENDULUM, p, 0.1)
 
+    def test_grid_is_read_as_one_array(self):
+        field, calls = array_counting(PENDULUM)
+        chart = rectify(field, 1j, 0.1)
+        grid = [z for row in chart.points for z in row]  # row-major
+        assert len(calls) == 2  # the equilibrium probe's scan, then the grid
+        assert calls[-1].dtype == complex and calls[-1].tolist() == grid
+        # without an array form, the same chart from 81 calls with a Python complex
+        scalar, seen = counting(PENDULUM)
+        assert rectify(scalar, 1j, 0.1) == chart
+        assert seen[-81:] == grid and all(type(z) is complex for z in seen)
+
+    def test_grid_point_that_is_not_evaluable_raises_near_pole(self):
+        # F = 1 raises PoleHit at the last grid point read one by one (its
+        # last call, after every flow step), or its array form is NaN there
+        const, seen = counting(PlanarField("custom", lambda z: 1 + 0j))
+        corner = rectify(const, 0j, 0.1).points[-1][-1]
+        assert seen[-1] == corner
+        calls = iter(range(1, len(seen) + 1))
+
+        def pole_on_the_last_call(z):
+            if next(calls) == len(seen):
+                raise PoleHit("patched")
+            return 1 + 0j
+
+        def nan_at_corner(z):
+            return np.where(z == corner, np.nan, 1 + 0j)
+
+        for field in (PlanarField("custom", pole_on_the_last_call),
+                      PlanarField("custom", lambda z: 1 + 0j, on_array=nan_at_corner)):
+            with pytest.raises(NearPole, match="a chart grid point is not evaluable"):
+                rectify(field, 0j, 0.1)
+
     def test_pole_inside_box_rejected(self):
         # forward chart flows from the transversal at x = 0 run into the wall
         field = walled(PlanarField("custom", lambda z: 1 + 0j), 0.05)
@@ -972,6 +1029,14 @@ class TestCovariance:
         shift = MoebiusMap(1, 0.5, 0, 1)
         value = covariance_check(walled(NODE, 2.0), shift, 1 + 0j, 1.0)
         assert value == pytest.approx(0.5 * (math.exp(9 / 32) - 1), rel=1e-9)
+
+    def test_stops_where_the_map_meets_its_pole(self):
+        # z -> 1/z fixes -1, so both orbits of F = 1 are -1 + t; at the last
+        # sample, t = 1, they reach the map's pole at 0, and the defect
+        # |1/z - z| is taken up to the sample before, z = -1/32
+        const = PlanarField("custom", lambda z: 1 + 0j)
+        value = covariance_check(const, MoebiusMap(0, 1, 1, 0), -1 + 0j, 1.0)
+        assert value == pytest.approx(32 - 1 / 32, rel=1e-12)
 
     def test_no_reachable_sample_raises(self):
         # the wall is 1e-4 ahead, the first sample 1/32 away

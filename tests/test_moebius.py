@@ -251,6 +251,16 @@ class TestEnumeration:
         assert len(ball) == size
         assert ball.letters[:3] == ((), ((1, 1),), ((1, -1),))
 
+    def test_levels_split_into_blocks_give_the_same_ball(self, monkeypatch):
+        # the demo ball's levels hold at most 392 parents, inside one block
+        # of 4096; blocks of 5 split every level but the identity's
+        whole = enumerate_ball((T1, T2, T3, T4), 4)
+        monkeypatch.setattr(moebius, "_BLOCK", 5)
+        split = enumerate_ball((T1, T2, T3, T4), 4)
+        assert len(split) == 3201
+        assert split.letters == whole.letters
+        assert split.coeffs.tobytes() == whole.coeffs.tobytes()
+
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             enumerate_ball((T1,), -1)

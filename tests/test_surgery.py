@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from surfaceflows import flowlab
 from surfaceflows.autovec import CANONICAL_KINDS, canonical_field
 from surfaceflows.errors import (
+    BlendDegenerate,
     DiscContainsZero,
     MissingEquilibrium,
     NonIntegerWinding,
@@ -206,6 +207,13 @@ class TestNumericConnectedSum:
             numeric_connected_sum(
                 canonical_field("node"), (0.1 + 0j, 0.5), canonical_field("node"), DISC2
             )
+
+    def test_zero_on_the_tube_boundary_is_degenerate(self):
+        # the outer tube circle's first sample, c1 + r_outer, is node's zero at 0
+        r1, w = 0.5, 0.3
+        with pytest.raises(BlendDegenerate, match="field vanishes on the tube boundary"):
+            numeric_connected_sum(canonical_field("node"), (-(1 + w) * r1, r1),
+                                  canonical_field("node"), (3, 0.5), TubeBlend(w))
 
     def test_winding_circle_stays_in_the_scanned_annulus(self):
         # field2's zero pulls back to 1.995+0.097i, 0.36 from c1: inside the
