@@ -34,12 +34,13 @@ when the enumerated ball contains a non-identity affine element.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DenominatorVanishes, NearPole
+from .errors import DenominatorVanishes, NearPole, PoleHit
 from .moebius import GroupBall, MoebiusMap, apply, derivative, enumerate_ball, exact_int
 
 POLE_GUARD = 1e-6
@@ -205,12 +206,12 @@ def equivariance_report(
         for z in sample_points:
             try:
                 fz = field_eval(f, z)
-            except NearPole:
+            except (NearPole, PoleHit):
                 continue
             for g, found in zip(generators, residuals):  # against the original maps
                 try:
                     found.append(_law_defect(f, g, z, fz))
-                except NearPole:
+                except (NearPole, PoleHit):  # z or g(z) on a pole
                     continue
         report["truncations"][str(radius)] = {
             "ball_size": len(f.ball),
@@ -241,9 +242,12 @@ EQUIVARIANCE_SAMPLE = tuple(
 class PlanarField:
     """Planar field evaluated as a complex number u + iv at z = x + iy.
 
-    ``on_array``, when given, is the same field on a complex ndarray,
-    elementwise; flowlab's grid scans and winding loops then evaluate a whole
-    scan in one call.  A field without it is evaluated point by point.
+    Calling the field calls ``func`` itself: F(z) is func(z), with no
+    coercion of z and no Python frame in between, so a caller passes a Python
+    complex (every library caller does).  ``on_array``, when given, is the
+    same field on a complex ndarray, elementwise; flowlab's grid scans and
+    winding loops then evaluate a whole scan in one call.  A field without it
+    is evaluated point by point.
     """
 
     kind: str
@@ -251,8 +255,7 @@ class PlanarField:
     params: tuple = ()
     on_array: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def __call__(self, z: complex) -> complex:
-        return self.func(complex(z))
+    __call__ = property(operator.attrgetter("func"))
 
 
 def pendulum_field(k: float) -> PlanarField:

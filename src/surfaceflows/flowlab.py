@@ -280,9 +280,9 @@ def _winding(field, path) -> int:
     n = WINDING_START
     k = np.arange(n)  # arc k runs from point k to point k + 1 of the n-point loop
     fa = _contour_values(_values(field, path(k, n)))
-    fb = np.roll(fa, -1)
+    fb = np.concatenate((fa[1:], fa[:1]))
     total, evaluations = 0.0, n
-    while k.size:
+    while True:
         if n > WINDING_FINEST or (n > WINDING_MAX_SAMPLES and k.size > WINDING_START):
             raise NonIntegerWinding(f"{k.size} arcs 1/{n // 2} of the loop wide did not settle")
         if evaluations + k.size > WINDING_MAX_SAMPLES:
@@ -294,10 +294,13 @@ def _winding(field, path) -> int:
         n *= 2
         fm = _contour_values(_values(field, path(k, n)))
         turn_a, turn_b = np.angle(fm / fa), np.angle(fb / fm)
-        ok = np.abs(fm - 0.5 * (fa + fb)) <= WINDING_CHORD_TOL * np.abs([fa, fm, fb]).min(axis=0)
+        smallest = np.minimum(np.minimum(np.abs(fa), np.abs(fm)), np.abs(fb))
+        ok = np.abs(fm - 0.5 * (fa + fb)) <= WINDING_CHORD_TOL * smallest
         # a half-arc step near +-pi may have aliased, so each is held under a quarter turn
         ok &= (np.abs(turn_a) < np.pi / 2) & (np.abs(turn_b) < np.pi / 2)
         total += float((turn_a[ok] + turn_b[ok]).sum())
+        if ok.all():
+            break
         # a rejected arc (a, b) becomes its halves (a, m) and (m, b)
         bad = ~ok
         k = np.stack([k[bad] - 1, k[bad]], axis=1).ravel()

@@ -328,11 +328,11 @@ def numeric_connected_sum(
         near = field1.on_array(z)
         with np.errstate(divide="ignore", invalid="ignore"):  # the disc centre swaps to infinity
             far = pulled_back(field2.on_array, zeta)
-        beta = _ramp(np.clip((rho - (1.0 - half)) / tube.width, 0.0, 1.0))
+        far[size < 1e-9 * r1] = np.nan  # where the scalar form raises NearPole
+        beta = _ramp(np.minimum(np.maximum((rho - (1.0 - half)) / tube.width, 0.0), 1.0))
         band = (1.0 - beta) * far + beta * near
-        # NaN where the scalar form raises NearPole
-        return np.select([rho >= 1.0 + half, size < 1e-9 * r1, rho <= 1.0 - half],
-                         [near, np.nan, far], band)
+        # the scalar form's branches, tested in its order
+        return np.where(rho >= 1.0 + half, near, np.where(rho <= 1.0 - half, far, band))
 
     if all(getattr(f, "on_array", None) is not None for f in (field1, field2)):
         composite.on_array = composite_array

@@ -251,6 +251,18 @@ class TestEquivariance:
         assert with_pole["truncations"] == without["truncations"]
         assert with_pole["truncations"]["1"]["per_generator"]["g1"]["points_used"] == 1
 
+    def test_report_skips_a_sample_point_on_a_map_pole(self):
+        # g2 = (0, -1, 1, 4) has its pole at -4, and the Cayley map of the
+        # stabilized radius-1 field has its pole at -i: each skip drops only
+        # what cannot be evaluated there
+        report = equivariance_report(GENUS2_GENERATORS, S1, S2, 1, [-4, 1j, -1j])["truncations"]
+        used = {r: [g["points_used"] for g in t["per_generator"].values()]
+                for r, t in report.items()}
+        assert report["1"]["stabilized"] and not report["0"]["stabilized"]
+        assert used == {"1": [2, 1, 2, 2], "0": [3, 2, 3, 3]}
+        without_minus_i = equivariance_report(GENUS2_GENERATORS, S1, S2, 1, [-4, 1j])
+        assert report["1"] == without_minus_i["truncations"]["1"]
+
     def test_report_structure(self):
         report = equivariance_report(
             GENUS2_GENERATORS, S1, S2, truncation=1, sample_points=[1j, 1 + 2j]
@@ -298,6 +310,21 @@ class TestPlanarFields:
         f = PlanarField(kind="custom", func=lambda z: z - 1)
         assert f(1 + 0j) == 0j
         assert f.on_array is None  # evaluated point by point
+
+    def test_call_is_func_itself(self):
+        # no coercion of the point and no wrapping of the value
+        point, value = object(), object()
+        f = PlanarField(kind="custom", func=lambda z: value if z is point else None)
+        assert f(point) is value
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.1, 10.0), st.lists(st.complex_numbers(
+        max_magnitude=100.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    def test_call_matches_func_of_the_coerced_point(self, k, points):
+        for f in [canonical_field(kind) for kind in CANONICAL_KINDS] + [pendulum_field(k)]:
+            for z in points:
+                got = f(z)
+                assert type(got) is complex and got == f.func(complex(z))
 
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(CANONICAL_KINDS), st.floats(0.1, 10.0),

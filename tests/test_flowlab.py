@@ -857,6 +857,15 @@ class TestArrayFields:
             assert all(0 < c.size <= 2 * p.size for p, c in zip(calls, calls[1:]))
             assert np.concatenate(calls).tolist() == seen
 
+    @pytest.mark.parametrize("kind, degree", [("saddle", -1), ("node", 1), ("center", 1),
+                                              ("dipole", 2)])
+    def test_circle_settling_on_its_first_level_reads_two_arrays(self, kind, degree):
+        # every start arc passes on the first level: the start points and
+        # their midpoints, and nothing after them
+        field, calls = array_counting(canonical_field(kind))
+        assert winding_index(field, 0j, 1.0) == degree
+        assert [c.size for c in calls] == [WINDING_START, WINDING_START]
+
     @pytest.mark.parametrize("on_array, expected", [
         (lambda z: 1 / z, []),
         (lambda z: (z - 0.5) / z, [(0.5, 1)]),

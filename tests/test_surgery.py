@@ -252,6 +252,22 @@ class TestNumericConnectedSum:
             max_size=30))
         assert_array_form_matches(chart.field, points)
 
+    @pytest.mark.parametrize("width", [0.25, 0.5])
+    @pytest.mark.parametrize("kind1, kind2", [("saddle", "dipole"), ("dipole", "node"),
+                                              ("center", "saddle")])
+    def test_array_form_matches_the_scalar_chart_on_its_branch_edges(self, kind1, kind2, width):
+        # dyadic centre, radius and widths: rho is exactly 1 - half or 1 + half
+        # at the points on the axes through c1
+        c1, r1, half = 0.5 + 0.25j, 0.5, 0.5 * width
+        chart = numeric_connected_sum(canonical_field(kind1), (c1, r1), canonical_field(kind2),
+                                      (2.0 + 1.0j, 1.0), TubeBlend(width))
+        edges = [c1 + r1 * rho * u for rho in (1.0 - half, 1.0 + half) for u in (1, 1j, -1, -1j)]
+        assert {abs(z - c1) / r1 for z in edges} == {1.0 - half, 1.0 + half}
+        # the centre and points the scalar form calls the centre (NearPole)
+        centre = [c1, c1 + 1e-12, c1 + 4e-10j, c1 - 3e-10 - 3e-10j]
+        assert all(abs(z - c1) < 1e-9 * r1 for z in centre)
+        assert_array_form_matches(chart.field, edges + centre)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_scalar_fallback_gives_the_same_chart(self, seed):
         # fields without an array form make the chart's scans loop point by point
