@@ -203,6 +203,17 @@ def _finite_point(z, name: str) -> complex:
     return z
 
 
+def _region(region) -> tuple[float, float, float, float]:
+    """``region`` as floats (x0, x1, y0, y1), or ValueError unless the bounds
+    are finite with x0 < x1 and y0 < y1."""
+    x0, x1, y0, y1 = (float(v) for v in region)
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise ValueError("region bounds must be finite")
+    if not (x1 > x0 and y1 > y0):
+        raise ValueError("degenerate region")
+    return x0, x1, y0, y1
+
+
 def integrate(field, z0: complex, t_end: float, region=None) -> Trajectory:
     """Orbit of ``z0`` up to time ``t_end``, sampled at every accepted step.
 
@@ -211,14 +222,16 @@ def integrate(field, z0: complex, t_end: float, region=None) -> Trajectory:
     (``_flow``).  A step meeting a point that is not evaluable, or across
     which the field turns around, is halved, so an orbit running into a pole
     ends with "pole-proximity" before reaching it.  Negative ``t_end``
-    integrates in reverse time; exhausting MAX_STEPS reports "time-limit".
+    integrates in reverse time; exhausting MAX_STEPS reports "time-limit",
+    and leaving ``region`` = (x0, x1, y0, y1) "region-exit".
 
-    Raises ValueError for a non-finite ``z0`` or a zero or non-finite
-    ``t_end``, and NearPole (or kin) only if the starting point itself is
-    not evaluable.
+    Raises ValueError for a non-finite ``z0``, a zero or non-finite
+    ``t_end`` or a region ``locate_zeros`` would reject, and NearPole (or
+    kin) only if the starting point itself is not evaluable.
     """
     z0 = _finite_point(z0, "z0")
     _check_horizon(t_end)
+    region = None if region is None else _region(region)
     field(z0)  # not evaluable at the seed -> propagate
     times, points, _, termination = _flow(field, z0, [t_end], region)
     return Trajectory(tuple(times), tuple(points), termination)
@@ -494,11 +507,7 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
     """
     if annulus is not None:
         annulus = _annulus(annulus)
-    x0, x1, y0, y1 = (float(v) for v in region)
-    if not all(map(math.isfinite, (x0, x1, y0, y1))):
-        raise ValueError("region bounds must be finite")
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("degenerate region")
+    x0, x1, y0, y1 = _region(region)
     n = exact_int(n, "grid resolution")
     if n < 8:
         raise ValueError("grid resolution must be at least 8")
@@ -574,7 +583,7 @@ def find_zeros(field, region, n: int, annulus=None) -> ZeroScan:
     ``dropped`` ("winding failed").
     """
     zeros, dropped = locate_zeros(field, region, n, annulus)
-    x0, x1, y0, y1 = (float(v) for v in region)
+    x0, x1, y0, y1 = _region(region)
 
     if annulus is not None:
         centre, r_inner, r_outer = _annulus(annulus)

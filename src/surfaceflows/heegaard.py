@@ -137,20 +137,14 @@ def curve_class(curve: str, genus: int) -> tuple[int, ...]:
     if not m:
         raise ValueError(f"bad curve id {curve!r}; expected like 'a1', 'b2', 'g1'")
     kind, i = m.group(1), int(m.group(2))
+    chain = kind == "g"
+    if not 1 <= i <= (genus - 1 if chain else genus):
+        raise ValueError(f"{curve}: chain curves need 1 <= i <= genus-1" if chain
+                         else f"{curve}: index out of range for genus {genus}")
     vec = [0] * (2 * genus)
-    if kind == "a":
-        if not 1 <= i <= genus:
-            raise ValueError(f"{curve}: index out of range for genus {genus}")
-        vec[2 * (i - 1)] = 1
-    elif kind == "b":
-        if not 1 <= i <= genus:
-            raise ValueError(f"{curve}: index out of range for genus {genus}")
-        vec[2 * (i - 1) + 1] = 1
-    else:
-        if not 1 <= i <= genus - 1:
-            raise ValueError(f"{curve}: chain curves need 1 <= i <= genus-1")
-        vec[2 * (i - 1) + 1] = 1
-        vec[2 * (i + 1) - 1] = -1
+    vec[2 * i - 2 if kind == "a" else 2 * i - 1] = 1
+    if chain:
+        vec[2 * i + 1] = -1
     return tuple(vec)
 
 
@@ -231,74 +225,51 @@ def smith_diagonal(matrix) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Exact integer arithmetic; nonnegative entries, each dividing the next,
-    padded with zeros to min(rows, cols).
+    padded with zeros to min(rows, cols).  A nonzero entry p of least
+    magnitude is the pivot: row operations reduce its column and column
+    operations its row modulo p.  A remainder is a smaller pivot for the
+    next round; once the row and column are clear, |p| joins the diagonal
+    and they are deleted.  diag(d, e) is equivalent to diag(gcd, lcm), so
+    the diagonal is put in divisibility order pairwise at the end.
     """
     a = [[exact_int(x, "matrix entry") for x in row] for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
         raise ValueError("ragged matrix")
-    result: list[int] = []
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
+    diag: list[int] = []
+    while True:
+        best = pi = pj = 0
+        for i, row in enumerate(a):
+            for j, v in enumerate(row):
+                if v and (abs(v) < best or not best):
+                    best, pi, pj = abs(v), i, j
+        if not best:
             break
-        i0, j0 = pivot
-        if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
-        if j0 != t:
+        prow = a[pi]
+        p = prow[pj]
+        clear = True
+        for i, row in enumerate(a):
+            if i != pi and row[pj]:
+                q = row[pj] // p
+                a[i] = row = [x - q * y for x, y in zip(row, prow)]
+                clear = clear and not row[pj]
+        for j, v in enumerate(prow):
+            if j != pj and v:
+                q = v // p
+                for row in a:
+                    row[j] -= q * row[pj]
+                clear = clear and not prow[j]
+        if clear:
+            diag.append(best)
+            del a[pi]
             for row in a:
-                row[t], row[j0] = row[j0], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        for j in range(t, n):
-                            a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for i in range(t, m):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if dirty:
-                continue
-            pivot_divides = True
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        for jj in range(t, n):
-                            a[t][jj] += a[i][jj]
-                        pivot_divides = False
-                        break
-                if not pivot_divides:
-                    break
-            if pivot_divides:
-                break
-        result.append(abs(a[t][t]))
-        t += 1
-    while len(result) < min(m, n):
-        result.append(0)
-    return result
+                del row[pj]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag + [0] * (min(m, n) - len(diag))
 
 
 @dataclass(frozen=True)

@@ -241,6 +241,19 @@ class TestIntegrate:
         assert tr.termination == "region-exit"
         assert tr.end_point.real > 2.0
 
+    @pytest.mark.parametrize("region, message", [
+        ((math.nan, 2.0, -2.0, 2.0), "region bounds must be finite"),
+        ((-2.0, 2.0, -math.inf, 2.0), "region bounds must be finite"),
+        ((2.0, -2.0, -2.0, 2.0), "degenerate region"),
+        ((-2.0, 2.0, 2.0, 2.0), "degenerate region"),
+    ])
+    def test_region_that_locate_zeros_rejects_is_rejected(self, region, message):
+        # one rule for both: integrate must not step and report "region-exit"
+        for call in (lambda: locate_zeros(NODE, region, 8),
+                     lambda: integrate(NODE, 1 + 0j, 5.0, region=region)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_pole_proximity_termination(self):
         tr = integrate(GUARDED_POLE, 0j, 10.0)
         assert tr.termination == "pole-proximity"

@@ -89,17 +89,19 @@ def sympy_smith_diagonal(rows):
     return [abs(int(snf[i, i])) for i in range(min(snf.shape))]
 
 
-integer_matrices = st.integers(1, 4).flatmap(
-    lambda m: st.integers(1, 4).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=m, max_size=m
+def integer_matrices(size, bound):
+    return st.integers(1, size).flatmap(
+        lambda m: st.integers(1, size).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                min_size=m, max_size=m,
+            )
         )
     )
-)
 
 
 class TestSmithDiagonal:
-    @given(integer_matrices)
+    @given(integer_matrices(4, 9))
     @settings(max_examples=200, deadline=None)
     def test_matches_sympy(self, rows):
         assert smith_diagonal(rows) == sympy_smith_diagonal(rows)
@@ -114,6 +116,37 @@ class TestSmithDiagonal:
             rows = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
                     for i in range(m)]
             assert smith_diagonal(rows) == sympy_smith_diagonal(rows)
+
+    @given(integer_matrices(6, 10**4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sympy_at_the_twist_h1_shape(self, rows):
+        # twist-h1 presentations are 3x3 to 6x6 with entries up to ~6,000
+        assert smith_diagonal(rows) == sympy_smith_diagonal(rows)
+
+    def test_low_rank_six_by_six_matches_sympy(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            k = rng.randint(1, 5)
+            left = [[rng.randint(-100, 100) for _ in range(k)] for _ in range(6)]
+            right = [[rng.randint(-100, 100) for _ in range(6)] for _ in range(k)]
+            rows = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(6)]
+                    for i in range(6)]
+            assert smith_diagonal(rows) == sympy_smith_diagonal(rows)
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # pairwise gcd/lcm puts a diagonal in divisibility order
+            ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30]),
+            ([[0, 0], [0, 3]], [3, 0]),
+            ([[-4]], [4]),
+            ([], []),
+            ([[]], []),
+            ([[0, 0, 0]], [0]),
+        ],
+    )
+    def test_pinned_diagonals(self, rows, expected):
+        assert smith_diagonal(rows) == expected
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
@@ -329,6 +362,11 @@ class TestGluingMatrix:
             ([], 0, "genus must be positive"),
             ([("a1", 1)], 0, "genus must be positive"),
             ([("a1", 1)], -1, "genus must be positive"),
+            # each index range at its edges
+            ([("a0", 1)], 3, "out of range"),
+            ([("b4", 1)], 3, "out of range"),
+            ([("g0", 1)], 3, "chain curves"),
+            ([("g3", 1)], 3, "chain curves"),
         ],
     )
     def test_compose_word_rejects_bad_input(self, word, genus, message):
