@@ -29,6 +29,24 @@ converges for weights >= 2.  Pulling the disk-coordinate ratio back,
 satisfies the original transformation law exactly (chain rule), so nothing
 about the field's covariance is lost.  Construction enables this exactly
 when the enumerated ball contains a non-identity affine element.
+
+Pole guards.  field_eval refuses a point w (in summation coordinates) that
+lies within POLE_GUARD of a ball element's pole line or of an orbit
+preimage of a seed pole.  Each guard can fire only inside a small disk:
+the first around the pole -d/c of an element, the centre of its isometric
+circle (Ford, Automorphic Functions, 1929), the second around a preimage
+-b'/a'.  A field builds a guard index once: the set of buckets, squares of
+side 2^-8 keyed by (floor(2^8 Re w), floor(2^8 Im w)), that the bounding
+squares of these disks meet.  A point whose bucket is not in the set skips
+the checks and goes straight to the sums.  The disks include the float
+guards' rounding and are then doubled (see _guard_index), so a skipped
+check could not have fired: every value and every raise is the one the
+checks give.  A point in an indexed bucket, a non-finite point, and one so
+far out that the guard arithmetic could overflow run the checks as
+before.  A field keeps no index, and checks every point, when some guard
+can fire far from its centre (a preimage guard with
+|a'| <= 2 POLE_GUARD |c|, a' = 0 included), when some disk is not below
+the bucket width, or when an affine element (c = 0) has |d| < POLE_GUARD.
 """
 
 from __future__ import annotations
@@ -54,6 +72,14 @@ DEFAULT_TRUNCATION = 4
 # turn switches construction over to the disk-model evaluation.
 _AFFINE_C_TOL = 1e-8
 
+# Guard index (see "Pole guards" above): buckets per unit length, a power of
+# two so that a point's bucket key is exact.
+_BUCKETS_PER_UNIT = 256.0
+# Rounding slack of a guard disk per unit of its centre's size: 128 units of
+# roundoff u = 2^-53, four times the 32 that _guard_index derives.
+_GUARD_SLACK = 2.0 ** -46
+_NO_GUARD_INDEX = (0.0, frozenset())  # reach 0: every point runs the checks
+
 CAYLEY_DISK = MoebiusMap(1.0, -1.0j, 1.0, 1.0j)  # upper half-plane -> unit disk
 
 
@@ -72,6 +98,7 @@ class AutomorphicField:
     denominator_pole: complex
     conjugation: MoebiusMap | None = None
     _arrays: tuple = field(init=False, repr=False)
+    _guards: tuple = field(init=False, repr=False)  # (reach, buckets) of _guard_index
 
     def __post_init__(self):
         for name in ("numerator_pole", "denominator_pole"):
@@ -83,10 +110,11 @@ class AutomorphicField:
         det = a * d - b * c
         s1, s2 = self.numerator_pole, self.denominator_pole
         # seed s folded into the top row: T(w) - s = ((a - s c) w + (b - s d)) / (c w + d)
+        a1, b1, a2, b2 = a - s1 * c, b - s1 * d, a - s2 * c, b - s2 * d
         object.__setattr__(self, "_arrays", (
-            c, d, a - s1 * c, b - s1 * d, a - s2 * c, b - s2 * d,
-            det ** WEIGHT, det ** (WEIGHT + 1),
+            c, d, a1, b1, a2, b2, det ** WEIGHT, det ** (WEIGHT + 1),
         ))
+        object.__setattr__(self, "_guards", _guard_index(c, d, ((a1, b1), (a2, b2))))
 
     def __call__(self, z: complex) -> complex:
         return field_eval(self, z)
@@ -103,7 +131,9 @@ def field_eval(f: AutomorphicField, z: complex) -> complex:
     pole line) or when |a'w + b'| < POLE_GUARD |cw + d|, which is
     |Tw - s| < POLE_GUARD (w near an orbit preimage of a seed pole, checked
     for the numerator seed first); raises DenominatorVanishes when the
-    denominator series is below DENOMINATOR_TOL in magnitude.
+    denominator series is below DENOMINATOR_TOL in magnitude.  The two
+    NearPole checks run only where the field's guard index says that they
+    can fire (see "Pole guards" above).
     """
     if f.conjugation is not None:
         w = apply(f.conjugation, z)
@@ -112,16 +142,23 @@ def field_eval(f: AutomorphicField, z: complex) -> complex:
         w = z
         scale = 1.0
     c, d, a1, b1, a2, b2, det_num, det_den = f._arrays
+    reach, buckets = f._guards
     den = c * w + d
-    size = np.abs(den)
-    if size.min() < POLE_GUARD:
-        raise NearPole(f"z={w} is within {POLE_GUARD} of a ball element's pole line")
-    guard = POLE_GUARD * size
-    num_gap = a1 * w + b1
-    den_gap = a2 * w + b2
-    for gap in (num_gap, den_gap):
-        if (np.abs(gap) < guard).any():
-            raise NearPole(f"z={w} is within {POLE_GUARD} of an orbit preimage of the seed pole")
+    if (abs(w.real) < reach and abs(w.imag) < reach
+            and (math.floor(w.real * _BUCKETS_PER_UNIT),
+                 math.floor(w.imag * _BUCKETS_PER_UNIT)) not in buckets):
+        num_gap = a1 * w + b1  # no guard can fire here (see _guard_index)
+        den_gap = a2 * w + b2
+    else:
+        size = np.abs(den)
+        if size.min() < POLE_GUARD:
+            raise NearPole(f"z={w} is within {POLE_GUARD} of a ball element's pole line")
+        guard = POLE_GUARD * size
+        num_gap = a1 * w + b1
+        den_gap = a2 * w + b2
+        for gap in (num_gap, den_gap):
+            if (np.abs(gap) < guard).any():
+                raise NearPole(f"z={w} is within {POLE_GUARD} of an orbit preimage of the seed pole")
     den2 = den * den
     den3 = den2 * den  # (cw + d)^(2m - 1) for m = WEIGHT = 2; times den2 for m = 3
     num = complex((det_num / (den3 * num_gap)).sum())
@@ -129,6 +166,81 @@ def field_eval(f: AutomorphicField, z: complex) -> complex:
     if abs(den_sum) < DENOMINATOR_TOL:
         raise DenominatorVanishes(f"denominator series ~ {abs(den_sum):.3g} at z={z}")
     return num / den_sum / scale
+
+
+def _guard_index(c, d, seeds) -> tuple[float, frozenset]:
+    """(reach, buckets) of field_eval's guard checks, or _NO_GUARD_INDEX.
+
+    ``c`` and ``d`` are the ball's coefficient columns and ``seeds`` the
+    folded (a', b') of each seed.  Write u = 2^-53 and e = POLE_GUARD.  A
+    computed form alpha w + beta, with zero q = -beta/alpha and t = |w - q|,
+    is within 4u (|alpha| |w| + |beta|) <= 4u (|alpha| t + 2 |beta|) of the
+    exact one (Higham, Accuracy and Stability, Sec. 3.6: sqrt(2) gamma_2 for
+    the complex product, u for the sum; a fused multiply-add only tightens
+    it), and np.abs and the product e * size add an ulp each.
+
+    Pole line, |cw + d| < e, around p = -d/c: it fires exactly for
+    t < R = e/|c|, and in floats only for t < (1 + 6u)(R + 8u|p|).  When
+    c = 0 the computed |d| is exact: no guard fires if |d| >= e, and every
+    point fires otherwise, so such a field keeps no index.
+
+    Orbit preimage, |a'w + b'| < e |cw + d|, around q = -b'/a': since
+    a'd - b'c = det and |cq + d| = |det|/|a'|, it fires at most where
+    |a'| t < e (|c| t + |det|/|a'|), which is the disk
+    t < R = e |det| / (|a'|^2 (1 - rho)) with rho = e |c|/|a'| < 1.  This
+    disk holds the exact guard's Apollonius disk and touches it on the
+    side away from the pole -d/c.  For rho < 1/2 the rounding, that of
+    the computed det and q included, moves the edge to at most
+    (1 + 16u)(R + 32u (|q| + e |d|/|a'|)).  For rho >= 1/2 (a' = 0
+    included) the guard reaches far from q, and the field keeps no index.
+
+    Each disk is given the radius 2 (R + _GUARD_SLACK s), where s is |p|,
+    or |q| + e |d|/|a'|: twice any reach of the computed guard, and more
+    than 2^8 ulps of the centre, so that the rounded bounding square still
+    holds that reach.  Subnormal rounding, below 2^-1070 per operation, is
+    far inside the doubling.  Every radius must be finite and below the
+    bucket width 2^-8, else there is no index.  So a square meets at most
+    3 x 3 buckets, and a centre is below 2^37 in size.  ``reach`` bounds
+    |Re w| and |Im w| so that no guard product or sum overflows.
+    """
+    size_c = np.abs(c)
+    affine = c == 0
+    if (np.abs(d[affine]) < POLE_GUARD).any():
+        return _NO_GUARD_INDEX
+    pole = -d[~affine] / c[~affine]
+    buckets = _bucket_keys(pole, POLE_GUARD / size_c[~affine] + _GUARD_SLACK * np.abs(pole))
+    if buckets is None:
+        return _NO_GUARD_INDEX
+    for a, b in seeds:  # one series at a time, to keep the temporaries small
+        size_a = np.abs(a)
+        if not (2.0 * POLE_GUARD * size_c < size_a).all():  # rho < 1/2, a' = 0 included
+            return _NO_GUARD_INDEX
+        preimage = -b / a
+        rho = POLE_GUARD * size_c / size_a
+        radius = (POLE_GUARD * np.abs(a * d - b * c) / (size_a * size_a * (1.0 - rho))
+                  + _GUARD_SLACK * (np.abs(preimage) + POLE_GUARD * np.abs(d) / size_a))
+        keys = _bucket_keys(preimage, radius)
+        if keys is None:
+            return _NO_GUARD_INDEX
+        buckets |= keys
+    largest = max(np.abs(x).max() for x in (c, d, *(x for pair in seeds for x in pair)))
+    return 1e300 / (1.0 + largest), frozenset(buckets)
+
+
+def _bucket_keys(centre, radius) -> set | None:
+    """Keys of the buckets that the bounding squares of the disks of twice
+    ``radius`` meet; None unless every doubled radius is below the width."""
+    radius = 2.0 * radius
+    if not (radius < 1.0 / _BUCKETS_PER_UNIT).all():  # NaN fails too
+        return None
+    i_lo, i_hi, j_lo, j_hi = (np.floor((part + r) * _BUCKETS_PER_UNIT).astype(np.int64)
+                              for part in (centre.real, centre.imag) for r in (-radius, radius))
+    keys = set()
+    for di in range(3):
+        for dj in range(3):
+            meets = (i_lo + di <= i_hi) & (j_lo + dj <= j_hi)
+            keys.update(zip((i_lo[meets] + di).tolist(), (j_lo[meets] + dj).tolist()))
+    return keys
 
 
 def equivariance_residual(f: AutomorphicField, m: MoebiusMap, z: complex) -> float:
@@ -173,6 +285,11 @@ def _field_on_ball(raw_ball: GroupBall, numerator_pole, denominator_pole) -> Aut
     return AutomorphicField(raw_ball, complex(numerator_pole), complex(denominator_pole))
 
 
+# A sample point is skipped where F, or F at its image, is not evaluable:
+# flowlab's rule, which reads the same exceptions as NaN.
+_NOT_EVALUABLE = (NearPole, PoleHit, DenominatorVanishes, ZeroDivisionError)
+
+
 def equivariance_report(
     generators,
     numerator_pole: complex,
@@ -206,12 +323,12 @@ def equivariance_report(
         for z in sample_points:
             try:
                 fz = field_eval(f, z)
-            except (NearPole, PoleHit):
+            except _NOT_EVALUABLE:
                 continue
             for g, found in zip(generators, residuals):  # against the original maps
                 try:
                     found.append(_law_defect(f, g, z, fz))
-                except (NearPole, PoleHit):  # z or g(z) on a pole
+                except _NOT_EVALUABLE:  # z or g(z) on a pole of a map or of F
                     continue
         report["truncations"][str(radius)] = {
             "ball_size": len(f.ball),

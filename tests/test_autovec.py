@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from surfaceflows.autovec import (
     CAYLEY_DISK,
+    DENOMINATOR_TOL,
     EQUIVARIANCE_SAMPLE,
     CANONICAL_KINDS,
+    POLE_GUARD,
     AutomorphicField,
     PlanarField,
     ball_has_affine_element,
@@ -263,6 +266,14 @@ class TestEquivariance:
         without_minus_i = equivariance_report(GENUS2_GENERATORS, S1, S2, 1, [-4, 1j])
         assert report["1"] == without_minus_i["truncations"]["1"]
 
+    def test_report_skips_a_sample_point_where_the_denominator_vanishes(self):
+        # far out, the radius-0 series ratio has a denominator ~ 1e-11; at
+        # 1e300 the stabilized radius-1 field divides by zero in the Cayley map
+        for truncation, far in ((0, 1e11), (1, 1e300)):
+            report = equivariance_report(GENUS2_GENERATORS, S1, S2, truncation, [far, 0.4 + 1j])
+            without = equivariance_report(GENUS2_GENERATORS, S1, S2, truncation, [0.4 + 1j])
+            assert report["truncations"] == without["truncations"]
+
     def test_report_structure(self):
         report = equivariance_report(
             GENUS2_GENERATORS, S1, S2, truncation=1, sample_points=[1j, 1 + 2j]
@@ -274,6 +285,103 @@ class TestEquivariance:
         per_gen = report["truncations"]["1"]["per_generator"]
         assert set(per_gen) == {"g1", "g2", "g3", "g4"}
         assert all(v["median_residual"] is not None for v in per_gen.values())
+
+
+def guard_disks(f):
+    """Centre and radius of each disk where a guard of ``f`` fires in exact
+    arithmetic: e/|c| around -d/c, and the Apollonius bound around -b'/a'."""
+    a, b, c, d = f.ball.coeffs.T
+    pole_line = c != 0
+    centres = [-d[pole_line] / c[pole_line]]
+    radii = [POLE_GUARD / np.abs(c[pole_line])]
+    for s in (f.numerator_pole, f.denominator_pole):
+        a1, b1 = a - s * c, b - s * d
+        rho = POLE_GUARD * np.abs(c) / np.abs(a1)
+        centres.append(-b1 / a1)
+        radii.append(POLE_GUARD * np.abs(a * d - b * c) / (np.abs(a1) ** 2 * (1 - rho)))
+    return np.concatenate(centres).tolist(), np.concatenate(radii).tolist()
+
+
+def guarded_oracle(f, z):
+    """field_eval's guards and sums written out from the ball's coefficients:
+    the NearPole message the guards give at z, or the unguarded ratio."""
+    a, b, c, d = f.ball.coeffs.T.copy()  # contiguous, as the field holds them
+    w, scale = z, 1.0
+    if f.conjugation is not None:
+        w, scale = apply(f.conjugation, z), derivative(f.conjugation, z)
+    den = c * w + d
+    if np.abs(den).min() < POLE_GUARD:
+        return f"z={w} is within {POLE_GUARD} of a ball element's pole line"
+    gaps = [(a - s * c) * w + (b - s * d) for s in (f.numerator_pole, f.denominator_pole)]
+    for gap in gaps:
+        if (np.abs(gap) < POLE_GUARD * np.abs(den)).any():
+            return f"z={w} is within {POLE_GUARD} of an orbit preimage of the seed pole"
+    det = a * d - b * c
+    den2 = den * den
+    den3 = den2 * den
+    num = complex((det ** 2 / (den3 * gaps[0])).sum())
+    den_sum = complex((det ** 3 / (den3 * den2 * gaps[1])).sum())
+    assert abs(den_sum) >= DENOMINATOR_TOL
+    return num / den_sum / scale
+
+
+def assert_matches_oracle(f, z):
+    """field_eval raises NearPole with the oracle's message, or returns its
+    value exactly."""
+    want = guarded_oracle(f, z)
+    if isinstance(want, str):
+        with pytest.raises(NearPole) as raised:
+            field_eval(f, z)
+        assert str(raised.value) == want
+    else:
+        assert field_eval(f, z) == want
+
+
+@pytest.fixture(scope="module")
+def guarded_fields(demo_field):
+    """The demo field (stabilized) and the unstabilized field on the ball of
+    the three non-affine generators, each with its guard disks."""
+    fields = [demo_field(4), AutomorphicField(enumerate_ball(GENUS2_GENERATORS[:3], 2), S1, S2)]
+    return [(f, *guard_disks(f)) for f in fields]
+
+
+class TestPoleGuards:
+    """The guard index skips the guard checks only where none could fire."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(which=st.integers(0, 1), data=st.data(),
+           k=st.floats(0.25, 4.0), angle=st.floats(0.0, 2 * math.pi))
+    def test_index_never_hides_a_guard(self, guarded_fields, which, data, k, angle):
+        f, centres, radii = guarded_fields[which]
+        i = data.draw(st.integers(0, len(centres) - 1))
+        w = centres[i] + k * radii[i] * complex(math.cos(angle), math.sin(angle))
+        z = w if f.conjugation is None else apply(inverse(f.conjugation), w)
+        assert_matches_oracle(f, z)
+
+    @settings(max_examples=100, deadline=None)
+    @given(which=st.integers(0, 1), x=st.floats(-3.0, 3.0), y=st.floats(0.3, 4.0))
+    def test_scan_window_points_match_the_oracle(self, guarded_fields, which, x, y):
+        assert_matches_oracle(guarded_fields[which][0], complex(x, y))
+
+    def test_both_fields_keep_an_index(self, guarded_fields):
+        for f, _, _ in guarded_fields:
+            reach, buckets = f._guards
+            assert reach > 1.0 and buckets
+
+    def test_a_guard_far_from_every_centre_leaves_no_index(self):
+        # with the numerator seed at 0, the element z -> -1/(z + 4) has a' = 0:
+        # its preimage guard fires wherever |w + 4| > 1e6
+        f = AutomorphicField(enumerate_ball([GENUS2_GENERATORS[1]], 1), 0j, S2)
+        assert f._guards == (0.0, frozenset())
+        with pytest.raises(NearPole, match="orbit preimage"):
+            field_eval(f, 2e6)
+        assert field_eval(f, 5e5) == 0.9999959999960001 - 5.999999999976e-06j
+
+    def test_non_finite_points_take_the_checks(self, guarded_fields):
+        f = guarded_fields[1][0]
+        with np.errstate(all="ignore"):
+            for z in (complex("inf"), complex("nan"), complex(0.0, float("inf"))):
+                assert cmath.isnan(field_eval(f, z))
 
 
 class TestPlanarFields:
