@@ -13,8 +13,11 @@ makes that law approximate; the residual is always measured, never assumed.
 One field kernel. ``AutomorphicField`` holds the ball and the two seed
 poles; ``field_eval`` sums both series over it, the numerator at weight
 WEIGHT around the numerator pole and the denominator at weight WEIGHT + 1
-around the denominator pole.  Each seed is folded into the coefficients
-when the field is built, so a term costs one division (see field_eval).
+around the denominator pole.  Where the guard checks run, each seed is
+folded into the coefficients and a term costs one division; elsewhere
+both series are summed in pole form, each term a rational function of w
+whose poles are found when the field is built, and one reciprocal per
+ball element serves both series (see field_eval).
 
 Stabilized evaluation. When the generating set contains an affine map
 (c = 0), the orbit of any point climbs without bound in the half-plane
@@ -37,16 +40,21 @@ the first around the pole -d/c of an element, the centre of its isometric
 circle (Ford, Automorphic Functions, 1929), the second around a preimage
 -b'/a'.  A field builds a guard index once: the set of buckets, squares of
 side 2^-8 keyed by (floor(2^8 Re w), floor(2^8 Im w)), that the bounding
-squares of these disks meet.  A point whose bucket is not in the set skips
-the checks and goes straight to the sums.  The disks include the float
-guards' rounding and are then doubled (see _guard_index), so a skipped
-check could not have fired: every value and every raise is the one the
-checks give.  A point in an indexed bucket, a non-finite point, and one so
-far out that the guard arithmetic could overflow run the checks as
-before.  A field keeps no index, and checks every point, when some guard
-can fire far from its centre (a preimage guard with
-|a'| <= 2 POLE_GUARD |c|, a' = 0 included), when some disk is not below
-the bucket width, or when an affine element (c = 0) has |d| < POLE_GUARD.
+squares of these disks meet.  The disks include the float guards'
+rounding and are then doubled (see _guard_index), so a check skipped
+outside them could not have fired.  So field_eval has two branches.  A
+point in an indexed bucket, a non-finite point, and one beyond the index's
+reach run the checks and then the written-out sums: their values, and
+every raise, are bit for bit those of a field that checks every point.
+Any other point skips the checks and sums in pole form, within rounding of
+the written-out sums; its distance from every pole bounds the pole form's
+products and reciprocals, and the reach caps them from above, so nothing
+overflows or underflows there.  A field keeps no index, and checks every
+point, when some guard can fire far from its centre (a preimage guard
+with |a'| <= 2 POLE_GUARD |c|, a' = 0 included), when some disk is not
+below the bucket width, when an affine element (c = 0) has
+|d| < POLE_GUARD, or when its poles or constants leave the pole form no
+safe range.
 """
 
 from __future__ import annotations
@@ -78,7 +86,10 @@ _BUCKETS_PER_UNIT = 256.0
 # Rounding slack of a guard disk per unit of its centre's size: 128 units of
 # roundoff u = 2^-53, four times the 32 that _guard_index derives.
 _GUARD_SLACK = 2.0 ** -46
-_NO_GUARD_INDEX = (0.0, frozenset())  # reach 0: every point runs the checks
+_NO_GUARD_INDEX = (0.0, frozenset(), None)  # reach 0: every point runs the checks
+# field_eval's unchecked branch keeps every product, reciprocal and sum in
+# [2^-_EXPONENT_BUDGET, 2^_EXPONENT_BUDGET] (see _guard_index)
+_EXPONENT_BUDGET = 1000
 
 CAYLEY_DISK = MoebiusMap(1.0, -1.0j, 1.0, 1.0j)  # upper half-plane -> unit disk
 
@@ -98,7 +109,7 @@ class AutomorphicField:
     denominator_pole: complex
     conjugation: MoebiusMap | None = None
     _arrays: tuple = field(init=False, repr=False)
-    _guards: tuple = field(init=False, repr=False)  # (reach, buckets) of _guard_index
+    _guards: tuple = field(init=False, repr=False)  # (reach, buckets, pole form) of _guard_index
 
     def __post_init__(self):
         for name in ("numerator_pole", "denominator_pole"):
@@ -108,13 +119,12 @@ class AutomorphicField:
             object.__setattr__(self, name, pole)
         a, b, c, d = self.ball.coeffs.T.copy()  # four contiguous columns
         det = a * d - b * c
-        s1, s2 = self.numerator_pole, self.denominator_pole
         # seed s folded into the top row: T(w) - s = ((a - s c) w + (b - s d)) / (c w + d)
-        a1, b1, a2, b2 = a - s1 * c, b - s1 * d, a - s2 * c, b - s2 * d
-        object.__setattr__(self, "_arrays", (
-            c, d, a1, b1, a2, b2, det ** WEIGHT, det ** (WEIGHT + 1),
-        ))
-        object.__setattr__(self, "_guards", _guard_index(c, d, ((a1, b1), (a2, b2))))
+        seeds = [(a - s * c, b - s * d) for s in (self.numerator_pole, self.denominator_pole)]
+        # the checked branch folds the seeds again per call, so the field keeps
+        # the pole form in place of the folded columns
+        object.__setattr__(self, "_arrays", (a, b, c, d, det))
+        object.__setattr__(self, "_guards", _guard_index(c, d, det, seeds))
 
     def __call__(self, z: complex) -> complex:
         return field_eval(self, z)
@@ -126,14 +136,21 @@ def field_eval(f: AutomorphicField, z: complex) -> complex:
     Both series sum over the ball in canonical order.  With the seed s
     folded into the coefficients, a' = a - s c and b' = b - s d, the
     weight-m term H(Tw) T'(w)^m = det^m / ((cw + d)^(2m) (Tw - s)) becomes
-    det^m / ((cw + d)^(2m - 1) (a'w + b')): one division, no complex power.
-    Raises NearPole when |cw + d| < POLE_GUARD (w near a ball element's
-    pole line) or when |a'w + b'| < POLE_GUARD |cw + d|, which is
-    |Tw - s| < POLE_GUARD (w near an orbit preimage of a seed pole, checked
-    for the numerator seed first); raises DenominatorVanishes when the
-    denominator series is below DENOMINATOR_TOL in magnitude.  The two
-    NearPole checks run only where the field's guard index says that they
-    can fire (see "Pole guards" above).
+    det^m / ((cw + d)^(2m - 1) (a'w + b')).  Raises NearPole when
+    |cw + d| < POLE_GUARD (w near a ball element's pole line) or when
+    |a'w + b'| < POLE_GUARD |cw + d|, which is |Tw - s| < POLE_GUARD (w near
+    an orbit preimage of a seed pole, checked for the numerator seed
+    first); raises DenominatorVanishes when the denominator series is below
+    DENOMINATOR_TOL in magnitude.
+
+    Two branches sum the same terms (see "Pole guards" above).  Where the
+    field's guard index says that no check can fire, the terms are summed in
+    pole form: cw + d = s u with u = w - p, p = -d/c and s = c (u = 1 and
+    s = d when c = 0), and a'w + b' = a' v with v = w - q and q = -b'/a'.
+    So the terms are kappa_2 / (u^3 v_1) and kappa_3 / (u^5 v_2), with
+    kappa_m = det^m / (s^(2m - 1) a'), and one reciprocal
+    r = 1 / (u^5 v_1 v_2) serves both: kappa_2 u^2 v_2 r and kappa_3 v_1 r.
+    Elsewhere the checks run, and each written-out term costs one division.
     """
     if f.conjugation is not None:
         w = apply(f.conjugation, z)
@@ -141,43 +158,53 @@ def field_eval(f: AutomorphicField, z: complex) -> complex:
     else:
         w = z
         scale = 1.0
-    c, d, a1, b1, a2, b2, det_num, det_den = f._arrays
-    reach, buckets = f._guards
-    den = c * w + d
+    reach, buckets, pole_form = f._guards
     if (abs(w.real) < reach and abs(w.imag) < reach
             and (math.floor(w.real * _BUCKETS_PER_UNIT),
                  math.floor(w.imag * _BUCKETS_PER_UNIT)) not in buckets):
-        num_gap = a1 * w + b1  # no guard can fire here (see _guard_index)
-        den_gap = a2 * w + b2
+        affine, pole, preimage1, preimage2, kappa2, kappa3 = pole_form
+        u = w - pole  # no guard can fire here, and nothing overflows (see _guard_index)
+        u[affine] = 1.0
+        v1 = w - preimage1
+        v2 = w - preimage2
+        u2 = u * u
+        t = u2 * v2
+        r = np.reciprocal(u2 * u * v1 * t)
+        num = complex(np.dot(kappa2, t * r))
+        den_sum = complex(np.dot(kappa3, v1 * r))
     else:
+        a, b, c, d, det = f._arrays
+        s1, s2 = f.numerator_pole, f.denominator_pole
+        den = c * w + d
         size = np.abs(den)
         if size.min() < POLE_GUARD:
             raise NearPole(f"z={w} is within {POLE_GUARD} of a ball element's pole line")
         guard = POLE_GUARD * size
-        num_gap = a1 * w + b1
-        den_gap = a2 * w + b2
+        num_gap = (a - s1 * c) * w + (b - s1 * d)
+        den_gap = (a - s2 * c) * w + (b - s2 * d)
         for gap in (num_gap, den_gap):
             if (np.abs(gap) < guard).any():
                 raise NearPole(f"z={w} is within {POLE_GUARD} of an orbit preimage of the seed pole")
-    den2 = den * den
-    den3 = den2 * den  # (cw + d)^(2m - 1) for m = WEIGHT = 2; times den2 for m = 3
-    num = complex((det_num / (den3 * num_gap)).sum())
-    den_sum = complex((det_den / (den3 * den2 * den_gap)).sum())
+        den2 = den * den
+        den3 = den2 * den  # (cw + d)^(2m - 1) for m = WEIGHT = 2; times den2 for m = 3
+        num = complex((det ** WEIGHT / (den3 * num_gap)).sum())
+        den_sum = complex((det ** (WEIGHT + 1) / (den3 * den2 * den_gap)).sum())
     if abs(den_sum) < DENOMINATOR_TOL:
         raise DenominatorVanishes(f"denominator series ~ {abs(den_sum):.3g} at z={z}")
     return num / den_sum / scale
 
 
-def _guard_index(c, d, seeds) -> tuple[float, frozenset]:
-    """(reach, buckets) of field_eval's guard checks, or _NO_GUARD_INDEX.
+def _guard_index(c, d, det, seeds) -> tuple:
+    """(reach, buckets, pole form) of field_eval's branches, or _NO_GUARD_INDEX.
 
-    ``c`` and ``d`` are the ball's coefficient columns and ``seeds`` the
-    folded (a', b') of each seed.  Write u = 2^-53 and e = POLE_GUARD.  A
-    computed form alpha w + beta, with zero q = -beta/alpha and t = |w - q|,
-    is within 4u (|alpha| |w| + |beta|) <= 4u (|alpha| t + 2 |beta|) of the
-    exact one (Higham, Accuracy and Stability, Sec. 3.6: sqrt(2) gamma_2 for
-    the complex product, u for the sum; a fused multiply-add only tightens
-    it), and np.abs and the product e * size add an ulp each.
+    ``c``, ``d`` and ``det`` are the ball's columns and determinants, and
+    ``seeds`` the folded (a', b') of each seed.  Write u = 2^-53 and
+    e = POLE_GUARD.  A computed form alpha w + beta, with zero
+    q = -beta/alpha and t = |w - q|, is within
+    4u (|alpha| |w| + |beta|) <= 4u (|alpha| t + 2 |beta|) of the exact one
+    (Higham, Accuracy and Stability, Sec. 3.6: sqrt(2) gamma_2 for the
+    complex product, u for the sum; a fused multiply-add only tightens it),
+    and np.abs and the product e * size add an ulp each.
 
     Pole line, |cw + d| < e, around p = -d/c: it fires exactly for
     t < R = e/|c|, and in floats only for t < (1 + 6u)(R + 8u|p|).  When
@@ -200,31 +227,71 @@ def _guard_index(c, d, seeds) -> tuple[float, frozenset]:
     holds that reach.  Subnormal rounding, below 2^-1070 per operation, is
     far inside the doubling.  Every radius must be finite and below the
     bucket width 2^-8, else there is no index.  So a square meets at most
-    3 x 3 buckets, and a centre is below 2^37 in size.  ``reach`` bounds
-    |Re w| and |Im w| so that no guard product or sum overflows.
+    3 x 3 buckets, and a centre is below 2^37 in size.
+
+    Pole form.  Outside the indexed buckets w lies outside every doubled
+    disk, so the computed |u| = |w - p| exceeds e/|c| and |v| = |w - q|
+    exceeds the R above: the doubling covers the rounding of w - p and
+    w - q.  In a row with c = 0, u = 1.  So every |u| and |v| is at least
+    l, the least of these bounds (below 2^-9), and at most
+    H = 2 reach + max(1, |p|, |q|).  The unchecked branch forms products of
+    up to seven such factors, their reciprocal, and the terms
+    kappa_2 / (u^3 v_1) and kappa_3 / (u^5 v_2).  With E = _EXPONENT_BUDGET
+    and n the ball's size, all of them and the sums lie in [2^-E, 2^E], to
+    within their rounding, when
+        l^7 >= 2^-E,   n max|kappa| l^-6 <= 2^E,
+        H^7 <= 2^E,    min|kappa| H^-6 >= 2^-E.
+    That range leaves 2^24 below overflow and 2^22 above the subnormals,
+    so no value is infinite, NaN or zero, and each operation rounds as in
+    the normal range: a component that underflows errs by at most 2^-1074,
+    2^-74 of its modulus, and Smith's reciprocal (np.reciprocal) forms no
+    intermediate larger than its result.  The first two conditions are
+    properties of the field: if one fails there is no index.  The last two
+    cap H, and with it ``reach``, which also bounds |Re w| and |Im w| so
+    that no guard product or sum overflows.
     """
     size_c = np.abs(c)
     affine = c == 0
     if (np.abs(d[affine]) < POLE_GUARD).any():
         return _NO_GUARD_INDEX
-    pole = -d[~affine] / c[~affine]
-    buckets = _bucket_keys(pole, POLE_GUARD / size_c[~affine] + _GUARD_SLACK * np.abs(pole))
+    if not all((2.0 * POLE_GUARD * size_c < np.abs(a)).all() for a, _ in seeds):
+        return _NO_GUARD_INDEX  # rho >= 1/2 somewhere, a' = 0 included
+    # The pole form comes first: made before the bucket keys' temporaries,
+    # the arrays that the field keeps do not hold the heap's top up.
+    rows = np.flatnonzero(affine)  # where u = 1
+    poles = np.zeros_like(c)
+    poles[~affine] = -d[~affine] / c[~affine]
+    preimages = [-b / a for a, b in seeds]
+    kappas = [det ** m / (np.where(affine, d, c) ** (2 * m - 1) * a)  # cw + d = s u
+              for m, (a, _) in enumerate(seeds, WEIGHT)]
+    pole = poles[~affine]
+    line = POLE_GUARD / size_c[~affine]
+    buckets = _bucket_keys(pole, line + _GUARD_SLACK * np.abs(pole))
     if buckets is None:
         return _NO_GUARD_INDEX
-    for a, b in seeds:  # one series at a time, to keep the temporaries small
+    low = line.min(initial=1.0)
+    centre = np.abs(pole).max(initial=1.0)
+    for (a, b), preimage in zip(seeds, preimages):  # one series at a time: small temporaries
         size_a = np.abs(a)
-        if not (2.0 * POLE_GUARD * size_c < size_a).all():  # rho < 1/2, a' = 0 included
-            return _NO_GUARD_INDEX
-        preimage = -b / a
         rho = POLE_GUARD * size_c / size_a
-        radius = (POLE_GUARD * np.abs(a * d - b * c) / (size_a * size_a * (1.0 - rho))
-                  + _GUARD_SLACK * (np.abs(preimage) + POLE_GUARD * np.abs(d) / size_a))
-        keys = _bucket_keys(preimage, radius)
+        apollonius = POLE_GUARD * np.abs(a * d - b * c) / (size_a * size_a * (1.0 - rho))
+        keys = _bucket_keys(preimage, apollonius + _GUARD_SLACK * (
+            np.abs(preimage) + POLE_GUARD * np.abs(d) / size_a))
         if keys is None:
             return _NO_GUARD_INDEX
         buckets |= keys
+        low = min(low, apollonius.min())
+        centre = max(centre, np.abs(preimage).max())
+    k_lo = min(np.abs(kappa).min() for kappa in kappas)
+    k_hi = max(np.abs(kappa).max() for kappa in kappas)
+    e = _EXPONENT_BUDGET
+    if not (low > 0.0 and k_lo > 0.0 and 7 * math.log2(low) >= -e
+            and math.log2(len(c)) + math.log2(k_hi) - 6 * math.log2(low) <= e):
+        return _NO_GUARD_INDEX
+    cap = 2.0 ** min(e / 7, (e + math.log2(k_lo)) / 6)  # the largest H
     largest = max(np.abs(x).max() for x in (c, d, *(x for pair in seeds for x in pair)))
-    return 1e300 / (1.0 + largest), frozenset(buckets)
+    reach = min(1e300 / (1.0 + largest), (cap - centre) / 2)
+    return reach, frozenset(buckets), (rows, poles, *preimages, *kappas)
 
 
 def _bucket_keys(centre, radius) -> set | None:

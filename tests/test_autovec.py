@@ -1,12 +1,15 @@
 import cmath
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfaceflows.autovec import (
+    _BUCKETS_PER_UNIT,
     CAYLEY_DISK,
     DENOMINATOR_TOL,
     EQUIVARIANCE_SAMPLE,
@@ -303,12 +306,10 @@ def guard_disks(f):
 
 
 def guarded_oracle(f, z):
-    """field_eval's guards and sums written out from the ball's coefficients:
+    """field_eval's guards and written-out sums from the ball's coefficients:
     the NearPole message the guards give at z, or the unguarded ratio."""
     a, b, c, d = f.ball.coeffs.T.copy()  # contiguous, as the field holds them
-    w, scale = z, 1.0
-    if f.conjugation is not None:
-        w, scale = apply(f.conjugation, z), derivative(f.conjugation, z)
+    w, scale = summation_point(f, z)
     den = c * w + d
     if np.abs(den).min() < POLE_GUARD:
         return f"z={w} is within {POLE_GUARD} of a ball element's pole line"
@@ -325,16 +326,121 @@ def guarded_oracle(f, z):
     return num / den_sum / scale
 
 
+def summation_point(f, z):
+    """The point w at which field_eval sums the series, and its scale."""
+    if f.conjugation is None:
+        return z, 1.0
+    return apply(f.conjugation, z), derivative(f.conjugation, z)
+
+
+def takes_the_checks(f, z):
+    """Whether field_eval runs the guard checks and the written-out sums at
+    z: w in an indexed bucket, past the reach, or not finite."""
+    w = summation_point(f, z)[0]
+    reach, buckets, _ = f._guards
+    return not (abs(w.real) < reach and abs(w.imag) < reach
+                and (math.floor(w.real * _BUCKETS_PER_UNIT),
+                     math.floor(w.imag * _BUCKETS_PER_UNIT)) not in buckets)
+
+
+@functools.cache
+def exact_rows(f):
+    """Per ball element, 40-digit c, d, the folded a', b' of both seeds, det^2
+    and det^3, from the field's float coefficients and seeds."""
+    with mpmath.workdps(40):
+        s1, s2 = mpmath.mpc(f.numerator_pole), mpmath.mpc(f.denominator_pole)
+        rows = []
+        for a, b, c, d in f.ball.coeffs.tolist():
+            a, b, c, d = (mpmath.mpc(x) for x in (a, b, c, d))
+            det = a * d - b * c
+            rows.append((c, d, a - s1 * c, b - s1 * d, a - s2 * c, b - s2 * d, det ** 2, det ** 3))
+    return rows
+
+
+def exact_sums(f, w):
+    """The numerator and denominator series at w, summed in 40 digits."""
+    with mpmath.workdps(40):
+        w = mpmath.mpc(w)
+        num, den = [], []
+        for c, d, a1, b1, a2, b2, det2, det3 in exact_rows(f):
+            line = c * w + d
+            line2 = line * line
+            line3 = line2 * line
+            num.append(det2 / (line3 * (a1 * w + b1)))
+            den.append(det3 / (line3 * line2 * (a2 * w + b2)))
+        return complex(mpmath.fsum(num)), complex(mpmath.fsum(den))
+
+
+U = 2.0 ** -53  # unit roundoff
+
+
+def sum_error_bound(f, w, exact_num, exact_den):
+    """Bound on the relative error of F = num / den / scale at w, for either
+    of field_eval's sum forms, given the exact sums.
+
+    A weight-m term is t = det^m / (L^(2m-1) G), with L = cw + d and
+    G = a'w + b'.  Both forms compute L (as cw + d, or as c (w - p) with
+    p = -d/c), G (as a'w + b', or as a' (w - q) with q = -b'/a'), det and
+    the folded a', b' from the same float coefficients.  A complex product
+    errs by at most sqrt(2) gamma_2 < 3u and, we take, a quotient or
+    reciprocal by at most 7u (Higham, Accuracy and Stability, Sec. 3.6).  So
+    L errs by at most 8u k_L, with k_L = (|c||w| + |d|)/|L|; G, with a' and
+    q, by at most 16u k_G, with
+    k_G = ((|a| + |s||c|)(|w| + |G|/|a'|) + |b| + |s||d|)/|G|; and det by
+    4u k_det, with k_det = (|a||d| + |b||c|)/|det|.  The fixed chain of
+    products, powers and quotients of either form adds less than 64u.  So a
+    computed term errs by at most
+        delta = u (64 + 8 (2m - 1) k_L + 16 k_G + 4 m k_det)
+    of itself.  Summing n terms in any order, pairwise or in a BLAS dot, adds
+    at most gamma_n = nu / (1 - nu) of sum |t| (Higham, Sec. 4.2).  A sum
+    therefore errs by at most e = sum |t| (delta + gamma_n) / |sum t|, the
+    condition number sum |t| / |sum t| weighted by the terms' errors.  The
+    ratio errs by at most (e_num + e_den) / (1 - e_den), and its two
+    divisions add 14u.
+    """
+    a, b, c, d = f.ball.coeffs.T
+    det = a * d - b * c
+    line = np.abs(c * w + d)
+    k_line = (np.abs(c) * abs(w) + np.abs(d)) / line
+    k_det = (np.abs(a * d) + np.abs(b * c)) / np.abs(det)
+    gamma = len(c) * U / (1 - len(c) * U)
+    errors = []
+    for m, s, exact in ((2, f.numerator_pole, exact_num), (3, f.denominator_pole, exact_den)):
+        a1 = np.abs(a - s * c)
+        gap = np.abs((a - s * c) * w + (b - s * d))
+        k_gap = ((np.abs(a) + abs(s) * np.abs(c)) * (abs(w) + gap / a1)
+                 + np.abs(b) + abs(s) * np.abs(d)) / gap
+        size = np.abs(det) ** m / (line ** (2 * m - 1) * gap)
+        delta = U * (64 + 8 * (2 * m - 1) * k_line + 16 * k_gap + 4 * m * k_det)
+        errors.append(float((size * (delta + gamma)).sum()) / abs(exact))
+    e_num, e_den = errors
+    return (e_num + e_den) / (1 - e_den) + 14 * U
+
+
+def assert_near_exact(f, z, *values):
+    """Each value is within sum_error_bound of F(z) summed in 40 digits."""
+    w, scale = summation_point(f, z)
+    num, den = exact_sums(f, w)
+    exact = num / den / scale
+    bound = sum_error_bound(f, w, num, den)
+    for value in values:
+        assert abs(value - exact) <= bound * abs(exact), (z, value, exact, bound)
+
+
 def assert_matches_oracle(f, z):
-    """field_eval raises NearPole with the oracle's message, or returns its
-    value exactly."""
+    """field_eval raises NearPole with the oracle's message.  Where it runs
+    the checks it returns the oracle's value exactly; elsewhere it sums in
+    pole form, and both it and the oracle's written-out sums are within
+    sum_error_bound of the 40-digit sums."""
     want = guarded_oracle(f, z)
     if isinstance(want, str):
         with pytest.raises(NearPole) as raised:
             field_eval(f, z)
         assert str(raised.value) == want
-    else:
+    elif takes_the_checks(f, z):
         assert field_eval(f, z) == want
+    else:
+        assert_near_exact(f, z, field_eval(f, z), want)
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +449,13 @@ def guarded_fields(demo_field):
     the three non-affine generators, each with its guard disks."""
     fields = [demo_field(4), AutomorphicField(enumerate_ball(GENUS2_GENERATORS[:3], 2), S1, S2)]
     return [(f, *guard_disks(f)) for f in fields]
+
+
+@pytest.fixture(scope="module")
+def pole_form_fields(guarded_fields):
+    """The two guarded fields and one whose every element is affine (c = 0)."""
+    affine = AutomorphicField(enumerate_ball([GENUS2_GENERATORS[3]], 2), S1, S2)
+    return [f for f, _, _ in guarded_fields] + [affine]
 
 
 class TestPoleGuards:
@@ -365,23 +478,57 @@ class TestPoleGuards:
 
     def test_both_fields_keep_an_index(self, guarded_fields):
         for f, _, _ in guarded_fields:
-            reach, buckets = f._guards
+            reach, buckets, _ = f._guards
             assert reach > 1.0 and buckets
 
     def test_a_guard_far_from_every_centre_leaves_no_index(self):
         # with the numerator seed at 0, the element z -> -1/(z + 4) has a' = 0:
         # its preimage guard fires wherever |w + 4| > 1e6
         f = AutomorphicField(enumerate_ball([GENUS2_GENERATORS[1]], 1), 0j, S2)
-        assert f._guards == (0.0, frozenset())
+        assert f._guards == (0.0, frozenset(), None)
         with pytest.raises(NearPole, match="orbit preimage"):
             field_eval(f, 2e6)
         assert field_eval(f, 5e5) == 0.9999959999960001 - 5.999999999976e-06j
 
-    def test_non_finite_points_take_the_checks(self, guarded_fields):
-        f = guarded_fields[1][0]
+    def test_non_finite_points_take_the_checks(self, pole_form_fields):
         with np.errstate(all="ignore"):
-            for z in (complex("inf"), complex("nan"), complex(0.0, float("inf"))):
-                assert cmath.isnan(field_eval(f, z))
+            for f in pole_form_fields:
+                for z in (complex("inf"), complex("nan"), complex(0.0, float("inf"))):
+                    assert takes_the_checks(f, z)
+                    assert cmath.isnan(field_eval(f, z))
+
+
+class TestPoleForm:
+    """Outside the guard buckets field_eval sums in pole form: the same
+    series, within the error bound of either form."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(which=st.integers(0, 2), x=st.floats(-6.0, 6.0), y=st.floats(0.05, 6.0))
+    def test_values_match_the_exact_sums(self, pole_form_fields, which, x, y):
+        assert_matches_oracle(pole_form_fields[which], complex(x, y))
+
+    def test_every_field_keeps_its_pole_form(self, pole_form_fields):
+        for f in pole_form_fields:
+            reach, buckets, pole_form = f._guards
+            assert reach > 1e40 and pole_form is not None
+        assert pole_form_fields[2]._guards[2][0].tolist() == [0, 1, 2, 3, 4]  # every u = 1
+
+    def test_points_either_side_of_the_reach(self, pole_form_fields):
+        demo, *unstabilized = pole_form_fields
+        # the denominator series ~ 1/|w| vanishes out there, in both forms
+        for f in unstabilized:
+            reach = f._guards[0]
+            for w in (complex(0.999 * reach, -0.999 * reach), complex(1.001 * reach, 1.0)):
+                assert takes_the_checks(f, w) == (abs(w.real) >= reach)
+                with pytest.raises(DenominatorVanishes) as raised:
+                    field_eval(f, w)
+                size = abs(exact_sums(f, w)[1])
+                assert str(raised.value) == f"denominator series ~ {size:.3g} at z={w}"
+        assert takes_the_checks(unstabilized[1], 1e300)
+        with pytest.raises(DenominatorVanishes, match=r"2\.45e-297 at z=1e\+300"):
+            field_eval(unstabilized[1], 1e300)
+        with pytest.raises(ZeroDivisionError):  # the Cayley map's derivative underflows to 0
+            field_eval(demo, 1e300)
 
 
 class TestPlanarFields:
