@@ -59,6 +59,7 @@ safe range.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass, field
@@ -141,7 +142,8 @@ def field_eval(f: AutomorphicField, z: complex) -> complex:
     |a'w + b'| < POLE_GUARD |cw + d|, which is |Tw - s| < POLE_GUARD (w near
     an orbit preimage of a seed pole, checked for the numerator seed
     first); raises DenominatorVanishes when the denominator series is below
-    DENOMINATOR_TOL in magnitude.
+    DENOMINATOR_TOL in magnitude, or when z is finite but so far out that
+    the written-out terms overflow.  A non-finite z gives NaN.
 
     Two branches sum the same terms (see "Pole guards" above).  Where the
     field's guard index says that no check can fire, the terms are summed in
@@ -175,20 +177,26 @@ def field_eval(f: AutomorphicField, z: complex) -> complex:
     else:
         a, b, c, d, det = f._arrays
         s1, s2 = f.numerator_pole, f.denominator_pole
-        den = c * w + d
-        size = np.abs(den)
-        if size.min() < POLE_GUARD:
-            raise NearPole(f"z={w} is within {POLE_GUARD} of a ball element's pole line")
-        guard = POLE_GUARD * size
-        num_gap = (a - s1 * c) * w + (b - s1 * d)
-        den_gap = (a - s2 * c) * w + (b - s2 * d)
-        for gap in (num_gap, den_gap):
-            if (np.abs(gap) < guard).any():
-                raise NearPole(f"z={w} is within {POLE_GUARD} of an orbit preimage of the seed pole")
-        den2 = den * den
-        den3 = den2 * den  # (cw + d)^(2m - 1) for m = WEIGHT = 2; times den2 for m = 3
-        num = complex((det ** WEIGHT / (den3 * num_gap)).sum())
-        den_sum = complex((det ** (WEIGHT + 1) / (den3 * den2 * den_gap)).sum())
+        # far out the powers of cw + d overflow; the sums are then not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = c * w + d
+            size = np.abs(den)
+            if size.min() < POLE_GUARD:
+                raise NearPole(f"z={w} is within {POLE_GUARD} of a ball element's pole line")
+            guard = POLE_GUARD * size
+            num_gap = (a - s1 * c) * w + (b - s1 * d)
+            den_gap = (a - s2 * c) * w + (b - s2 * d)
+            for gap in (num_gap, den_gap):
+                if (np.abs(gap) < guard).any():
+                    raise NearPole(f"z={w} is within {POLE_GUARD} of an orbit preimage of the seed pole")
+            den2 = den * den
+            den3 = den2 * den  # (cw + d)^(2m - 1) for m = WEIGHT = 2; times den2 for m = 3
+            num = complex((det ** WEIGHT / (den3 * num_gap)).sum())
+            den_sum = complex((det ** (WEIGHT + 1) / (den3 * den2 * den_gap)).sum())
+        if not (cmath.isfinite(num) and cmath.isfinite(den_sum)) and cmath.isfinite(z):
+            # a finite point this far out has every term, and so the
+            # denominator series, far below DENOMINATOR_TOL
+            raise DenominatorVanishes(f"denominator series terms overflow at z={z}")
     if abs(den_sum) < DENOMINATOR_TOL:
         raise DenominatorVanishes(f"denominator series ~ {abs(den_sum):.3g} at z={z}")
     return num / den_sum / scale

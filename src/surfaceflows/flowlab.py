@@ -404,7 +404,25 @@ class ZeroScan:
         return self.zeros[i]
 
 
-def newton_refine(field, z0, step_cap):
+def newton_refine(field, z0, step_cap, known=(), within=0.0):
+    """A zero of ``field`` near z0 by damped Newton iteration, or NewtonDiverged.
+
+    Each of at most NEWTON_MAX_ITER iterations builds the Jacobian of
+    (Re F, Im F) by differences with h = 1e-7 max(1, |z|): while
+    |F| > ZERO_TOL from two forward probes, F(z + h) and F(z + ih), against
+    the F(z) it already holds (Dennis & Schnabel, 1983, sec. 5.4), and once
+    |F| <= ZERO_TOL from four central ones, F(z +- h) and F(z +- ih).  The
+    Newton step is shortened to at most ``step_cap`` and then halved, down
+    to 1/1024 of it, until |F| falls or is at most ZERO_TOL.  Once
+    |F| <= ZERO_TOL the iteration polishes until the step is at most
+    1e-10 max(1, |z|), and takes that step unless it makes |F| larger.
+    After each accepted step an iterate within ``within`` of one of the
+    ``known`` zeros returns that zero: a run that reaches a zero found
+    before stops there.  Raises NewtonDiverged with the reason "start not
+    evaluable" (F(z0) is not), "jacobian probe hit a pole", "singular
+    jacobian" or "damped step stalled" (each unless |F| <= ZERO_TOL
+    already, which returns z), or "iteration budget exhausted".
+    """
     z = complex(z0)
     fz = _value(field, z)
     if cmath.isnan(fz):
@@ -413,16 +431,23 @@ def newton_refine(field, z0, step_cap):
     for _ in range(NEWTON_MAX_ITER):
         below_tol = abs(fz) <= ZERO_TOL
         h = 1e-7 * max(1.0, abs(z))
-        probes = [_value(field, z + dz) for dz in (h, -h, 1j * h, -1j * h)]
+        if below_tol:
+            # central differences: their error vanishes at a double zero,
+            # where a forward difference's O(h) error would swamp F'
+            probes = [_value(field, z + dz) for dz in (h, -h, 1j * h, -1j * h)]
+            width = 2 * h
+        else:
+            probes = [_value(field, z + h), fz, _value(field, z + 1j * h), fz]
+            width = h
         if any(map(cmath.isnan, probes)):
             if below_tol:
                 return z
             raise NewtonDiverged("jacobian probe hit a pole")
         fxp, fxm, fyp, fym = probes
-        j11 = (fxp.real - fxm.real) / (2 * h)
-        j12 = (fyp.real - fym.real) / (2 * h)
-        j21 = (fxp.imag - fxm.imag) / (2 * h)
-        j22 = (fyp.imag - fym.imag) / (2 * h)
+        j11 = (fxp.real - fxm.real) / width
+        j12 = (fyp.real - fym.real) / width
+        j21 = (fxp.imag - fxm.imag) / width
+        j22 = (fyp.imag - fym.imag) / width
         det = j11 * j22 - j12 * j21
         if not math.isfinite(det) or abs(det) < 1e-300:
             if below_tol:
@@ -455,6 +480,9 @@ def newton_refine(field, z0, step_cap):
             if below_tol:
                 return z
             raise NewtonDiverged("damped step stalled")
+        for w in known:
+            if abs(z - w) <= within:
+                return w
     if abs(fz) <= ZERO_TOL:
         return z
     raise NewtonDiverged("iteration budget exhausted")
@@ -495,8 +523,10 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
     The needed grid corners are read in one ``_values`` call, in row-major
     order.  A cell of the n x n grid whose corners are all evaluable and
     finite, and bracket zero in both field components, seeds a damped Newton
-    refinement; converged locations are deduplicated.  A candidate that
-    diverges or leaves the region is reported in ``dropped`` with a reason.
+    refinement; a run that comes within the dedup distance of a zero already
+    converged stops there and returns that zero, and converged locations are
+    deduplicated.  A candidate that diverges or leaves the region is
+    reported in ``dropped`` with a reason.
     Zeros come sorted by real part, rounded to the dedup distance, then by
     imaginary part.  ``annulus`` = (centre, r_inner, r_outer) restricts the
     scan to the closed annulus r_inner <= |z - centre| <= r_outer (r_inner =
@@ -547,7 +577,8 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
     pad = 0.05 * diag
     for start in candidates:
         try:
-            z = newton_refine(field, start, step_cap=2.0 * cell)
+            z = newton_refine(field, start, step_cap=2.0 * cell,
+                              known=converged, within=dedup_dist)
         except NewtonDiverged as exc:
             dropped.append({"start": [start.real, start.imag], "reason": str(exc)})
             continue

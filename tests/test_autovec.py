@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -529,6 +530,17 @@ class TestPoleForm:
             field_eval(unstabilized[1], 1e300)
         with pytest.raises(ZeroDivisionError):  # the Cayley map's derivative underflows to 0
             field_eval(demo, 1e300)
+
+    @pytest.mark.parametrize("x", [1e60, 1e100, 1e300])
+    def test_far_points_whose_terms_overflow_raise(self, pole_form_fields, x):
+        # (cw + d)^5 (a'w + b') overflows out here, beyond the reach: the
+        # denominator series vanishes, with no NaN and no overflow warning
+        # (filterwarnings = error)
+        f = pole_form_fields[1]
+        for w in (complex(x, 0.0), complex(0.0, -x), complex(x, x)):
+            assert takes_the_checks(f, w)
+            with pytest.raises(DenominatorVanishes, match=re.escape(f"terms overflow at z={w}")):
+                field_eval(f, w)
 
 
 class TestPlanarFields:

@@ -93,7 +93,7 @@ def grid_field(values, region, n):
     return PlanarField("custom", f), xs, ys
 
 
-def record_only(field, start, step_cap):
+def record_only(field, start, step_cap, known, within):
     """Stand-in for ``newton_refine`` that drops every start it is given."""
     raise NewtonDiverged("recorded")
 
@@ -595,6 +595,55 @@ class TestNewtonRefine:
         with pytest.raises(NewtonDiverged, match="singular jacobian"):
             newton_refine(PlanarField("custom", lambda z: 1 + 0j), 0j, step_cap=1.0)
 
+    @pytest.mark.parametrize("start", [0.2 - 0.1j, -0.05 + 0.15j])
+    def test_converges_on_a_non_holomorphic_field(self, start):
+        # Re F and Im F have unequal diagonal and non-opposite off-diagonal
+        # Jacobian terms, so no Cauchy-Riemann shortcut would converge here
+        r = 0.4 + 0.3j
+        field = PlanarField("custom", lambda z: (z - r).conjugate() + (0.3 + 0.2j) * (z - r)
+                            + 0.5 * (z - r) ** 2)
+        assert abs(newton_refine(field, r + start, step_cap=0.5) - r) <= 1e-14
+
+    def test_two_forward_probes_per_iteration_until_it_polishes(self):
+        # F(z) = z - r is linear: one iteration lands within ZERO_TOL of r,
+        # and the step that follows is negligible.  Start, two forward
+        # probes and one trial, then four central probes and the final step:
+        # 9 evaluations (11 with central differences throughout)
+        r = 0.25 - 0.5j
+        z0 = r + 0.1
+        field, seen = counting(PlanarField("custom", lambda z: z - r))
+        assert abs(newton_refine(field, z0, step_cap=1.0) - r) <= 1e-15
+        assert len(seen) == 9
+        h = 1e-7 * max(1.0, abs(z0))
+        assert seen[:3] == [z0, z0 + h, z0 + 1j * h]
+        z1 = seen[3]
+        h = 1e-7 * max(1.0, abs(z1))
+        assert seen[4:8] == [z1 + h, z1 - h, z1 + 1j * h, z1 - 1j * h]
+
+    @pytest.mark.parametrize("start", [0.06, 0.06j, -0.04 + 0.03j])
+    def test_polishes_a_double_zero_from_every_side(self, start):
+        # a forward difference's O(h) error swamps F' = 2z once |z| < h =
+        # 1e-7, and would stop the polish ~4e-9 from the zero, on the side
+        # the run came from; central differences are exact for z^2
+        assert abs(newton_refine(PlanarField("custom", lambda z: z * z), start,
+                                 step_cap=0.5)) <= 1e-9
+
+    def test_a_run_reaching_a_known_zero_returns_it(self):
+        r = 0.6 + 0.3j
+        field, seen = counting(PlanarField("custom", lambda z: (z - r) + (z - r) ** 2))
+        free = newton_refine(field, r + 1e-3, step_cap=0.5)
+        cost = len(seen)
+        seen.clear()
+        # the first step lands within ~1e-6 of r: start, two probes, one trial
+        known = [r + 1e-9]
+        assert newton_refine(field, r + 1e-3, step_cap=0.5, known=known, within=1e-5) is known[0]
+        assert len(seen) == 4 < cost
+        assert abs(free - r) <= 1e-14
+        seen.clear()
+        # a known zero farther than ``within`` from every iterate is not taken
+        assert newton_refine(field, r + 1e-3, step_cap=0.5, known=[r + 1e-4], within=1e-5) == free
+        assert len(seen) == cost
+
 
 class TestSectorIndex:
     def test_four_hyperbolic_sectors_is_saddle(self):
@@ -787,13 +836,36 @@ class TestFindZeros:
         targets = (complex(noise, 0.109375), complex(-noise, -0.375))
         field = PlanarField("custom", lambda z: rational(z, [0.109375j, -0.375j], []))
 
-        def nearest(field, start, step_cap):
+        def nearest(field, start, step_cap, known, within):
             return min(targets, key=lambda t: abs(t - start))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flowlab, "newton_refine", nearest)
             scan = find_zeros(field, (-1, 1, -1, 1), 16)
         assert [z.location for z in scan] == [targets[1], targets[0]]
+
+    @pytest.mark.parametrize("zeros", [(0.24 + 0.2j, 0.3 + 0.2j), (0.3 + 0.2j, 0.36 + 0.2j),
+                                       (0.1 - 0.3j, 0.16 - 0.26j)])
+    def test_zeros_closer_than_a_grid_cell_are_both_found(self, zeros):
+        # cells are 0.125 wide: the first pair lies in two cells, the others in one
+        field = PlanarField("custom", lambda z: rational(z, zeros, []))
+        found, dropped = locate_zeros(field, (-1, 1, -1, 1), 16)
+        assert found == [pytest.approx(z, abs=1e-12) for z in zeros]
+        assert dropped == []
+
+    @pytest.mark.parametrize("centre", [0j, 0.3 + 0.2j, 0.31 + 0.17j])
+    @pytest.mark.parametrize("direction", [1, 1j, cmath.exp(0.25j * math.pi)])
+    def test_capture_merges_only_within_the_dedup_distance(self, centre, direction):
+        # two simple zeros 3 dedup distances (1e-5 of the window's diagonal)
+        # apart: a run bound for one never comes within the dedup distance of
+        # the other, so it is not captured by it
+        offset = 1.5e-5 * abs(complex(2, 2)) * direction
+        zeros = (centre - offset, centre + offset)
+        field = PlanarField("custom", lambda z: rational(z, zeros, []))
+        found, dropped = locate_zeros(field, (-1, 1, -1, 1), 16)
+        assert len(found) == 2 and dropped == []
+        for z in zeros:
+            assert min(abs(z - w) for w in found) <= 1e-12
 
     @pytest.mark.parametrize("annulus", [(0j, 0.5, 0.5), (0j, -0.1, 0.5), (0j, 0.0, math.inf),
                                          (complex(math.nan, 0.0), 0.0, 0.5)])
