@@ -413,17 +413,25 @@ def newton_refine(field, z0, step_cap, known=(), within=0.0):
     the F(z) it already holds (Dennis & Schnabel, 1983, sec. 5.4), and once
     |F| <= ZERO_TOL from four central ones, F(z +- h) and F(z +- ih).  The
     Newton step is shortened to at most ``step_cap`` and then halved, down
-    to 1/1024 of it, until |F| falls or is at most ZERO_TOL.  Once
-    |F| <= ZERO_TOL the iteration polishes until the step is at most
-    1e-10 max(1, |z|), and takes that step unless it makes |F| larger.
-    After each accepted step an iterate within ``within`` of one of the
-    ``known`` zeros returns that zero: a run that reaches a zero found
-    before stops there.  Raises NewtonDiverged with the reason "start not
-    evaluable" (F(z0) is not), "jacobian probe hit a pole", "singular
-    jacobian" or "damped step stalled" (each unless |F| <= ZERO_TOL
-    already, which returns z), or "iteration budget exhausted".
+    to 1/1024 of it, until |F| falls or is at most ZERO_TOL.  An uncapped
+    step's first trial, z + delta, is the linear model's zero estimate: if
+    F is not evaluable there, the run stops instead of halving toward a
+    pole (backtracking answers a larger |F|, not a point where F is
+    undefined; Dennis & Schnabel, sec. 6.3).  Once |F| <= ZERO_TOL the
+    iteration polishes until the step is at most 1e-10 max(1, |z|), and
+    takes that step unless it makes |F| larger.  After each accepted step
+    an iterate within ``within`` of one of the ``known`` zeros returns that
+    zero: a run that reaches a zero found before stops there.  Raises
+    NewtonDiverged with the reason "start not evaluable" (F(z0) is not),
+    "jacobian probe hit a pole", "singular jacobian", "zero estimate not
+    evaluable" or "damped step stalled" (each unless |F| <= ZERO_TOL
+    already, which returns z), or "iteration budget exhausted".  Raises
+    ValueError, before any evaluation, for a non-finite z0 or unless
+    ``step_cap`` > 0 (inf is no cap).
     """
-    z = complex(z0)
+    z = _finite_point(z0, "z0")
+    if not step_cap > 0:
+        raise ValueError("step_cap must be positive")
     fz = _value(field, z)
     if cmath.isnan(fz):
         raise NewtonDiverged("start not evaluable")
@@ -464,7 +472,8 @@ def newton_refine(field, z0, step_cap, known=(), within=0.0):
             if abs(_value(field, z + delta)) <= abs(fz):
                 return z + delta
             return z
-        if abs(delta) > step_cap:
+        capped = abs(delta) > step_cap
+        if capped:
             delta *= step_cap / abs(delta)
         lam = 1.0
         accepted = False
@@ -475,6 +484,10 @@ def newton_refine(field, z0, step_cap, known=(), within=0.0):
                 z, fz = trial, ftrial
                 accepted = True
                 break
+            if lam == 1.0 and not capped and cmath.isnan(ftrial):
+                if below_tol:
+                    return z
+                raise NewtonDiverged("zero estimate not evaluable")
             lam *= 0.5
         if not accepted:
             if below_tol:
@@ -526,7 +539,9 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
     refinement; a run that comes within the dedup distance of a zero already
     converged stops there and returns that zero, and converged locations are
     deduplicated.  A candidate that diverges or leaves the region is
-    reported in ``dropped`` with a reason.
+    reported in ``dropped`` with a reason; so is a run whose Newton zero
+    estimate is not evaluable, such as one converging onto a removable zero
+    inside a pole guard ("zero estimate not evaluable").
     Zeros come sorted by real part, rounded to the dedup distance, then by
     imaginary part.  ``annulus`` = (centre, r_inner, r_outer) restricts the
     scan to the closed annulus r_inner <= |z - centre| <= r_outer (r_inner =

@@ -1,7 +1,9 @@
 import cmath
 import functools
+import json
 import math
 import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -27,6 +29,7 @@ from surfaceflows.autovec import (
     pendulum_field,
 )
 from surfaceflows.errors import DenominatorVanishes, NearPole
+from surfaceflows.flowlab import find_zeros
 from surfaceflows.moebius import (
     MoebiusMap,
     apply,
@@ -541,6 +544,33 @@ class TestPoleForm:
             assert takes_the_checks(f, w)
             with pytest.raises(DenominatorVanishes, match=re.escape(f"terms overflow at z={w}")):
                 field_eval(f, w)
+
+
+class TestDemoScan:
+    """The demo pipeline's zero scan: the window (-3, 3, 0.3, 4) at n = 64."""
+
+    def test_finds_the_reference_zeros(self, demo_field):
+        f = demo_field(4)
+        seen = []
+
+        def counted(z):
+            seen.append(z)
+            return f(z)
+
+        scan = find_zeros(counted, (-3.0, 3.0, 0.3, 4.0), 64)
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        reference = json.loads(path.read_text())["demo-genus2"]["zeros"]
+        assert len(scan.zeros) == len(reference) == 7
+        for got, (x, y, _) in zip(scan.zeros, reference):
+            assert abs(got.location - complex(x, y)) <= 1e-7
+        assert [z.winding_index for z in scan.zeros] == [1, 0, 1, 1, 1, 1, 1]
+        # four runs converge onto removable zeros of F at orbit points of the
+        # denominator seed, where the guards refuse to evaluate
+        assert [d["reason"] for d in scan.dropped] == ["zero estimate not evaluable"] * 4
+        assert len(seen) <= 5283
+        # the scan runs both of field_eval's sum forms
+        assert any(takes_the_checks(f, z) for z in seen)
+        assert not all(takes_the_checks(f, z) for z in seen)
 
 
 class TestPlanarFields:

@@ -205,6 +205,18 @@ def _guarded_pole(z):
 GUARDED_POLE = PlanarField("custom", _guarded_pole)  # 1/(1 - z), not evaluable near 1
 
 
+def punctured_line(r, hole, scale=1.0):
+    """F(z) = scale (z - r), not evaluable within 1e-6 of ``hole``: with the
+    hole at r, a removable zero that a guard refuses to evaluate."""
+
+    def f(z):
+        if abs(z - hole) < 1e-6:
+            raise NearPole("inside the guard radius")
+        return scale * (z - r)
+
+    return PlanarField("custom", f)
+
+
 class TestIntegrate:
     def test_center_closed_orbit(self):
         # rotation field: the time-2pi flow is the identity
@@ -643,6 +655,56 @@ class TestNewtonRefine:
         # a known zero farther than ``within`` from every iterate is not taken
         assert newton_refine(field, r + 1e-3, step_cap=0.5, known=[r + 1e-4], within=1e-5) == free
         assert len(seen) == cost
+
+    def test_stops_where_its_zero_estimate_is_not_evaluable(self):
+        # the uncapped first trial is the linear model's zero r, inside the
+        # guard: start, two forward probes and that trial, where halving
+        # toward the guard took 92 evaluations and ended "damped step stalled"
+        r = 0.25 - 0.5j
+        field, seen = counting(punctured_line(r, r))
+        with pytest.raises(NewtonDiverged, match="zero estimate not evaluable"):
+            newton_refine(field, r + 0.01, step_cap=1.0)
+        assert len(seen) == 4
+        assert abs(seen[3] - r) < 1e-6
+
+    def test_a_capped_trial_that_is_not_evaluable_is_halved(self):
+        # the first step is capped at 0.5 and its trial lands in the guard at
+        # r + 0.5; it is no zero estimate, so the step halves and the run goes on
+        r = 0.25 - 0.5j
+        field, seen = counting(punctured_line(r, r + 0.5))
+        assert abs(newton_refine(field, r + 1.0, step_cap=0.5) - r) <= 1e-14
+        assert abs(seen[3] - (r + 0.5)) < 1e-6
+        assert abs(seen[4] - (r + 0.75)) < 1e-6
+
+    def test_a_run_below_tolerance_returns_its_iterate(self):
+        # |F| = 5e-9 <= ZERO_TOL at the start, and the polish target r is in
+        # the guard: start, four central probes and the trial (25 when the
+        # step halved toward the guard)
+        r = 0.25 - 0.5j
+        field, seen = counting(punctured_line(r, r, scale=1e-3))
+        assert newton_refine(field, r + 5e-6, step_cap=1.0) == r + 5e-6
+        assert len(seen) == 6
+
+    @pytest.mark.parametrize("step_cap", [-1.0, 0.0, -0.0, math.nan, -math.inf])
+    def test_step_cap_must_be_positive(self, step_cap):
+        # a negative cap reversed every step, a zero one stalled, and NaN
+        # turned the cap off
+        field, seen = counting(PlanarField("custom", lambda z: z))
+        with pytest.raises(ValueError, match="step_cap must be positive"):
+            newton_refine(field, 0.5 + 0.5j, step_cap=step_cap)
+        assert seen == []
+
+    def test_an_infinite_step_cap_is_no_cap(self):
+        assert abs(newton_refine(PlanarField("custom", lambda z: z), 0.5 + 0.5j,
+                                 step_cap=math.inf)) <= 1e-15
+
+    @pytest.mark.parametrize("z0", [complex(math.nan, 0.0), complex(math.inf, 1.0),
+                                    complex(0.0, -math.inf)])
+    def test_non_finite_start_rejected(self, z0):
+        field, seen = counting(PlanarField("custom", lambda z: z))
+        with pytest.raises(ValueError, match="z0 must be finite"):
+            newton_refine(field, z0, step_cap=1.0)
+        assert seen == []
 
 
 class TestSectorIndex:
