@@ -13,11 +13,9 @@ makes that law approximate; the residual is always measured, never assumed.
 One field kernel. ``AutomorphicField`` holds the ball and the two seed
 poles; ``field_eval`` sums both series over it, the numerator at weight
 WEIGHT around the numerator pole and the denominator at weight WEIGHT + 1
-around the denominator pole.  Where the guard checks run, each seed is
-folded into the coefficients and a term costs one division; elsewhere
-both series are summed in pole form, each term a rational function of w
-whose poles are found when the field is built, and one reciprocal per
-ball element serves both series (see field_eval).
+around the denominator pole.  Each term is summed in pole form, a rational
+function of w whose poles are found when the field is built, and one
+reciprocal per ball element serves both series (see field_eval).
 
 Stabilized evaluation. When the generating set contains an affine map
 (c = 0), the orbit of any point climbs without bound in the half-plane
@@ -35,24 +33,24 @@ when the enumerated ball contains a non-identity affine element.
 
 Pole guards.  field_eval refuses a point w (in summation coordinates) that
 lies within POLE_GUARD of a ball element's pole line or of an orbit
-preimage of a seed pole.  Each guard can fire only inside a small disk:
-the first around the pole -d/c of an element, the centre of its isometric
-circle (Ford, Automorphic Functions, 1929), the second around a preimage
--b'/a'.  A field builds a guard index once: the set of buckets, squares of
-side 2^-8 keyed by (floor(2^8 Re w), floor(2^8 Im w)), that the bounding
-squares of these disks meet.  The disks include the float guards'
-rounding and are then doubled (see _guard_index), so a check skipped
-outside them could not have fired.  So field_eval has two branches.  A
-point in an indexed bucket, a non-finite point, and one beyond the index's
-reach run the checks and then the written-out sums: their values, and
-every raise, are bit for bit those of a field that checks every point.
-Any other point skips the checks and sums in pole form, within rounding of
-the written-out sums; its distance from every pole bounds the pole form's
-products and reciprocals, and the reach caps them from above, so nothing
-overflows or underflows there.  A field keeps no index, and checks every
-point, when some guard can fire far from its centre (a preimage guard
-with |a'| <= 2 POLE_GUARD |c|, a' = 0 included), when some disk is not
-below the bucket width, when an affine element (c = 0) has
+preimage of a seed pole.  A guard compares the distance from w to a pole
+of the pole form with a threshold that the field stores, and can fire
+only inside a small disk: the first around the pole -d/c of an element, the
+centre of its isometric circle (Ford, Automorphic Functions, 1929), the
+second around a preimage -b'/a'.  A field builds a guard index once: the
+set of buckets, squares of side 2^-8 keyed by (floor(2^8 Re w),
+floor(2^8 Im w)), that the bounding squares of these disks meet.  The
+disks include the guards' rounding and are then doubled (see
+_guard_index), so a check skipped outside them could not have fired.  So
+field_eval has two branches, which sum alike.  A point in an indexed
+bucket, a non-finite point, and one beyond the index's reach run the
+guard comparisons first and then sum with overflow allowed for.  Any other
+point skips the comparisons; its distance from every pole bounds the
+products and reciprocals of the sums, and the reach caps them from above,
+so nothing overflows or underflows there.  A field keeps no index, and
+checks every point, when some guard can fire far from its centre (a
+preimage guard with |a'| <= 2 POLE_GUARD |c|, a' = 0 included), when some
+disk is not below the bucket width, when an affine element (c = 0) has
 |d| < POLE_GUARD, or when its poles or constants leave the pole form no
 safe range.
 """
@@ -67,14 +65,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DenominatorVanishes, NearPole, PoleHit
+from .errors import _NOT_EVALUABLE, DenominatorVanishes, NearPole
 from .moebius import GroupBall, MoebiusMap, apply, derivative, enumerate_ball, exact_int
 
 POLE_GUARD = 1e-6
 DENOMINATOR_TOL = 1e-10
 RESIDUAL_EPS = 1e-9
 WEIGHT = 2  # numerator weight; the denominator series has weight WEIGHT + 1
-# (field_eval writes out the powers of cw + d for this value)
+# (_series writes out the powers of u for this value)
 DEFAULT_TRUNCATION = 4
 
 # |c| below this (on normalized matrices) marks an affine element, which in
@@ -85,9 +83,9 @@ _AFFINE_C_TOL = 1e-8
 # two so that a point's bucket key is exact.
 _BUCKETS_PER_UNIT = 256.0
 # Rounding slack of a guard disk per unit of its centre's size: 128 units of
-# roundoff u = 2^-53, four times the 32 that _guard_index derives.
+# roundoff 2^-53, more than _guard_index derives.
 _GUARD_SLACK = 2.0 ** -46
-_NO_GUARD_INDEX = (0.0, frozenset(), None)  # reach 0: every point runs the checks
+_NO_GUARD_INDEX = (0.0, frozenset())  # reach 0: every point runs the checks
 # field_eval's unchecked branch keeps every product, reciprocal and sum in
 # [2^-_EXPONENT_BUDGET, 2^_EXPONENT_BUDGET] (see _guard_index)
 _EXPONENT_BUDGET = 1000
@@ -109,8 +107,8 @@ class AutomorphicField:
     numerator_pole: complex
     denominator_pole: complex
     conjugation: MoebiusMap | None = None
-    _arrays: tuple = field(init=False, repr=False)
-    _guards: tuple = field(init=False, repr=False)  # (reach, buckets, pole form) of _guard_index
+    _form: tuple = field(init=False, repr=False)  # the pole form of _pole_form
+    _guards: tuple = field(init=False, repr=False)  # (reach, buckets) of _guard_index
 
     def __post_init__(self):
         for name in ("numerator_pole", "denominator_pole"):
@@ -118,17 +116,35 @@ class AutomorphicField:
             if not (math.isfinite(pole.real) and math.isfinite(pole.imag)):
                 raise ValueError("seed pole must be finite")
             object.__setattr__(self, name, pole)
-        a, b, c, d = self.ball.coeffs.T.copy()  # four contiguous columns
-        det = a * d - b * c
+        a, b, c, d = self.ball.coeffs.T
         # seed s folded into the top row: T(w) - s = ((a - s c) w + (b - s d)) / (c w + d)
         seeds = [(a - s * c, b - s * d) for s in (self.numerator_pole, self.denominator_pole)]
-        # the checked branch folds the seeds again per call, so the field keeps
-        # the pole form in place of the folded columns
-        object.__setattr__(self, "_arrays", (a, b, c, d, det))
-        object.__setattr__(self, "_guards", _guard_index(c, d, det, seeds))
+        # made, and its temporaries freed, before _guard_index's temporaries,
+        # the arrays that the field keeps do not hold the heap's top up
+        form = _pole_form(c, d, a * d - b * c, seeds)
+        object.__setattr__(self, "_form", form)
+        object.__setattr__(self, "_guards", _guard_index(form, c, d, seeds))
 
     def __call__(self, z: complex) -> complex:
         return field_eval(self, z)
+
+
+def _pole_form(c, d, det, seeds) -> tuple:
+    """(unit, poles, line, ratios, kappas) of field_eval.  Each of the rows
+    cw + d and a'w + b' (``seeds`` holds the folded a', b') is lead (w - pole),
+    or lead alone at the flat indices ``unit``; the 3 x n poles are p, q_1 and
+    q_2, and the guards' thresholds are line e/|c| and ratios e|c|/|a'|."""
+    slope = np.array([c] + [a1 for a1, _ in seeds])
+    constant = np.array([d] + [b1 for _, b1 in seeds])
+    flat = slope == 0
+    lead = np.where(flat, constant, slope)
+    poles = np.zeros_like(slope)
+    poles[~flat] = -constant[~flat] / slope[~flat]
+    size = np.abs(lead)
+    kappas = tuple(det ** m / (lead[0] ** (2 * m - 1) * lead[i])
+                   for i, m in enumerate((WEIGHT, WEIGHT + 1), 1))
+    ratios = POLE_GUARD * size[0] / size[1:]
+    return np.flatnonzero(flat), poles, POLE_GUARD / size[0], ratios, kappas
 
 
 def field_eval(f: AutomorphicField, z: complex) -> complex:
@@ -137,22 +153,23 @@ def field_eval(f: AutomorphicField, z: complex) -> complex:
     Both series sum over the ball in canonical order.  With the seed s
     folded into the coefficients, a' = a - s c and b' = b - s d, the
     weight-m term H(Tw) T'(w)^m = det^m / ((cw + d)^(2m) (Tw - s)) becomes
-    det^m / ((cw + d)^(2m - 1) (a'w + b')).  Raises NearPole when
-    |cw + d| < POLE_GUARD (w near a ball element's pole line) or when
-    |a'w + b'| < POLE_GUARD |cw + d|, which is |Tw - s| < POLE_GUARD (w near
-    an orbit preimage of a seed pole, checked for the numerator seed
-    first); raises DenominatorVanishes when the denominator series is below
-    DENOMINATOR_TOL in magnitude, or when z is finite but so far out that
-    the written-out terms overflow.  A non-finite z gives NaN.
-
-    Two branches sum the same terms (see "Pole guards" above).  Where the
-    field's guard index says that no check can fire, the terms are summed in
-    pole form: cw + d = s u with u = w - p, p = -d/c and s = c (u = 1 and
-    s = d when c = 0), and a'w + b' = a' v with v = w - q and q = -b'/a'.
-    So the terms are kappa_2 / (u^3 v_1) and kappa_3 / (u^5 v_2), with
-    kappa_m = det^m / (s^(2m - 1) a'), and one reciprocal
+    det^m / ((cw + d)^(2m - 1) (a'w + b')).  The field sums it in pole
+    form: cw + d = c u with u = w - p and p = -d/c, and a'w + b' = a' v
+    with v = w - q and q = -b'/a'; where c = 0, u = 1 and d stands for c,
+    and where a' = 0, v = 1 and b' stands for a'.  So the terms are
+    kappa_2 / (u^3 v_1) and kappa_3 / (u^5 v_2), with
+    kappa_m = det^m / (c^(2m - 1) a'), and one reciprocal
     r = 1 / (u^5 v_1 v_2) serves both: kappa_2 u^2 v_2 r and kappa_3 v_1 r.
-    Elsewhere the checks run, and each written-out term costs one division.
+
+    Raises NearPole when |u| < POLE_GUARD / |c|, which is
+    |cw + d| < POLE_GUARD (w near a ball element's pole line), or when
+    |v| < (POLE_GUARD |c| / |a'|) |u|, which is |a'w + b'| < POLE_GUARD
+    |cw + d| and |Tw - s| < POLE_GUARD (w near an orbit preimage of a seed
+    pole); raises DenominatorVanishes when the denominator series is below
+    DENOMINATOR_TOL in magnitude, or when z is finite but so far out that
+    the terms overflow.  A non-finite z gives NaN.  Where the field's guard
+    index says that no guard can fire, the comparisons are skipped (see
+    "Pole guards" above).
     """
     if f.conjugation is not None:
         w = apply(f.conjugation, z)
@@ -160,39 +177,22 @@ def field_eval(f: AutomorphicField, z: complex) -> complex:
     else:
         w = z
         scale = 1.0
-    reach, buckets, pole_form = f._guards
+    unit, poles, line, ratios, kappas = f._form
+    uv = w - poles  # rows u, v_1 and v_2
+    uv.reshape(-1)[unit] = 1.0  # u = 1 where c = 0, v = 1 where a' = 0
+    reach, buckets = f._guards
     if (abs(w.real) < reach and abs(w.imag) < reach
             and (math.floor(w.real * _BUCKETS_PER_UNIT),
                  math.floor(w.imag * _BUCKETS_PER_UNIT)) not in buckets):
-        affine, pole, preimage1, preimage2, kappa2, kappa3 = pole_form
-        u = w - pole  # no guard can fire here, and nothing overflows (see _guard_index)
-        u[affine] = 1.0
-        v1 = w - preimage1
-        v2 = w - preimage2
-        u2 = u * u
-        t = u2 * v2
-        r = np.reciprocal(u2 * u * v1 * t)
-        num = complex(np.dot(kappa2, t * r))
-        den_sum = complex(np.dot(kappa3, v1 * r))
+        num, den_sum = _series(uv, kappas)  # no guard can fire here, and nothing overflows
     else:
-        a, b, c, d, det = f._arrays
-        s1, s2 = f.numerator_pole, f.denominator_pole
-        # far out the powers of cw + d overflow; the sums are then not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            den = c * w + d
-            size = np.abs(den)
-            if size.min() < POLE_GUARD:
-                raise NearPole(f"z={w} is within {POLE_GUARD} of a ball element's pole line")
-            guard = POLE_GUARD * size
-            num_gap = (a - s1 * c) * w + (b - s1 * d)
-            den_gap = (a - s2 * c) * w + (b - s2 * d)
-            for gap in (num_gap, den_gap):
-                if (np.abs(gap) < guard).any():
-                    raise NearPole(f"z={w} is within {POLE_GUARD} of an orbit preimage of the seed pole")
-            den2 = den * den
-            den3 = den2 * den  # (cw + d)^(2m - 1) for m = WEIGHT = 2; times den2 for m = 3
-            num = complex((det ** WEIGHT / (den3 * num_gap)).sum())
-            den_sum = complex((det ** (WEIGHT + 1) / (den3 * den2 * den_gap)).sum())
+        size = np.abs(uv)
+        if (size[0] < line).any():
+            raise NearPole(f"z={w} is within {POLE_GUARD} of a ball element's pole line")
+        if (size[1:] < ratios * size[0]).any():
+            raise NearPole(f"z={w} is within {POLE_GUARD} of an orbit preimage of the seed pole")
+        with np.errstate(over="ignore", invalid="ignore"):  # far out the products overflow
+            num, den_sum = _series(uv, kappas)
         if not (cmath.isfinite(num) and cmath.isfinite(den_sum)) and cmath.isfinite(z):
             # a finite point this far out has every term, and so the
             # denominator series, far below DENOMINATOR_TOL
@@ -202,32 +202,41 @@ def field_eval(f: AutomorphicField, z: complex) -> complex:
     return num / den_sum / scale
 
 
-def _guard_index(c, d, det, seeds) -> tuple:
-    """(reach, buckets, pole form) of field_eval's branches, or _NO_GUARD_INDEX.
+def _series(uv, kappas) -> tuple[complex, complex]:
+    """The numerator and denominator series from the pole form's u, v_1 and v_2."""
+    u, v1, v2 = uv[0], uv[1], uv[2]  # by index: unpacking a 2-d array iterates, far slower
+    u2 = u * u
+    t = u2 * v2
+    r = np.reciprocal(u2 * u * v1 * t)
+    kappa2, kappa3 = kappas
+    return complex(np.dot(kappa2, t * r)), complex(np.dot(kappa3, v1 * r))
 
-    ``c``, ``d`` and ``det`` are the ball's columns and determinants, and
-    ``seeds`` the folded (a', b') of each seed.  Write u = 2^-53 and
-    e = POLE_GUARD.  A computed form alpha w + beta, with zero
-    q = -beta/alpha and t = |w - q|, is within
-    4u (|alpha| |w| + |beta|) <= 4u (|alpha| t + 2 |beta|) of the exact one
-    (Higham, Accuracy and Stability, Sec. 3.6: sqrt(2) gamma_2 for the
-    complex product, u for the sum; a fused multiply-add only tightens it),
-    and np.abs and the product e * size add an ulp each.
 
-    Pole line, |cw + d| < e, around p = -d/c: it fires exactly for
-    t < R = e/|c|, and in floats only for t < (1 + 6u)(R + 8u|p|).  When
-    c = 0 the computed |d| is exact: no guard fires if |d| >= e, and every
-    point fires otherwise, so such a field keeps no index.
+def _guard_index(form, c, d, seeds) -> tuple:
+    """(reach, buckets) of field_eval's branches, or _NO_GUARD_INDEX.
 
-    Orbit preimage, |a'w + b'| < e |cw + d|, around q = -b'/a': since
-    a'd - b'c = det and |cq + d| = |det|/|a'|, it fires at most where
-    |a'| t < e (|c| t + |det|/|a'|), which is the disk
-    t < R = e |det| / (|a'|^2 (1 - rho)) with rho = e |c|/|a'| < 1.  This
-    disk holds the exact guard's Apollonius disk and touches it on the
-    side away from the pole -d/c.  For rho < 1/2 the rounding, that of
-    the computed det and q included, moves the edge to at most
-    (1 + 16u)(R + 32u (|q| + e |d|/|a'|)).  For rho >= 1/2 (a' = 0
-    included) the guard reaches far from q, and the field keeps no index.
+    ``form`` is the field's pole form, ``c`` and ``d`` are the ball's
+    columns, and ``seeds`` the folded (a', b') of each seed.  Write
+    eps = 2^-53 and e = POLE_GUARD.  A guard subtracts a stored pole from
+    w, which errs by at most eps of the distance, and the distance, the
+    stored threshold and their product add an ulp each.
+
+    Pole line, |w - p| < e/|c|, around the stored p = -d/c: it fires only
+    for t = |w - p| < (1 + 6 eps) R with R = e/|c|.  When c = 0, u = 1: no
+    guard fires if e/|d| <= 1, and every point fires otherwise, so such a
+    field keeps no index.
+
+    Orbit preimage, |w - q| < rho |w - p| with rho = e |c|/|a'|, around the
+    stored q = -b'/a': it fires only inside the Apollonius disk of q and p,
+    which lies in t = |w - q| < rho |q - p| / (1 - rho).  Since
+    |q - p| = |a'd - b'c| / (|a'| |c|) in exact arithmetic, that is
+    t < R = e |a'd - b'c| / (|a'|^2 (1 - rho)), a disk that holds the
+    Apollonius disk and touches it on the side away from p; a row with
+    c = 0 has the guard |w - q| < e |d|/|a'|, the same R with rho = 0.  For
+    rho < 1/2 the rounding of the stored poles, of rho and of the
+    comparison moves the edge by at most 64 eps (R + |q| + e |d|/|a'|).  For
+    rho >= 1/2 (a' = 0 included) the guard reaches far from q, and the
+    field keeps no index.
 
     Each disk is given the radius 2 (R + _GUARD_SLACK s), where s is |p|,
     or |q| + e |d|/|a'|: twice any reach of the computed guard, and more
@@ -258,28 +267,21 @@ def _guard_index(c, d, det, seeds) -> tuple:
     cap H, and with it ``reach``, which also bounds |Re w| and |Im w| so
     that no guard product or sum overflows.
     """
+    _, poles, line, _, kappas = form
     size_c = np.abs(c)
     affine = c == 0
-    if (np.abs(d[affine]) < POLE_GUARD).any():
+    if (line[affine] > 1.0).any():
         return _NO_GUARD_INDEX
     if not all((2.0 * POLE_GUARD * size_c < np.abs(a)).all() for a, _ in seeds):
         return _NO_GUARD_INDEX  # rho >= 1/2 somewhere, a' = 0 included
-    # The pole form comes first: made before the bucket keys' temporaries,
-    # the arrays that the field keeps do not hold the heap's top up.
-    rows = np.flatnonzero(affine)  # where u = 1
-    poles = np.zeros_like(c)
-    poles[~affine] = -d[~affine] / c[~affine]
-    preimages = [-b / a for a, b in seeds]
-    kappas = [det ** m / (np.where(affine, d, c) ** (2 * m - 1) * a)  # cw + d = s u
-              for m, (a, _) in enumerate(seeds, WEIGHT)]
-    pole = poles[~affine]
-    line = POLE_GUARD / size_c[~affine]
+    pole = poles[0][~affine]
+    line = line[~affine]
     buckets = _bucket_keys(pole, line + _GUARD_SLACK * np.abs(pole))
     if buckets is None:
         return _NO_GUARD_INDEX
     low = line.min(initial=1.0)
     centre = np.abs(pole).max(initial=1.0)
-    for (a, b), preimage in zip(seeds, preimages):  # one series at a time: small temporaries
+    for (a, b), preimage in zip(seeds, poles[1:]):  # one series at a time: small temporaries
         size_a = np.abs(a)
         rho = POLE_GUARD * size_c / size_a
         apollonius = POLE_GUARD * np.abs(a * d - b * c) / (size_a * size_a * (1.0 - rho))
@@ -290,16 +292,15 @@ def _guard_index(c, d, det, seeds) -> tuple:
         buckets |= keys
         low = min(low, apollonius.min())
         centre = max(centre, np.abs(preimage).max())
-    k_lo = min(np.abs(kappa).min() for kappa in kappas)
-    k_hi = max(np.abs(kappa).max() for kappa in kappas)
+    size_k = np.abs(kappas)
     e = _EXPONENT_BUDGET
-    if not (low > 0.0 and k_lo > 0.0 and 7 * math.log2(low) >= -e
-            and math.log2(len(c)) + math.log2(k_hi) - 6 * math.log2(low) <= e):
+    if not (low > 0.0 and size_k.min() > 0.0 and 7 * math.log2(low) >= -e
+            and math.log2(len(c)) + math.log2(size_k.max()) - 6 * math.log2(low) <= e):
         return _NO_GUARD_INDEX
-    cap = 2.0 ** min(e / 7, (e + math.log2(k_lo)) / 6)  # the largest H
+    cap = 2.0 ** min(e / 7, (e + math.log2(size_k.min())) / 6)  # the largest H
     largest = max(np.abs(x).max() for x in (c, d, *(x for pair in seeds for x in pair)))
     reach = min(1e300 / (1.0 + largest), (cap - centre) / 2)
-    return reach, frozenset(buckets), (rows, poles, *preimages, *kappas)
+    return reach, frozenset(buckets)
 
 
 def _bucket_keys(centre, radius) -> set | None:
@@ -358,11 +359,6 @@ def _field_on_ball(raw_ball: GroupBall, numerator_pole, denominator_pole) -> Aut
             CAYLEY_DISK,
         )
     return AutomorphicField(raw_ball, complex(numerator_pole), complex(denominator_pole))
-
-
-# A sample point is skipped where F, or F at its image, is not evaluable:
-# flowlab's rule, which reads the same exceptions as NaN.
-_NOT_EVALUABLE = (NearPole, PoleHit, DenominatorVanishes, ZeroDivisionError)
 
 
 def equivariance_report(

@@ -68,3 +68,7 @@ class NotInverse(SurfaceFlowsError):
 class TooManyEquilibria(SurfaceFlowsError):
     """Index set too large for exhaustive feasibility enumeration."""
 
+
+# the exceptions that mean "the field cannot be evaluated here": flowlab
+# reads them as NaN, and equivariance_report skips such a sample point
+_NOT_EVALUABLE = (NearPole, PoleHit, DenominatorVanishes, ZeroDivisionError)

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    DenominatorVanishes,
+    _NOT_EVALUABLE,
     EquilibriumInBox,
     NearPole,
     NewtonDiverged,
@@ -34,9 +34,6 @@ from .errors import (
     ZeroOnContour,
 )
 from .moebius import MoebiusMap, apply, exact_int
-
-# the exceptions that mean "the field cannot be evaluated here"
-_NOT_EVALUABLE = (NearPole, PoleHit, DenominatorVanishes, ZeroDivisionError)
 
 ZERO_TOL = 1e-8
 DEFAULT_MAX_DISP = 0.1

@@ -8,11 +8,12 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surfaceflows.autovec import (
     _BUCKETS_PER_UNIT,
+    _NO_GUARD_INDEX,
     CAYLEY_DISK,
     DENOMINATOR_TOL,
     EQUIVARIANCE_SAMPLE,
@@ -31,6 +32,7 @@ from surfaceflows.autovec import (
 from surfaceflows.errors import DenominatorVanishes, NearPole
 from surfaceflows.flowlab import find_zeros
 from surfaceflows.moebius import (
+    GroupBall,
     MoebiusMap,
     apply,
     compose,
@@ -310,24 +312,62 @@ def guard_disks(f):
 
 
 def guarded_oracle(f, z):
-    """field_eval's guards and written-out sums from the ball's coefficients:
-    the NearPole message the guards give at z, or the unguarded ratio."""
-    a, b, c, d = f.ball.coeffs.T.copy()  # contiguous, as the field holds them
+    """field_eval's pole-form guards and sums, built from the ball's
+    coefficients and run at every point: the NearPole message the guards
+    give at z, or the ratio of the sums."""
+    a, b, c, d = f.ball.coeffs.T
     w, scale = summation_point(f, z)
-    den = c * w + d
-    if np.abs(den).min() < POLE_GUARD:
+    leads, factors = [], []
+    for slope, constant in [(c, d)] + [(a - s * c, b - s * d)
+                                        for s in (f.numerator_pole, f.denominator_pole)]:
+        flat = slope == 0  # slope w + constant is lead (w - pole), or lead alone
+        pole = -constant / np.where(flat, 1.0, slope)
+        leads.append(np.where(flat, constant, slope))
+        factors.append(np.where(flat, 1.0, w - pole))
+    (line, lead1, lead2), (u, v1, v2) = leads, factors
+    if (np.abs(u) < POLE_GUARD / np.abs(line)).any():
         return f"z={w} is within {POLE_GUARD} of a ball element's pole line"
-    gaps = [(a - s * c) * w + (b - s * d) for s in (f.numerator_pole, f.denominator_pole)]
-    for gap in gaps:
-        if (np.abs(gap) < POLE_GUARD * np.abs(den)).any():
+    for lead, v in ((lead1, v1), (lead2, v2)):
+        if (np.abs(v) < POLE_GUARD * np.abs(line) / np.abs(lead) * np.abs(u)).any():
             return f"z={w} is within {POLE_GUARD} of an orbit preimage of the seed pole"
     det = a * d - b * c
-    den2 = den * den
-    den3 = den2 * den
-    num = complex((det ** 2 / (den3 * gaps[0])).sum())
-    den_sum = complex((det ** 3 / (den3 * den2 * gaps[1])).sum())
+    u2 = u * u
+    t = u2 * v2
+    r = np.reciprocal(u2 * u * v1 * t)
+    num = complex(np.dot(det ** 2 / (line ** 3 * lead1), t * r))
+    den_sum = complex(np.dot(det ** 3 / (line ** 5 * lead2), v1 * r))
     assert abs(den_sum) >= DENOMINATOR_TOL
     return num / den_sum / scale
+
+
+def written_out_guard(f, w):
+    """The written-out guards at w, |cw + d| < e and then |a'w + b'| <
+    e |cw + d| with the field's folds a' and b', decided in 40 digits: the
+    NearPole message they give, or None; and whether w lies within 1e-6 of
+    a guard's edge, a margin widened by the rounding of the pole form's
+    stored poles p = -d/c and q = -b'/a'."""
+    a, b, c, d = f.ball.coeffs.T
+    forms = [(c, d)] + [(a - s * c, b - s * d) for s in (f.numerator_pole, f.denominator_pole)]
+    line = np.abs(c * w + d)
+    fired, edge = [False, False], False
+    with mpmath.workdps(40):
+        for kind, (alpha, beta) in enumerate(forms):
+            bound = POLE_GUARD * (line if kind else 1.0)
+            # elsewhere the float forms err by far less than half their size
+            for i in np.flatnonzero(np.abs(alpha * w + beta) < 2 * bound).tolist():
+                value = abs(mpmath.mpc(alpha[i]) * w + mpmath.mpc(beta[i]))
+                size = abs(mpmath.mpc(c[i]) * w + mpmath.mpc(d[i])) if kind else 1
+                margin = value / (POLE_GUARD * size)
+                stored = [-d[i] / c[i]] if c[i] else []  # the p and q that the guard measures from
+                if kind and alpha[i]:
+                    stored.append(-beta[i] / alpha[i])
+                edge |= abs(margin - 1) < 1e-6 + 8 * U * sum(abs(x / (w - x)) for x in stored)
+                fired[min(kind, 1)] |= margin < 1
+    if fired[0]:
+        return f"z={w} is within {POLE_GUARD} of a ball element's pole line", edge
+    if fired[1]:
+        return f"z={w} is within {POLE_GUARD} of an orbit preimage of the seed pole", edge
+    return None, edge
 
 
 def summation_point(f, z):
@@ -338,10 +378,10 @@ def summation_point(f, z):
 
 
 def takes_the_checks(f, z):
-    """Whether field_eval runs the guard checks and the written-out sums at
-    z: w in an indexed bucket, past the reach, or not finite."""
+    """Whether field_eval runs the guard checks at z: w in an indexed
+    bucket, past the reach, or not finite."""
     w = summation_point(f, z)[0]
-    reach, buckets, _ = f._guards
+    reach, buckets = f._guards
     return not (abs(w.real) < reach and abs(w.imag) < reach
                 and (math.floor(w.real * _BUCKETS_PER_UNIT),
                      math.floor(w.imag * _BUCKETS_PER_UNIT)) not in buckets)
@@ -379,20 +419,20 @@ U = 2.0 ** -53  # unit roundoff
 
 
 def sum_error_bound(f, w, exact_num, exact_den):
-    """Bound on the relative error of F = num / den / scale at w, for either
-    of field_eval's sum forms, given the exact sums.
+    """Bound on the relative error of F = num / den / scale at w, as
+    field_eval sums it, given the exact sums.
 
     A weight-m term is t = det^m / (L^(2m-1) G), with L = cw + d and
-    G = a'w + b'.  Both forms compute L (as cw + d, or as c (w - p) with
-    p = -d/c), G (as a'w + b', or as a' (w - q) with q = -b'/a'), det and
-    the folded a', b' from the same float coefficients.  A complex product
+    G = a'w + b'.  field_eval computes L as c (w - p) with p = -d/c (as d
+    where c = 0), G as a' (w - q) with q = -b'/a' (as b' where a' = 0), and
+    det and the folded a', b' from the float coefficients.  A complex product
     errs by at most sqrt(2) gamma_2 < 3u and, we take, a quotient or
     reciprocal by at most 7u (Higham, Accuracy and Stability, Sec. 3.6).  So
     L errs by at most 8u k_L, with k_L = (|c||w| + |d|)/|L|; G, with a' and
     q, by at most 16u k_G, with
     k_G = ((|a| + |s||c|)(|w| + |G|/|a'|) + |b| + |s||d|)/|G|; and det by
     4u k_det, with k_det = (|a||d| + |b||c|)/|det|.  The fixed chain of
-    products, powers and quotients of either form adds less than 64u.  So a
+    products, powers and quotients of the pole form adds less than 64u.  So a
     computed term errs by at most
         delta = u (64 + 8 (2m - 1) k_L + 16 k_G + 4 m k_det)
     of itself.  Summing n terms in any order, pairwise or in a BLAS dot, adds
@@ -412,7 +452,8 @@ def sum_error_bound(f, w, exact_num, exact_den):
     for m, s, exact in ((2, f.numerator_pole, exact_num), (3, f.denominator_pole, exact_den)):
         a1 = np.abs(a - s * c)
         gap = np.abs((a - s * c) * w + (b - s * d))
-        k_gap = ((np.abs(a) + abs(s) * np.abs(c)) * (abs(w) + gap / a1)
+        k_gap = ((np.abs(a) + abs(s) * np.abs(c))  # no q, and no |G|/|a'|, where a' = 0
+                 * (abs(w) + np.divide(gap, a1, out=np.zeros_like(gap), where=a1 > 0))
                  + np.abs(b) + abs(s) * np.abs(d)) / gap
         size = np.abs(det) ** m / (line ** (2 * m - 1) * gap)
         delta = U * (64 + 8 * (2 * m - 1) * k_line + 16 * k_gap + 4 * m * k_det)
@@ -432,19 +473,17 @@ def assert_near_exact(f, z, *values):
 
 
 def assert_matches_oracle(f, z):
-    """field_eval raises NearPole with the oracle's message.  Where it runs
-    the checks it returns the oracle's value exactly; elsewhere it sums in
-    pole form, and both it and the oracle's written-out sums are within
-    sum_error_bound of the 40-digit sums."""
+    """field_eval raises NearPole with the oracle's message, or returns the
+    oracle's value exactly, within sum_error_bound of the 40-digit sums."""
     want = guarded_oracle(f, z)
     if isinstance(want, str):
         with pytest.raises(NearPole) as raised:
             field_eval(f, z)
         assert str(raised.value) == want
-    elif takes_the_checks(f, z):
-        assert field_eval(f, z) == want
     else:
-        assert_near_exact(f, z, field_eval(f, z), want)
+        got = field_eval(f, z)
+        assert got == want
+        assert_near_exact(f, z, got)
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +501,40 @@ def pole_form_fields(guarded_fields):
     return [f for f, _, _ in guarded_fields] + [affine]
 
 
+def near_a_guard(guarded_fields, which, data, k, angle):
+    """A guarded field and a point z at k radii from the centre of one of
+    its guard disks, drawn by ``data``."""
+    f, centres, radii = guarded_fields[which]
+    i = data.draw(st.integers(0, len(centres) - 1))
+    w = centres[i] + k * radii[i] * complex(math.cos(angle), math.sin(angle))
+    return f, (w if f.conjugation is None else apply(inverse(f.conjugation), w))
+
+
+# Fields that keep no guard index, each with points where field_eval checks
+# and sums as the oracle does.
+NO_INDEX_FIELDS = {
+    # an affine element with |d| < POLE_GUARD: every point is within the
+    # guard of its pole line
+    "affine": (lambda: AutomorphicField(enumerate_ball([MoebiusMap(2e6, 0, 0, 5e-7)], 1), S1, S2),
+               [0.3 + 1.2j, -2.0 + 0.5j]),
+    # |c| = 1e-4: the guard disk of the pole line through -1e4 has radius
+    # 1e-2, wider than a bucket
+    "wide pole line": (lambda: AutomorphicField(enumerate_ball([MoebiusMap(1, 0, 1e-4, 1)], 1),
+                                                S1, S2),
+                       [0.3 + 1.2j, -1e4 + 5e-3, -1e4 + 2e-2]),
+    # the numerator seed 0.01 gives z -> -1/(z + 4) a' = -0.01: its preimage
+    # guard disk around -104 has radius about 1e-2
+    "wide preimage": (lambda: AutomorphicField(enumerate_ball([GENUS2_GENERATORS[1]], 1), 0.01, S2),
+                      [0.3 + 1.2j, -104 + 5e-3, -104 + 2e-2]),
+    # z -> z/(z + 1) to the power 1e40 has |c| = 1e40: a guard radius of
+    # 1e-46 leaves the pole form's products no safe range
+    "exponent budget": (lambda: AutomorphicField(GroupBall(
+        (MoebiusMap(1, 0, 1, 1),), 1, ((), ((1, 10 ** 40),)),
+        np.array([[1, 0, 0, 1], [1, 0, 1e40, 1]], dtype=complex)), S1, S2),
+        [0.3 + 1.2j, -1e-40 + 1e-47]),
+}
+
+
 class TestPoleGuards:
     """The guard index skips the guard checks only where none could fire."""
 
@@ -469,11 +542,33 @@ class TestPoleGuards:
     @given(which=st.integers(0, 1), data=st.data(),
            k=st.floats(0.25, 4.0), angle=st.floats(0.0, 2 * math.pi))
     def test_index_never_hides_a_guard(self, guarded_fields, which, data, k, angle):
-        f, centres, radii = guarded_fields[which]
-        i = data.draw(st.integers(0, len(centres) - 1))
-        w = centres[i] + k * radii[i] * complex(math.cos(angle), math.sin(angle))
-        z = w if f.conjugation is None else apply(inverse(f.conjugation), w)
-        assert_matches_oracle(f, z)
+        assert_matches_oracle(*near_a_guard(guarded_fields, which, data, k, angle))
+
+    @settings(max_examples=300, deadline=None)
+    @given(which=st.integers(0, 1), data=st.data(),
+           k=st.floats(0.25, 4.0), angle=st.floats(0.0, 2 * math.pi))
+    def test_written_out_guards_agree_off_their_edges(self, guarded_fields, which, data, k,
+                                                       angle):
+        # the guards measure |w - p| and |w - q|: in exact arithmetic they are
+        # |cw + d| < e and |a'w + b'| < e |cw + d|, and only rounding near a
+        # guard's edge can tell the two apart
+        f, z = near_a_guard(guarded_fields, which, data, k, angle)
+        want, edge = written_out_guard(f, summation_point(f, z)[0])
+        assume(not edge)
+        try:
+            field_eval(f, z)
+        except NearPole as raised:
+            assert str(raised) == want
+        else:
+            assert want is None
+
+    @pytest.mark.parametrize("build, points", NO_INDEX_FIELDS.values(), ids=NO_INDEX_FIELDS)
+    def test_a_field_without_an_index_checks_every_point(self, build, points):
+        f = build()
+        assert f._guards == _NO_GUARD_INDEX
+        for z in points:
+            assert takes_the_checks(f, z)
+            assert_matches_oracle(f, z)
 
     @settings(max_examples=100, deadline=None)
     @given(which=st.integers(0, 1), x=st.floats(-3.0, 3.0), y=st.floats(0.3, 4.0))
@@ -482,17 +577,17 @@ class TestPoleGuards:
 
     def test_both_fields_keep_an_index(self, guarded_fields):
         for f, _, _ in guarded_fields:
-            reach, buckets, _ = f._guards
+            reach, buckets = f._guards
             assert reach > 1.0 and buckets
 
     def test_a_guard_far_from_every_centre_leaves_no_index(self):
         # with the numerator seed at 0, the element z -> -1/(z + 4) has a' = 0:
         # its preimage guard fires wherever |w + 4| > 1e6
         f = AutomorphicField(enumerate_ball([GENUS2_GENERATORS[1]], 1), 0j, S2)
-        assert f._guards == (0.0, frozenset(), None)
+        assert f._guards == _NO_GUARD_INDEX
         with pytest.raises(NearPole, match="orbit preimage"):
             field_eval(f, 2e6)
-        assert field_eval(f, 5e5) == 0.9999959999960001 - 5.999999999976e-06j
+        assert_near_exact(f, 5e5, field_eval(f, 5e5))
 
     def test_non_finite_points_take_the_checks(self, pole_form_fields):
         with np.errstate(all="ignore"):
@@ -503,8 +598,8 @@ class TestPoleGuards:
 
 
 class TestPoleForm:
-    """Outside the guard buckets field_eval sums in pole form: the same
-    series, within the error bound of either form."""
+    """field_eval sums in pole form: the same series as the written-out
+    terms, within sum_error_bound."""
 
     @settings(max_examples=40, deadline=None)
     @given(which=st.integers(0, 2), x=st.floats(-6.0, 6.0), y=st.floats(0.05, 6.0))
@@ -513,13 +608,13 @@ class TestPoleForm:
 
     def test_every_field_keeps_its_pole_form(self, pole_form_fields):
         for f in pole_form_fields:
-            reach, buckets, pole_form = f._guards
-            assert reach > 1e40 and pole_form is not None
-        assert pole_form_fields[2]._guards[2][0].tolist() == [0, 1, 2, 3, 4]  # every u = 1
+            reach, buckets = f._guards
+            assert reach > 1e40 and len(f._form[1]) == 3  # the poles of u, v_1 and v_2
+        assert pole_form_fields[2]._form[0].tolist() == [0, 1, 2, 3, 4]  # every u = 1
 
     def test_points_either_side_of_the_reach(self, pole_form_fields):
         demo, *unstabilized = pole_form_fields
-        # the denominator series ~ 1/|w| vanishes out there, in both forms
+        # the denominator series ~ 1/|w| vanishes out there, in both branches
         for f in unstabilized:
             reach = f._guards[0]
             for w in (complex(0.999 * reach, -0.999 * reach), complex(1.001 * reach, 1.0)):
@@ -529,7 +624,8 @@ class TestPoleForm:
                 size = abs(exact_sums(f, w)[1])
                 assert str(raised.value) == f"denominator series ~ {size:.3g} at z={w}"
         assert takes_the_checks(unstabilized[1], 1e300)
-        with pytest.raises(DenominatorVanishes, match=r"2\.45e-297 at z=1e\+300"):
+        # u = 1 in every row, and v_1 v_2 overflows: its reciprocal, and each sum, is 0
+        with pytest.raises(DenominatorVanishes, match=r"series ~ 0 at z=1e\+300"):
             field_eval(unstabilized[1], 1e300)
         with pytest.raises(ZeroDivisionError):  # the Cayley map's derivative underflows to 0
             field_eval(demo, 1e300)
@@ -568,7 +664,7 @@ class TestDemoScan:
         # denominator seed, where the guards refuse to evaluate
         assert [d["reason"] for d in scan.dropped] == ["zero estimate not evaluable"] * 4
         assert len(seen) <= 5283
-        # the scan runs both of field_eval's sum forms
+        # the scan runs both of field_eval's branches
         assert any(takes_the_checks(f, z) for z in seen)
         assert not all(takes_the_checks(f, z) for z in seen)
 

@@ -685,6 +685,50 @@ class TestNewtonRefine:
         assert newton_refine(field, r + 5e-6, step_cap=1.0) == r + 5e-6
         assert len(seen) == 6
 
+    def test_a_start_that_is_not_evaluable_is_dropped(self):
+        r = 0.25 - 0.5j
+        field, seen = counting(punctured_line(r, r + 0.5))
+        with pytest.raises(NewtonDiverged, match="start not evaluable"):
+            newton_refine(field, r + 0.5, step_cap=1.0)
+        assert seen == [r + 0.5]
+
+    def test_a_probe_that_is_not_evaluable_drops_the_run(self):
+        # a wall between z0 and its probe z0 + h, h = 1e-7, with |F(z0)| =
+        # 5e-6: start and the two forward probes
+        r = 0.25 - 0.5j
+        z0 = r + 5e-6
+        field, seen = counting(walled(PlanarField("custom", lambda z: z - r), z0.real + 5e-8))
+        with pytest.raises(NewtonDiverged, match="jacobian probe hit a pole"):
+            newton_refine(field, z0, step_cap=1.0)
+        assert len(seen) == 3
+
+    def test_a_probe_that_is_not_evaluable_below_tolerance_returns_its_iterate(self):
+        # the same wall with |F(z0)| = 5e-9 <= ZERO_TOL: start and the four
+        # central probes
+        r = 0.25 - 0.5j
+        z0 = r + 5e-6
+        field, seen = counting(walled(PlanarField("custom", lambda z: 1e-3 * (z - r)),
+                                      z0.real + 5e-8))
+        assert newton_refine(field, z0, step_cap=1.0) == z0
+        assert len(seen) == 5
+
+    def test_a_singular_jacobian_below_tolerance_returns_its_iterate(self):
+        # |F| = 1e-9 <= ZERO_TOL, and the four central probes see no slope
+        field, seen = counting(PlanarField("custom", lambda z: 1e-9 + 0j))
+        assert newton_refine(field, 0.5 + 0.5j, step_cap=1.0) == 0.5 + 0.5j
+        assert len(seen) == 5
+
+    def test_a_stalled_step_below_tolerance_returns_its_iterate(self):
+        # |F(z0)| = 5e-9 <= ZERO_TOL, and the polish step to r, 5e-4 away, is
+        # capped at 2e-4; a wall 1.5e-7 to the right, past the central probes,
+        # refuses every trial down to 2e-4/1024: start, four probes, 11 trials
+        r = 0.25 - 0.5j
+        z0 = r - 5e-4
+        field, seen = counting(walled(PlanarField("custom", lambda z: 1e-5 * (z - r)),
+                                      z0.real + 1.5e-7))
+        assert newton_refine(field, z0, step_cap=2e-4) == z0
+        assert len(seen) == 16
+
     @pytest.mark.parametrize("step_cap", [-1.0, 0.0, -0.0, math.nan, -math.inf])
     def test_step_cap_must_be_positive(self, step_cap):
         # a negative cap reversed every step, a zero one stalled, and NaN
