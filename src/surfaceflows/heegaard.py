@@ -133,7 +133,7 @@ def curve_class(curve: str, genus: int) -> tuple[int, ...]:
     a_i and b_i are the handle curves; g_i (defined for i < genus) chains
     consecutive handles with class b_i - b_{i+1}.
     """
-    m = _CURVE_RE.match(curve.strip())
+    m = _CURVE_RE.match(curve.strip()) if isinstance(curve, str) else None
     if not m:
         raise ValueError(f"bad curve id {curve!r}; expected like 'a1', 'b2', 'g1'")
     kind, i = m.group(1), int(m.group(2))
@@ -154,32 +154,40 @@ def compose_word(word, genus: int) -> GluingMatrix:
     The twist about c is T = I + c w^T, where w = J^T c is c's pairing
     partner (w_2i = -c_2i+1, w_2i+1 = c_2i).  <c, c> = 0 makes (c w^T)^2 = 0,
     so T^e = I + e c w^T for every integer e, and a letter of any nonzero
-    exponent e updates the product P as P <- P + e (P c) w^T: P c sums the
-    columns of P on c's support, and e w_k (P c) is added to column k on
-    w's support.  c and w have one or two nonzero entries each, so a letter
-    costs O(genus) integer operations whatever its exponent.  Each
-    transvection is symplectic, so the product is checked once, as the
-    result is built.
+    exponent e updates the product P, held as its columns, as
+    P <- P + e (P c) w^T: column j gains e w_j (P c) for each j on w's
+    support, one pass per changed column.  P c is read off the columns P
+    already holds: column k itself for c = e_k (a_k, b_k), and the
+    difference of columns k and l, built in one pass, for c = e_k - e_l
+    (g_i = b_i - b_i+1).  Neither column changes, as w is zero on c's
+    support.  So a letter costs O(genus) integer operations whatever its
+    exponent: one pass for a or b, three for g.  Each transvection is
+    symplectic, so the product is checked once, as the result is built.
     """
     genus = exact_int(genus, "genus")
     if genus < 1:
         raise ValueError("genus must be positive")
     n = 2 * genus
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
-    supports: dict[str, list[tuple[int, int]]] = {}  # c's nonzero entries, per curve in word
+    letters: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}  # per curve in word
     for curve, exponent in word:
         exponent = exact_int(exponent, "exponent")
         if exponent == 0:
             raise ValueError("exponent must be nonzero")
-        c = supports.get(curve)
-        if c is None:
-            c = supports[curve] = [(k, v) for k, v in enumerate(curve_class(curve, genus)) if v]
-        pc = [0] * n
-        for k, v in c:
-            pc = [p + v * x for p, x in zip(pc, cols[k])]
-        for k, v in c:
-            u = exponent * (-v if k % 2 else v)  # e w_(k^1)
-            cols[k ^ 1] = [x + u * p for x, p in zip(cols[k ^ 1], pc)]
+        try:
+            support, targets = letters[curve]
+        except (KeyError, TypeError):  # a new curve, or an unhashable id curve_class rejects
+            c = curve_class(curve, genus)
+            support = [k for k, v in enumerate(c) if v]  # c[support[0]] = 1, c[support[1]] = -1
+            targets = [(k ^ 1, -c[k] if k % 2 else c[k]) for k in support]  # (j, w_j)
+            letters[curve] = support, targets
+        if len(support) == 1:
+            pc = cols[support[0]]
+        else:
+            pc = [x - y for x, y in zip(cols[support[0]], cols[support[1]])]
+        for j, w in targets:
+            u = exponent * w
+            cols[j] = [x + u * p for x, p in zip(cols[j], pc)]
     return GluingMatrix(genus, tuple(zip(*cols)))
 
 

@@ -401,7 +401,7 @@ def exact_rows(f):
     return rows
 
 
-def exact_sums(f, w):
+def exact_sums_40(f, w):
     """The numerator and denominator series at w, summed in 40 digits."""
     with mpmath.workdps(40):
         w = mpmath.mpc(w)
@@ -413,6 +413,155 @@ def exact_sums(f, w):
             num.append(det2 / (line3 * (a1 * w + b1)))
             den.append(det3 / (line3 * line2 * (a2 * w + b2)))
         return complex(mpmath.fsum(num)), complex(mpmath.fsum(den))
+
+
+# Double-double arithmetic, on numpy arrays: a real is a pair (hi, lo) of
+# doubles whose sum is its value, and a complex is a pair (re, im) of reals.
+# Dekker's split and product are exact while nothing overflows or underflows
+# (Dekker, Numer. Math. 18, 1971), and a sum or product of pairs errs by
+# about 2^-104 of its operands' size (Hida, Li & Bailey, ARITH 15, 2001).
+
+_DEKKER_SPLIT = 2.0 ** 27 + 1
+
+
+def _two_sum(a, b):
+    """s + e = a + b exactly, with s = fl(a + b)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fast_two_sum(a, b):
+    """s + e = a + b, exactly where |a| >= |b|, with s = fl(a + b)."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    """hi + lo = a exactly, each with at most 26 significant bits."""
+    t = _DEKKER_SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b, a_parts, b_parts):
+    """p + e = a b exactly, with p = fl(a b), from the splits of a and b."""
+    p = a * b
+    (ah, al), (bh, bl) = a_parts, b_parts
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    return _fast_two_sum(s, e + (x[1] + y[1]))
+
+
+def _dd_sub(x, y):
+    return _dd_add(x, (-y[0], -y[1]))
+
+
+def _dd_mul(x, y):
+    p, e = _two_prod(x[0], y[0], _split(x[0]), _split(y[0]))
+    return _fast_two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _dd_cadd(x, y):
+    return _dd_add(x[0], y[0]), _dd_add(x[1], y[1])
+
+
+def _dd_csub(x, y):
+    return _dd_sub(x[0], y[0]), _dd_sub(x[1], y[1])
+
+
+def _dd_cmul(x, y):
+    (xr, xi), (yr, yi) = x, y
+    return (_dd_sub(_dd_mul(xr, yr), _dd_mul(xi, yi)),
+            _dd_add(_dd_mul(xr, yi), _dd_mul(xi, yr)))
+
+
+def _dd_cmul_double(x, q):
+    """A complex double-double times a complex double array q."""
+    q = q.real, q.imag
+    x_parts, q_parts = [_split(v[0]) for v in x], [_split(v) for v in q]
+
+    def product(i, j):
+        p, e = _two_prod(x[i][0], q[j], x_parts[i], q_parts[j])
+        return p, e + x[i][1] * q[j]
+
+    return _dd_sub(product(0, 0), product(1, 1)), _dd_add(product(0, 1), product(1, 0))
+
+
+def _dd(z):
+    """Complex double array as a complex double-double."""
+    zero = np.zeros(np.shape(z))
+    return (np.real(z) + zero, zero), (np.imag(z) + zero, zero)
+
+
+def _dd_join(x, y):
+    return tuple(tuple(np.concatenate(pair) for pair in zip(*parts)) for parts in zip(x, y))
+
+
+@functools.cache
+def double_double_rows(f):
+    """Per ball element, the field's c, d and, for the numerator seed then
+    the denominator seed, the folded a', b' and det^2, det^3, as complex
+    double-doubles from the float coefficients and seeds."""
+    a, b, c, d = (_dd(x) for x in f.ball.coeffs.T)
+    det = _dd_csub(_dd_cmul(a, d), _dd_cmul(b, c))
+    det2 = _dd_cmul(det, det)
+    (a1, b1), (a2, b2) = [(_dd_csub(a, _dd_cmul(seed, c)), _dd_csub(b, _dd_cmul(seed, d)))
+                          for seed in (_dd(np.full(len(f.ball.coeffs), complex(s)))
+                                       for s in (f.numerator_pole, f.denominator_pole))]
+    return c, d, _dd_join(a1, a2), _dd_join(b1, b2), _dd_join(det2, _dd_cmul(det2, det))
+
+
+def double_double_sums(f, w):
+    """The numerator and denominator series at w in double-double.  Each
+    term t = det^m / (L^(2m-1) G) is a high part, the quotient in doubles,
+    plus a low part, the double-double remainder divided once more, and one
+    math.fsum per part rounds the exact sum of every term's two parts once.
+    A term errs by about 2^-98 of its size, times the conditioning of L and
+    G (k_L and k_G in sum_error_bound), so a sum is right to the last bit
+    while its condition number sum |t| / |Re or Im sum t| stays below
+    about 2^40.
+
+    None where that is not vouched for: where the condition number is
+    larger, or where a split or product overflows (above about 2^996) or
+    underflows, which np.errstate turns into a FloatingPointError.
+    """
+    c, d, fold_a, fold_b, powers = double_double_rows(f)
+    n = len(c[0][0])
+    w = complex(w)
+    try:
+        with np.errstate(all="raise"):
+            line = _dd_cadd(_dd_cmul(c, _dd(np.full(n, w))), d)
+            line2 = _dd_cmul(line, line)
+            line3 = _dd_cmul(line2, line)
+            gap = _dd_cadd(_dd_cmul_double(fold_a, np.full(2 * n, w)), fold_b)
+            first, second = (tuple((x[0][half], x[1][half]) for x in gap)
+                             for half in (slice(None, n), slice(n, None)))
+            y = _dd_cmul(_dd_join(line3, line3), _dd_join(first, _dd_cmul(line2, second)))
+            y_hi = y[0][0] + 1j * y[1][0]
+            high = (powers[0][0] + 1j * powers[1][0]) / y_hi
+            rest = _dd_csub(powers, _dd_cmul_double(y, high))
+            low = (rest[0][0] + 1j * rest[1][0]) / y_hi
+    except FloatingPointError:
+        return None
+    sums = []
+    for half in (slice(None, n), slice(n, None)):
+        terms = np.concatenate([high[half], low[half]])
+        total = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+        if np.abs(high[half]).sum() > 2.0 ** 40 * min(abs(total.real), abs(total.imag)):
+            return None
+        sums.append(total)
+    return tuple(sums)
+
+
+def exact_sums(f, w):
+    """The numerator and denominator series at w, to within an ulp of the
+    exact sums: in double-double where that is vouched for, else in 40
+    digits."""
+    return double_double_sums(f, w) or exact_sums_40(f, w)
 
 
 U = 2.0 ** -53  # unit roundoff
@@ -640,6 +789,79 @@ class TestPoleForm:
             assert takes_the_checks(f, w)
             with pytest.raises(DenominatorVanishes, match=re.escape(f"terms overflow at z={w}")):
                 field_eval(f, w)
+
+
+DEMO_ORACLE_POINTS = 24
+ORACLE_FIELD_NAMES = ["demo", "unstabilized", "affine ball", *NO_INDEX_FIELDS, "far guard"]
+
+
+def oracle_sample(f, seed, count):
+    """A fixed sample of ``count`` summation points of f: 40% 1e-7 from a
+    pole line -d/c or an orbit point -b'/a' (the centres of its guard
+    disks), 30% at 0.25 to 4 guard radii from one, and 30% images of points
+    in [-6, 6] x [0.05, 6]."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):  # a' = 0 puts a centre at infinity
+        centres, radii = (np.array(x) for x in guard_disks(f))
+    keep = np.isfinite(centres) & np.isfinite(radii)
+    centres, radii = centres[keep], radii[keep]
+    near, around = int(0.4 * count), int(0.3 * count)
+    turns = np.exp(2j * np.pi * rng.random(count))
+    i = rng.integers(len(centres), size=near + around)
+    k = np.concatenate([np.full(near, 1e-7), radii[i[near:]] * rng.uniform(0.25, 4.0, around)])
+    points = (centres[i] + k * turns[:near + around]).tolist()
+    for x, y in zip(rng.uniform(-6, 6, count - len(points)), rng.uniform(0.05, 6, count)):
+        points.append(summation_point(f, complex(x, y))[0])
+    return points
+
+
+def within_an_ulp(got, want):
+    """Each part of got equals want's, or is within one ulp of it."""
+    return all(g == w or abs(g - w) <= math.ulp(w)
+               for g, w in ((got.real, want.real), (got.imag, want.imag)))
+
+
+class TestDoubleDoubleSums:
+    """exact_sums' double-double sums against the 40-digit sums they stand
+    in for."""
+
+    @pytest.fixture(scope="class")
+    def oracle_fields(self, pole_form_fields):
+        fields = dict(zip(("demo", "unstabilized", "affine ball"), pole_form_fields))
+        fields.update((name, build()) for name, (build, _) in NO_INDEX_FIELDS.items())
+        fields["far guard"] = AutomorphicField(enumerate_ball([GENUS2_GENERATORS[1]], 1), 0j, S2)
+        return fields
+
+    @pytest.mark.parametrize("name", ORACLE_FIELD_NAMES)
+    def test_a_fixed_sample_matches_the_40_digit_sums(self, oracle_fields, name):
+        # the demo field's 3,201-term 40-digit sums take about 0.2 s a point
+        count = DEMO_ORACLE_POINTS if name == "demo" else 200
+        f = oracle_fields[name]
+        vouched = 0
+        for w in oracle_sample(f, ORACLE_FIELD_NAMES.index(name), count):
+            sums = double_double_sums(f, w)
+            if sums is not None:
+                vouched += 1
+                for got, want in zip(sums, exact_sums_40(f, w)):
+                    assert within_an_ulp(got, want), (name, w, got, want)
+        assert vouched >= 0.9 * count
+
+    def test_a_split_that_overflows_takes_the_40_digits(self):
+        # |c| = 1e40 at |w| = 1e20: (cw + d)^5 (a'w + b') passes 2^996
+        f = NO_INDEX_FIELDS["exponent budget"][0]()
+        assert double_double_sums(f, 1e20) is None
+        assert exact_sums(f, 1e20) == exact_sums_40(f, 1e20)
+
+    @pytest.mark.parametrize("seed, vouched", [(1e-8, True), (1e-15, False)])
+    def test_an_ill_conditioned_sum_takes_the_40_digits(self, seed, vouched):
+        # z -> -z pairs each numerator term 1/(w - s) with -1/(w + s): their
+        # sum 2s/(w^2 - s^2) has condition number about |w|/|s|, 1e8 or 1e15
+        f = AutomorphicField(enumerate_ball([MoebiusMap(-1, 0, 0, 1)], 1), seed, S2)
+        w = 0.7 + 0.4j
+        want = exact_sums_40(f, w)
+        sums = double_double_sums(f, w)
+        assert (sums is not None) == vouched
+        assert all(within_an_ulp(got, x) for got, x in zip(exact_sums(f, w), want))
 
 
 class TestDemoScan:

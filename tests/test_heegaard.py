@@ -367,6 +367,9 @@ class TestGluingMatrix:
             ([("b4", 1)], 3, "out of range"),
             ([("g0", 1)], 3, "chain curves"),
             ([("g3", 1)], 3, "chain curves"),
+            # curve ids that are not str, hashable or not
+            ([(1, 1)], 1, "bad curve id"),
+            ([(["a1"], 1)], 1, "bad curve id"),
         ],
     )
     def test_compose_word_rejects_bad_input(self, word, genus, message):
@@ -423,6 +426,33 @@ class TestGluingMatrix:
         assert compose_word(word + inverse, genus).entries == identity
         assert compose_word(inverse + word, genus).entries == identity
 
+    def test_accepts_a_perturbed_product_exactly_when_it_stays_symplectic(self):
+        # twist-h1-shaped words with one entry moved by +-1: the check must
+        # agree with an exact M^T J M == J on every matrix.  Some stay
+        # symplectic, e.g. the identity with one b-entry moved, a transvection.
+        rng = random.Random(3)
+        verdicts = []
+        for _ in range(300):
+            genus = rng.randint(3, 6)
+            curves = standard_curves(genus)
+            word = [(rng.choice(curves), rng.choice((1, 1, 1, -1, -1, 2, -2, 3, -3)))
+                    for _ in range(rng.randint(0, 60))]
+            entries = [list(row) for row in compose_word(word, genus).entries]
+            entries[rng.randrange(2 * genus)][rng.randrange(2 * genus)] += rng.choice((1, -1))
+            m = np.array(entries, dtype=object)
+            j = np.array(_oracle_j(genus).tolist(), dtype=object)
+            symplectic = bool((m.T @ j @ m == j).all())
+            try:
+                GluingMatrix(genus, entries)
+            except ValueError as raised:
+                assert "not integrally symplectic" in str(raised)
+                accepted = False
+            else:
+                accepted = True
+            assert accepted == symplectic, (genus, word, entries)
+            verdicts.append(accepted)
+        assert 0 < sum(verdicts) < len(verdicts)
+
     @pytest.mark.parametrize(
         "entries",
         [((1, 0.5), (0, 1)), ((1, 1.5), (0, 1)), ((1, math.inf), (0, 1)), ((math.nan, 0), (0, 1))],
@@ -441,6 +471,50 @@ class TestGluingMatrix:
             assert m.entries == ((1, 1), (0, 1))
             assert type(m.genus) is int
             assert all(type(x) is int for row in m.entries for x in row)
+
+
+def lens_word(p: int, q: int, handle: int = 1) -> list[tuple[str, int]]:
+    """A gluing word of the lens space L(p, q) on one handle: the continued
+    fraction p/q = [k1; k2, ...] gives a^k1 b^-k2 a^k3 ..., and the rotation
+    a b a follows when the product's B entry is not +-p."""
+    ks, n, m = [], p, q
+    while m:
+        ks.append(n // m)
+        n, m = m, n % m
+    word = [("b1", -k) if i % 2 else ("a1", k) for i, k in enumerate(ks)]
+    if abs(compose_word(word, 1).entries[0][1]) != p:
+        word += [("a1", 1), ("b1", 1), ("a1", 1)]
+    return [(f"{curve[0]}{handle}", k) for curve, k in word]
+
+
+class TestLensSpaces:
+    """Exact oracles for the twist path: lens spaces, whose H1 and
+    Reidemeister class are known from p and q."""
+
+    COPRIME_PAIRS = [(p, q) for p in range(2, 60) for q in range(1, p) if math.gcd(p, q) == 1]
+
+    def test_every_pair_gives_its_order_and_its_class(self):
+        assert len(self.COPRIME_PAIRS) == 1085
+        rotated = 0
+        for p, q in self.COPRIME_PAIRS:
+            word = lens_word(p, q)
+            rotated += word[-3:] == [("a1", 1), ("b1", 1), ("a1", 1)]
+            gluing = compose_word(word, 1)
+            assert h1_from_gluing(gluing) == AbelianGroup(0, (p,)), (p, q, word)
+            (_, b), (_, d) = gluing.entries
+            q_inverse = pow(q, -1, p)
+            # the linking class D sign(B) mod p is +-q^(+-1) (Reidemeister)
+            assert (d if b > 0 else -d) % p in {q, p - q, q_inverse, p - q_inverse}, (p, q, word)
+        assert rotated == 542
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(COPRIME_PAIRS), min_size=2, max_size=6))
+    def test_lens_sums_give_the_smith_form_of_their_orders(self, pairs):
+        word = [letter for i, (p, q) in enumerate(pairs, 1) for letter in lens_word(p, q, i)]
+        torsion = tuple(d for d in sympy_smith_diagonal(
+            [[p if i == j else 0 for j, (p, _) in enumerate(pairs)] for i in range(len(pairs))])
+            if d > 1)
+        assert h1_from_gluing(compose_word(word, len(pairs))) == AbelianGroup(0, torsion)
 
 
 class TestBallExtension:
