@@ -15,6 +15,7 @@ arithmetic reproduces the scalar tuple arithmetic bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 from dataclasses import dataclass
@@ -245,12 +246,13 @@ class GroupBall:
 
         Enumeration is breadth-first in canonical order, so its first
         ``radius`` levels are exactly those of the smaller enumeration: the
-        smaller ball is a prefix of this one.
+        smaller ball is a prefix of this one, whose size a binary search on
+        word length finds.
         """
         radius = exact_int(radius, "radius")
         if not 0 <= radius <= self.radius:
             raise ValueError(f"radius must lie in [0, {self.radius}]")
-        size = sum(1 for word in self.letters if len(word) <= radius)
+        size = bisect.bisect_right(self.letters, radius, key=len)
         return GroupBall(self.generators, radius, self.letters[:size], self.coeffs[:size])
 
     def conjugated(self, m: MoebiusMap) -> "GroupBall":
@@ -290,13 +292,18 @@ class _CellIndex:
     convention can flip for matrices whose leading coefficient hugs the
     imaginary axis.  A cell is keyed by a 64-bit hash of its integer
     coordinates; a collision only sends a row to the exact probe.
+
+    Storage is two arrays kept in hash order, with no Python object per
+    row: ``hashes`` (uint64, the hash of each stored row's cell) and
+    ``rows`` ((N, 8) float64), 72 bytes per stored row.  The stored rows of
+    a cell, and of any cell sharing its hash, form one contiguous span.
     """
 
     def __init__(self, tol: float):
         self.tol = tol
         self.h = max(tol * 1000.0, 1e-12)
-        self.hashes = np.empty(0, dtype=np.uint64)  # one per stored row
-        self.buckets: dict[int, list[list[float]]] = {}
+        self.hashes = np.empty(0, dtype=np.uint64)
+        self.rows = np.empty((0, 8))
 
     def _cells(self, vecs: np.ndarray) -> np.ndarray:
         return np.floor(vecs / self.h + 0.5)
@@ -308,6 +315,13 @@ class _CellIndex:
             k = (k ^ (k >> np.uint64(33))) * mult
         return ((k ^ (k >> np.uint64(33))) * _HASH_MULTIPLIERS).sum(axis=-1)
 
+    @staticmethod
+    def _member(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """Whether each of ``queries`` is in the sorted array ``keys``."""
+        if not len(keys):
+            return np.zeros(len(queries), dtype=bool)
+        return keys[np.minimum(np.searchsorted(keys, queries), len(keys) - 1)] == queries
+
     def add_new(self, vecs: np.ndarray) -> np.ndarray:
         """Store, in order, each row of (m, 8) ``vecs`` within tol of no stored row.
 
@@ -315,44 +329,57 @@ class _CellIndex:
         the stored one, differ by less than tol in every coordinate.  Rows
         are taken up to the first one whose cell is not finite; the
         returned mask of new rows covers only those, so a shorter mask
-        means coefficient overflow.
+        means coefficient overflow.  The new rows are merged into the
+        hash-ordered arrays once, and the call's temporaries are a few
+        (m, 8) arrays, one sign at a time.
         """
         finite = np.isfinite(vecs / self.h).all(axis=1)
         vecs = vecs[: len(vecs) if finite.all() else int(finite.argmin())]
-        signed = np.stack((vecs, -vecs))  # v and -v
-        lo, hi = self._cells(signed - self.tol), self._cells(signed + self.tol)
-        own, other = self._hash(self._cells(vecs)), self._hash(lo[1])
+        tol = self.tol
         # A row is new at once when it and its negative sit more than tol
         # inside their cells and no stored or fellow row shares either cell
         # (a row within tol of them would).  Every other row is probed in
         # order against all rows stored before it.
-        pool = np.concatenate((self.hashes, own))
-        _, slot, counts = np.unique(pool, return_inverse=True, return_counts=True)
-        fast = (
-            (lo == hi).all(axis=(0, 2))
-            & (counts[slot[len(self.hashes):]] == 1)
-            & ~np.isin(other, pool)
-        )
+        own = self._hash(self._cells(vecs))
+        fast = (self._cells(vecs - tol) == self._cells(vecs + tol)).all(axis=1)
+        neg = self._cells(-vecs - tol)  # the cell of -v, as its tol-box starts
+        fast &= (neg == self._cells(tol - vecs)).all(axis=1)
+        other = self._hash(neg)
+        fellows, slot, counts = np.unique(own, return_inverse=True, return_counts=True)
+        fast &= (counts[slot] == 1) & ~self._member(self.hashes, own)
+        fast &= ~self._member(self.hashes, other) & ~self._member(fellows, other)
         new = fast.copy()
+        probed: list[int] = []  # rows of this call stored through the probe
         for k in np.flatnonzero(~fast).tolist():
-            vec = vecs[k].tolist()
-            if not (self._near(lo[0, k], hi[0, k], vec)
-                    or self._near(lo[1, k], hi[1, k], [-x for x in vec])):
+            if not self._near(vecs[k], own, vecs, probed):
                 new[k] = True
-                self.buckets.setdefault(int(own[k]), []).append(vec)
-        # fast rows own fresh cells, so each starts its own bucket
-        self.buckets.update(zip(own[fast].tolist(), ([vec] for vec in vecs[fast].tolist())))
-        self.hashes = np.concatenate((self.hashes, own[new]))
+                probed.append(k)
+        keep = np.flatnonzero(new)
+        keep = keep[np.argsort(own[keep], kind="stable")]
+        at = np.searchsorted(self.hashes, own[keep], side="right")
+        self.hashes = np.insert(self.hashes, at, own[keep])
+        self.rows = np.insert(self.rows, at, vecs[keep], axis=0)
         return new
 
-    def _near(self, lo: np.ndarray, hi: np.ndarray, vec: list[float]) -> bool:
-        """True when a stored row lies within tol of ``vec``, whose cells span lo..hi."""
-        ranges = [range(int(a), int(b) + 1) for a, b in zip(lo.tolist(), hi.tolist())]
-        cells = np.array(list(itertools.product(*ranges)), dtype=float)
-        for key in self._hash(cells).tolist():
-            for cand in self.buckets.get(key, ()):
-                if max(abs(x - y) for x, y in zip(vec, cand)) < self.tol:
-                    return True
+    def _near(self, vec: np.ndarray, own: np.ndarray, vecs: np.ndarray, probed: list[int]) -> bool:
+        """True when a stored row, or a row ``probed`` of ``vecs``, lies within tol of ``vec``.
+
+        For ``vec`` and for ``-vec``, the candidates are the rows whose cell
+        hash is that of a cell its tol-box touches: one ``hashes`` span per
+        such cell, plus the probed rows with such a hash.  Rows stored
+        through the fast path of the same call cannot match.
+        """
+        mine = np.array(probed, dtype=int)
+        for v in (vec, -vec):
+            lo, hi = self._cells(v - self.tol), self._cells(v + self.tol)
+            ranges = [range(int(a), int(b) + 1) for a, b in zip(lo.tolist(), hi.tolist())]
+            keys = np.unique(self._hash(np.array(list(itertools.product(*ranges)), dtype=float)))
+            left = np.searchsorted(self.hashes, keys, side="left").tolist()
+            right = np.searchsorted(self.hashes, keys, side="right").tolist()
+            spans = [self.rows[a:b] for a, b in zip(left, right) if b > a]
+            spans.append(vecs[mine[self._member(keys, own[mine])]])
+            if (np.abs(np.concatenate(spans) - v) < self.tol).all(axis=1).any():
+                return True
         return False
 
 
@@ -368,7 +395,10 @@ def enumerate_ball(generators, radius: int) -> GroupBall:
     the output order is schedule-independent: word length first, then
     lexicographic word.  Each block of a level is one array pass: every
     parent times every letter that does not cancel its last one, then the
-    sign fix and the dedup in canonical order.
+    sign fix and the dedup in canonical order.  The dedup index holds each
+    element as 72 bytes in two hash-ordered arrays, with no Python object
+    per element, and a block's temporaries are a few (m, 8) arrays for
+    its m candidates.
 
     Raises BallTooLarge past BALL_CAP elements, ValueError on coefficient overflow.
     """

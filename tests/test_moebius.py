@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,35 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             big.truncated(5)
 
+    @pytest.mark.parametrize("generators, radius", [
+        ((T1, T2, T3, T4), 4),
+        ((MoebiusMap(0, -1, 1, 0), MoebiusMap(1, 1, 0, 1)), 6),  # the modular group
+    ])
+    def test_truncated_size_is_the_count_of_short_words(self, generators, radius):
+        big = enumerate_ball(generators, radius)
+        for r in range(radius + 1):
+            assert len(big.truncated(r)) == sum(1 for word in big.letters if len(word) <= r)
+
+    def test_enumeration_keeps_no_object_per_element(self):
+        # the dedup index stores 72 bytes per element in two arrays and the
+        # ball itself about 150; a Python list per stored row would cost
+        # several hundred bytes more, over the bound
+        gens = (T1, T2, T3, T4)
+        enumerate_ball(gens, 4)  # warm: numpy's first-call caches are not the ball's
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ball = enumerate_ball(gens, 4)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(ball) == 3201
+        assert peak <= 600 * len(ball)
+
     def test_coefficients_are_read_only(self):
         ball = enumerate_ball((T1, T2), 2)
         with pytest.raises(ValueError):
@@ -460,17 +490,31 @@ def _free_words(n_generators, radius):
     return words
 
 
+LOOP_REFERENCE_CASES = [
+    ((T1, T2, T3, T4), 2),
+    ((MoebiusMap(0, -1, 1, 0), MoebiusMap(1, 1, 0, 1)), 5),
+    # near-duplicate letters across a dedup-grid edge, and an elliptic
+    # whose powers have leading coefficients on the imaginary axis
+    ((MoebiusMap(1, 7.5e-6 - 3e-10, 0, 1), MoebiusMap(1, 7.5e-6 + 3e-10, 0, 1),
+      MoebiusMap(1j, 0, 0, -1j)), 3),
+    ((MoebiusMap(1 + 0.2j, 0.3, -0.1j, 1), MoebiusMap(0.7, 1j, 0.4, 2 - 1j)), 3),
+]
+
+
 class TestBallsWithRelations:
-    @pytest.mark.parametrize("generators, radius", [
-        ((T1, T2, T3, T4), 2),
-        ((MoebiusMap(0, -1, 1, 0), MoebiusMap(1, 1, 0, 1)), 5),
-        # near-duplicate letters across a dedup-grid edge, and an elliptic
-        # whose powers have leading coefficients on the imaginary axis
-        ((MoebiusMap(1, 7.5e-6 - 3e-10, 0, 1), MoebiusMap(1, 7.5e-6 + 3e-10, 0, 1),
-          MoebiusMap(1j, 0, 0, -1j)), 3),
-        ((MoebiusMap(1 + 0.2j, 0.3, -0.1j, 1), MoebiusMap(0.7, 1j, 0.4, 2 - 1j)), 3),
-    ])
+    @pytest.mark.parametrize("generators, radius", LOOP_REFERENCE_CASES)
     def test_matches_the_loop_reference_bit_for_bit(self, generators, radius):
+        words, rows = _ball_loop(generators, radius)
+        ball = enumerate_ball(generators, radius)
+        assert ball.letters == words
+        assert ball.coeffs.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("generators, radius", LOOP_REFERENCE_CASES)
+    def test_one_hash_for_every_cell_probes_every_row(self, generators, radius, monkeypatch):
+        # with every cell on one hash no row takes the fast path, and each
+        # probe compares its row with one span holding every stored row
+        monkeypatch.setattr(moebius._CellIndex, "_hash", staticmethod(
+            lambda cells: np.full(cells.shape[:-1], 7, dtype=np.uint64)))
         words, rows = _ball_loop(generators, radius)
         ball = enumerate_ball(generators, radius)
         assert ball.letters == words
