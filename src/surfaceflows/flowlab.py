@@ -5,14 +5,16 @@ Fields are callables taking a complex point and returning a complex value
 (u + iv).  A field may also carry ``on_array``, its elementwise form on a
 complex ndarray; the grid scan, the winding loops and ``rectify``'s chart
 grid then read all the points of one scan, level or grid in one call
-(``_values``), while Newton and the flow steps stay scalar.  One rule: a
-point is not evaluable where the field raises NearPole, PoleHit,
-DenominatorVanishes or ZeroDivisionError (``_value`` reads these as NaN) or
-returns a non-finite value, and an element of an array result is not
-evaluable where it is not finite.  Scans, Newton, winding loops and flow
-steps then skip, drop, fail or retry, and ``rectify`` raises NearPole for
-such a grid point, as documented per function; at a point the caller hands in
-(``integrate``'s z0, ``rectify``'s p) the field's own exception propagates.
+(``_values``), and ``rectify``'s flow lines read each RK4 stage of all 18
+lines in one call; Newton and the flows of ``integrate`` and
+``covariance_check`` stay scalar.  One rule: a point is not evaluable
+where the field raises NearPole, PoleHit, DenominatorVanishes or
+ZeroDivisionError (``_value`` reads these as NaN) or returns a non-finite
+value, and an element of an array result is not evaluable where it is not
+finite.  Scans, Newton, winding loops and flow steps then skip, drop, fail
+or retry, and ``rectify`` raises NearPole for such a grid point, as
+documented per function; at a point the caller hands in (``integrate``'s
+z0, ``rectify``'s p) the field's own exception propagates.
 """
 
 from __future__ import annotations
@@ -120,6 +122,11 @@ def _inside(region, z: complex) -> bool:
 def _flow(field, z0, targets, region=None):
     """Adaptive RK4 from time 0 through ``targets``, landing exactly on each.
 
+    ``z0`` is one line's start, a complex, or the starts of several lines, a
+    1-D complex array; for an array, ``field`` maps an array of points to
+    their values, and an element that is not finite is not evaluable (the
+    caller runs such a flow under np.errstate(all="ignore"), so that the
+    steps of a non-finite line do not warn).
     Targets are nonzero, of one sign, and strictly monotone away from 0.
     Step doubling sizes each step: one RK4 step (full) against two of half
     the size (two) estimates the error err = |two - full| / 15, and the
@@ -131,18 +138,23 @@ def _flow(field, z0, targets, region=None):
     capped at half, when the half-step value k_half = F(z + first) differs
     from k1 = F(z) by more than |k1|: the field turned around within half a
     step, so the step may have jumped a pole.  The first step tries the
-    whole way to the first target.
+    whole way to the first target.  All lines take one shared step, as one
+    ODE system under a componentwise error test (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.4): it is taken when every line passes its own test,
+    the next size is the smallest that any line allows, and a line that
+    meets a point that is not evaluable or turns around halves it for all.
 
     With s = max(1, |target|) for the target being approached, the target
     counts as reached within 1e-15 * s, and a rejected step that leaves a
     size below 1e-14 * s ends the run with "pole-proximity".  Leaving
-    ``region`` after a step ends it with "region-exit"; reaching every
-    target, or taking MAX_STEPS steps, with "time-limit".
+    ``region`` (one line only) after a step ends it with "region-exit";
+    reaching every target, or taking MAX_STEPS steps, with "time-limit".
 
     Returns (times, points, hits, termination): every accepted step,
     starting with (0, z0), and for each target reached the index of its
-    point in ``points``.
+    point (an array, for several lines) in ``points``.
     """
+    lines = isinstance(z0, np.ndarray)
     direction = 1.0 if targets[-1] > 0 else -1.0
     t = 0.0
     z = z0
@@ -166,15 +178,26 @@ def _flow(field, z0, targets, region=None):
                 dz = two + (two - full) / 15.0
                 turned = abs(k_half - k1) > abs(k1)
             except _NOT_EVALUABLE:
-                err = dz = math.nan
+                err = dz = np.full(z.shape, math.nan) if lines else math.nan
                 turned = False
-            tol = FLOW_TOL * max(1.0, abs(z))
-            room = min((tol / max(err, 1e-300)) ** 0.2, DEFAULT_MAX_DISP / max(abs(dz), 1e-300))
-            h = abs(step) * (min(2.0, max(0.1, 0.9 * room)) if math.isfinite(err) else 0.5)
+            disp = abs(dz)
+            if lines:  # each line's own test; the strictest line sizes the next step
+                tol = FLOW_TOL * np.maximum(1.0, abs(z))
+                worst = disp.max()
+                room = min((tol / np.maximum(err, 1e-300)).min() ** 0.2,
+                           DEFAULT_MAX_DISP / max(worst, 1e-300))
+                finite, turned = math.isfinite(err.max()), np.any(turned)
+                ok = (err <= tol).all() and worst <= DEFAULT_MAX_DISP
+            else:
+                tol = FLOW_TOL * max(1.0, abs(z))
+                room = min((tol / max(err, 1e-300)) ** 0.2, DEFAULT_MAX_DISP / max(disp, 1e-300))
+                finite = math.isfinite(err)
+                ok = err <= tol and disp <= DEFAULT_MAX_DISP
+            h = abs(step) * (min(2.0, max(0.1, 0.9 * room)) if finite else 0.5)
             if turned:  # F moved by more than |k1| in half a step: it may have jumped a pole
-                h, err = min(h, 0.5 * abs(step)), math.nan
-            # NaN, from a failed, non-finite or turned step, fails every comparison
-            if not (err <= tol and abs(dz) <= DEFAULT_MAX_DISP):
+                h, ok = min(h, 0.5 * abs(step)), False
+            # NaN, from a failed or non-finite step, fails every comparison
+            if not ok:
                 if h < 1e-14 * scale:
                     return times, points, hits, "pole-proximity"
                 continue
@@ -721,7 +744,10 @@ def rectify(field, p: complex, box: float) -> FlowBoxChart:
     """Build a RECTIFY_GRID x RECTIFY_GRID flow-box chart of half-width
     ``box`` around a regular point.
 
-    The grid's values are read in one ``_values`` call, in row-major order.
+    The transversal's RECTIFY_GRID points flow forward under F and backward
+    as forward under -F, all 2 * RECTIFY_GRID lines in one ``_flow`` run
+    under one shared step, each RK4 stage read in one ``_values`` call; the
+    grid's values are then read in one more call, in row-major order.
     Raises EquilibriumInBox when the field is below tolerance at the base
     point or anywhere on the constructed grid, NearPole when a flow line
     meets a pole or a grid point is not evaluable, and ValueError for a
@@ -748,16 +774,18 @@ def rectify(field, p: complex, box: float) -> FlowBoxChart:
     s_values = tuple(np.linspace(-box, box, RECTIFY_GRID).tolist())
     t_values = tuple(np.linspace(-t_span, t_span, RECTIFY_GRID).tolist())
     mid = RECTIFY_GRID // 2  # t_values[mid] is 0.0
-    sides = ((t_values[mid + 1:], np.s_[mid + 1:]), (t_values[mid - 1::-1], np.s_[mid - 1::-1]))
 
     grid = np.empty((RECTIFY_GRID, RECTIFY_GRID), dtype=complex)  # rows by s, columns by t
-    for row, s in zip(grid, s_values):
-        row[mid] = zs = p + s * normal
-        for targets, columns in sides:
-            _, pts, hits, _ = _flow(field, zs, targets)
-            if len(hits) < len(targets):
-                raise NearPole("chart integration hit a pole inside the box")
-            row[columns] = [pts[i] for i in hits]
+    grid[:, mid] = zs = p + np.array(s_values) * normal
+    # the transversal's lines forward under F, then backward as forward under -F
+    sign = np.repeat([1.0, -1.0], RECTIFY_GRID)
+    targets, starts = t_values[mid + 1:], np.concatenate((zs, zs))
+    with np.errstate(all="ignore"):  # a line's non-finite stage is retried, not warned about
+        _, pts, hits, _ = _flow(lambda z: sign * _values(field, z), starts, targets)
+    if len(hits) < len(targets):
+        raise NearPole("chart integration hit a pole inside the box")
+    ends = np.array([pts[i] for i in hits]).T  # lines by target
+    grid[:, mid + 1:], grid[:, mid - 1::-1] = ends[:RECTIFY_GRID], ends[RECTIFY_GRID:]
 
     values = _values(field, grid.ravel()).reshape(grid.shape)
     if not np.isfinite(values).all():
@@ -800,7 +828,8 @@ def covariance_check(field, m: MoebiusMap, z0: complex, t_end: float) -> float:
     The sample times divide (0, t_end] evenly.  If either trajectory
     leaves the evaluable region early the comparison truncates to the
     common time range; with no common samples at all, NearPole is raised.
-    A non-finite ``z0`` or a zero or non-finite ``t_end`` raises ValueError.
+    A non-finite ``z0`` or a zero or non-finite ``t_end`` raises ValueError,
+    and a ``z0`` on m's pole raises PoleHit (from ``apply(m, z0)``).
     """
     z0 = _finite_point(z0, "z0")
     _check_horizon(t_end)

@@ -30,7 +30,15 @@ from .errors import (
     PlanMismatch,
     ZeroOnContour,
 )
-from .flowlab import ZeroScan, exact_int, find_zeros, locate_zeros, sector_index, winding_index
+from .flowlab import (
+    ZeroScan,
+    _finite_point,
+    exact_int,
+    find_zeros,
+    locate_zeros,
+    sector_index,
+    winding_index,
+)
 
 # Zero-scan resolution of the numeric connected sum's tube chart; the disc
 # clearance scans use half of it.
@@ -264,6 +272,15 @@ class ConnectedSumChart:
         }
 
 
+def _disc(disc, which: str) -> tuple[complex, float]:
+    """``disc`` as (centre, radius), or ValueError naming ``which`` unless
+    the centre is finite and the radius positive and finite."""
+    center, radius = _finite_point(disc[0], f"{which} centre"), float(disc[1])
+    if not 0 < radius < math.inf:
+        raise ValueError(f"{which} radius must be positive and finite")
+    return center, radius
+
+
 def _check_disc_clear(field, center: complex, radius: float, which: str):
     """Raise DiscContainsZero for a zero that ``locate_zeros`` finds in the
     closed disc.  Only its location matters, so no winding index is taken,
@@ -290,13 +307,12 @@ def numeric_connected_sum(
     inside with outside; field2 is pulled back through it and crossfaded
     into field1 across the transition zone.  The returned chart carries the
     zeros found strictly inside the tube annulus and the total boundary
-    winding (outer circle minus inner circle).
+    winding (outer circle minus inner circle).  A disc whose centre is not
+    finite or whose radius is not positive and finite raises ValueError
+    naming it, ``disc1`` or ``disc2``.
     """
-    c1, r1 = complex(disc1[0]), float(disc1[1])
-    c2, r2 = complex(disc2[0]), float(disc2[1])
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("disc radii must be positive")
-
+    c1, r1 = _disc(disc1, "disc1")
+    c2, r2 = _disc(disc2, "disc2")
     _check_disc_clear(field1, c1, r1, "disc1")
     _check_disc_clear(field2, c2, r2, "disc2")
 

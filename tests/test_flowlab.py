@@ -27,6 +27,7 @@ from surfaceflows.errors import (
 )
 from surfaceflows.flowlab import (
     DEFAULT_MAX_DISP,
+    RECTIFY_GRID,
     WINDING_FINEST,
     WINDING_MAX_SAMPLES,
     WINDING_START,
@@ -1103,6 +1104,31 @@ class TestPoincareHopf:
         assert data["chi"] == 2
 
 
+def assert_chart_matches_per_line_flows(chart, field, p, box):
+    """Assert that ``chart``'s points are within 1e-15 of rectify's lines run
+    one at a time (the scalar ``_flow`` of each transversal point, forward
+    through the positive times and backward through the negative ones), and
+    return how many of those lines rejected a step."""
+    fp = field(p)
+    normal = 1j * fp / abs(fp)
+    assert chart.base == p and chart.transversal == (p - box * normal, p + box * normal)
+    mid = RECTIFY_GRID // 2
+    t_values = chart.t_values
+    rejecting = 0
+    for s, row in zip(chart.s_values, chart.points):
+        start = p + s * normal
+        assert abs(row[mid] - start) <= 1e-15
+        for targets, columns in ((t_values[mid + 1:], range(mid + 1, RECTIFY_GRID)),
+                                 (t_values[mid - 1::-1], range(mid - 1, -1, -1))):
+            counted, seen = counting(field)
+            times, points, hits, _ = flowlab._flow(counted, start, targets)
+            assert len(hits) == len(targets)
+            rejecting += len(seen) > 11 * (len(times) - 1)  # 11 evaluations per step tried
+            for column, i in zip(columns, hits):
+                assert abs(row[column] - points[i]) <= 1e-15
+    return rejecting
+
+
 class TestRectify:
     def test_constant_field_already_straight(self):
         const = PlanarField("custom", lambda z: 1 + 0j)
@@ -1149,8 +1175,11 @@ class TestRectify:
         field, calls = array_counting(PENDULUM)
         chart = rectify(field, 1j, 0.1)
         grid = [z for row in chart.points for z in row]  # row-major
-        assert len(calls) == 2  # the equilibrium probe's scan, then the grid
+        # the equilibrium probe's scan, then the 18 flow lines' RK4 stages,
+        # 11 per step, then the grid, last and in one call
         assert calls[-1].dtype == complex and calls[-1].tolist() == grid
+        stages = [c.size for c in calls[1:-1]]
+        assert stages and len(stages) % 11 == 0 and set(stages) == {2 * RECTIFY_GRID}
         # without an array form, the same chart from 81 calls with a Python complex
         scalar, seen = counting(PENDULUM)
         assert rectify(scalar, 1j, 0.1) == chart
@@ -1159,6 +1188,7 @@ class TestRectify:
     def test_grid_point_that_is_not_evaluable_raises_near_pole(self):
         # F = 1 raises PoleHit at the last grid point read one by one (its
         # last call, after every flow step), or its array form is NaN there
+        # in its last call, the grid's
         const, seen = counting(PlanarField("custom", lambda z: 1 + 0j))
         corner = rectify(const, 0j, 0.1).points[-1][-1]
         assert seen[-1] == corner
@@ -1169,19 +1199,82 @@ class TestRectify:
                 raise PoleHit("patched")
             return 1 + 0j
 
-        def nan_at_corner(z):
-            return np.where(z == corner, np.nan, 1 + 0j)
+        const_array = PlanarField("custom", lambda z: 1 + 0j, on_array=np.ones_like)
+        counted, arrays = array_counting(const_array)
+        rectify(counted, 0j, 0.1)
+        array_calls = iter(range(1, len(arrays) + 1))
+
+        def nan_at_corner_on_the_last_call(z):
+            return np.where((next(array_calls) == len(arrays)) & (z == corner), np.nan, 1 + 0j)
 
         for field in (PlanarField("custom", pole_on_the_last_call),
-                      PlanarField("custom", lambda z: 1 + 0j, on_array=nan_at_corner)):
+                      PlanarField("custom", lambda z: 1 + 0j,
+                                  on_array=nan_at_corner_on_the_last_call)):
             with pytest.raises(NearPole, match="a chart grid point is not evaluable"):
                 rectify(field, 0j, 0.1)
+        # NaN at the corner in every call: the flow lines' last RK4 stage
+        # meets it before the grid is read, and halving cannot pass it
+        nan_at_corner = PlanarField("custom", lambda z: 1 + 0j,
+                                    on_array=lambda z: np.where(z == corner, np.nan, 1 + 0j))
+        with pytest.raises(NearPole, match="chart integration hit a pole inside the box"):
+            rectify(nan_at_corner, 0j, 0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.5, 2.0), st.floats(-2.0, 2.0), st.floats(0.6, 1.5),
+           st.sampled_from([-1, 1]))
+    def test_batched_lines_match_one_flow_per_line(self, k, theta, speed, side):
+        # the workload's pendulum charts: every line takes the steps it
+        # would take alone, up to rounding
+        field, p = pendulum_field(k), complex(theta, side * speed)
+        assert_chart_matches_per_line_flows(rectify(field, p, 0.1), field, p, 0.1)
+
+    def test_a_step_one_line_rejects_is_retried_for_every_line(self):
+        # the shear F = 1 + 2y is constant along each (horizontal) line, so
+        # RK4 is exact whatever the steps; the first step of the lines above
+        # y = 1/6 would move more than DEFAULT_MAX_DISP and is rejected, and
+        # the batch retries every line at the smaller size
+        shear = PlanarField("custom", lambda z: (1.0 + 2.0 * z.imag) + 0j,
+                            on_array=lambda z: (1.0 + 2.0 * z.imag) + 0j)
+        counted, calls = array_counting(shear)
+        chart = rectify(counted, 0j, 0.3)
+        rejecting = assert_chart_matches_per_line_flows(chart, shear, 0j, 0.3)
+        assert 0 < rejecting < 2 * RECTIFY_GRID
+        # the scan, 11 stages per step tried, the grid: more steps than targets
+        assert (len(calls) - 2) // 11 > RECTIFY_GRID // 2
 
     def test_pole_inside_box_rejected(self):
-        # forward chart flows from the transversal at x = 0 run into the wall
-        field = walled(PlanarField("custom", lambda z: 1 + 0j), 0.05)
-        with pytest.raises(NearPole, match="chart integration hit a pole inside the box"):
-            rectify(field, 0j, 0.1)
+        # forward chart flows from the transversal at x = 0 run into the
+        # wall, where F raises NearPole or is infinite, read point by point
+        # or as an array; the non-finite steps raise no warning (an error here)
+        def infinite_past_the_wall(z):
+            return np.where(z.real > 0.05, np.inf, 1.0) + 0j
+
+        def infinite(z):
+            return complex(infinite_past_the_wall(z))
+
+        for field in (walled(PlanarField("custom", lambda z: 1 + 0j), 0.05),
+                      PlanarField("custom", infinite),
+                      PlanarField("custom", infinite, on_array=infinite_past_the_wall)):
+            with pytest.raises(NearPole, match="chart integration hit a pole inside the box"):
+                rectify(field, 0j, 0.1)
+
+    def test_array_form_that_raises_on_a_flow_line_halves_the_step(self):
+        # under the shear F = 1 + 5y the top lines reach x = 0.15, past the
+        # equilibrium probe's square (|x| <= 0.12) and into a wall at x =
+        # 0.13 where the array form raises NearPole: the batch halves its
+        # step down to pole-proximity, as the point-by-point form does
+        def shear(z):
+            return (1.0 + 5.0 * z.imag) + 0j
+
+        def raising_array_form(z):
+            if (z.real > 0.13).any():
+                raise NearPole("beyond the wall")
+            return shear(z)
+
+        for field in (walled(PlanarField("custom", shear), 0.13),
+                      PlanarField("custom", shear, on_array=raising_array_form)):
+            with pytest.raises(NearPole, match="chart integration hit a pole inside the box"):
+                rectify(field, 0j, 0.1)
 
 
 class TestCovariance:
@@ -1237,6 +1330,11 @@ class TestCovariance:
         const = PlanarField("custom", lambda z: 1 + 0j)
         value = covariance_check(const, MoebiusMap(0, 1, 1, 0), -1 + 0j, 1.0)
         assert value == pytest.approx(32 - 1 / 32, rel=1e-12)
+
+    def test_start_on_the_map_s_pole_raises_pole_hit(self):
+        # z -> 1 / (z - 1) has its pole at z0 = 1
+        with pytest.raises(PoleHit):
+            covariance_check(NODE, MoebiusMap(0, 1, 1, -1), 1 + 0j, 1.0)
 
     def test_no_reachable_sample_raises(self):
         # the wall is 1e-4 ahead, the first sample 1/32 away

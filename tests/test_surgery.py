@@ -190,6 +190,22 @@ class TestNumericConnectedSum:
                 canonical_field("node"), DISC1, canonical_field("node"), (0.1 + 0j, 0.5)
             )
 
+    @pytest.mark.parametrize("disc, message", [
+        ((complex(math.nan, 3.0), 0.5), "centre must be finite"),
+        ((complex(3.0, math.inf), 0.5), "centre must be finite"),
+        ((3 + 0j, math.nan), "radius must be positive and finite"),
+        ((3 + 0j, math.inf), "radius must be positive and finite"),
+        ((3 + 0j, 0.0), "radius must be positive and finite"),
+        ((3 + 0j, -0.5), "radius must be positive and finite"),
+    ], ids=["nan centre", "inf centre", "nan radius", "inf radius", "zero radius",
+            "negative radius"])
+    @pytest.mark.parametrize("side", ["disc1", "disc2"])
+    def test_bad_disc_rejected_by_name(self, disc, message, side):
+        discs = {"disc1": DISC1, "disc2": DISC2, side: disc}
+        with pytest.raises(ValueError, match=f"^{side} {message}$"):
+            numeric_connected_sum(canonical_field("node"), discs["disc1"],
+                                  canonical_field("node"), discs["disc2"])
+
     def test_disc_centred_on_a_zero_rejected(self):
         # a disc has no inner boundary: a zero at its centre lies inside it
         with pytest.raises(DiscContainsZero, match="disc1"):
