@@ -336,9 +336,9 @@ def _winding(field, path) -> int:
             break
         # a rejected arc (a, b) becomes its halves (a, m) and (m, b)
         bad = ~ok
-        k = np.stack([k[bad] - 1, k[bad]], axis=1).ravel()
-        fa, fm, fb = fa[bad], fm[bad], fb[bad]
-        fa, fb = np.stack([fa, fm], axis=1).ravel(), np.stack([fm, fb], axis=1).ravel()
+        k, fa, fm, fb = k[bad, None], fa[bad, None], fm[bad, None], fb[bad, None]
+        k = np.concatenate((k - 1, k), axis=1).ravel()
+        fa, fb = np.concatenate((fa, fm), axis=1).ravel(), np.concatenate((fm, fb), axis=1).ravel()
     estimate = total / (2.0 * math.pi)
     nearest = round(estimate)
     if abs(estimate - nearest) > WINDING_INTEGER_TOL:
@@ -537,16 +537,22 @@ def _cells_meeting(xs, ys, annulus) -> np.ndarray:
     [xs[i], xs[i + 1]] x [ys[j], ys[j + 1]].
 
     A cell meets it when its nearest point is within r_outer of the centre
-    and its farthest point at least r_inner away.
+    and its farthest point at least r_inner away, both ends included.  The
+    distances are compared squared, per axis in units of r_outer: the near
+    sums must be at most 1 and the far sums at least (r_inner / r_outer)^2.
+    Scaling first keeps the squares of grids far from 1 (1e-300 or 1e300
+    wide) in range; a square that still overflows or underflows lies on the
+    side of the bound that its distance does, and is not warned about.
     """
     centre, r_inner, r_outer = annulus
     near, far = [], []
-    for t, c in ((ys, centre.imag), (xs, centre.real)):
-        lo, hi = t[:-1] - c, t[1:] - c
-        near.append(np.maximum(np.maximum(lo, -hi), 0.0))
-        far.append(np.maximum(np.abs(lo), np.abs(hi)))
-    return ((np.hypot(near[0][:, None], near[1]) <= r_outer)
-            & (np.hypot(far[0][:, None], far[1]) >= r_inner))
+    with np.errstate(over="ignore", under="ignore"):
+        for t, c in ((ys, centre.imag), (xs, centre.real)):
+            lo, hi = t[:-1] - c, t[1:] - c
+            near.append(np.square(np.maximum(np.maximum(lo, -hi), 0.0) / r_outer))
+            far.append(np.square(np.maximum(np.abs(lo), np.abs(hi)) / r_outer))
+        return ((near[0][:, None] + near[1] <= 1.0)
+                & (far[0][:, None] + far[1] >= (r_inner / r_outer) ** 2))
 
 
 def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], list[dict]]:
@@ -555,8 +561,11 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
 
     The needed grid corners are read in one ``_values`` call, in row-major
     order.  A cell of the n x n grid whose corners are all evaluable and
-    finite, and bracket zero in both field components, seeds a damped Newton
-    refinement; a run that comes within the dedup distance of a zero already
+    finite, and bracket zero in both field components (min <= 0 <= max, so a
+    -0.0 or 0.0 corner brackets), seeds a damped Newton refinement.  The
+    test is one AND per cell: each corner gets a code, bit 0 set when its
+    value is finite and bits 1-4 when Re > 0, Re < 0, Im > 0 and Im < 0,
+    and a cell brackets exactly when the AND of its four codes is 1.  A run that comes within the dedup distance of a zero already
     converged stops there and returns that zero, and converged locations are
     deduplicated.  A candidate that diverges or leaves the region is
     reported in ``dropped`` with a reason; so is a run whose Newton zero
@@ -585,25 +594,24 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
     needed = np.zeros((n + 1, n + 1), bool)
     for q in quarters:
         needed[q] |= meets
-    rows, cols = np.nonzero(needed)  # row-major
-    points = np.empty(rows.size, dtype=complex)
-    points.real, points.imag = xs[cols], ys[rows]
-    values = np.full((n + 1, n + 1), math.nan, dtype=complex)
-    values[needed] = _values(field, points)
+    grid = np.empty((n + 1, n + 1), dtype=complex)
+    grid.real, grid.imag = xs, ys[:, None]
+    values = _values(field, grid[needed])  # row-major
+    # one code per corner: bit 0 finite, bits 1-4 Re > 0, Re < 0, Im > 0, Im < 0
+    codes = np.zeros((n + 1, n + 1), np.uint8)
+    bit = np.uint8(1)
+    codes[needed] = (np.isfinite(values) | (values.real > 0.0) * (bit << 1)
+                     | (values.real < 0.0) * (bit << 2) | (values.imag > 0.0) * (bit << 3)
+                     | (values.imag < 0.0) * (bit << 4))
+    # a cell brackets when all four corners are finite and neither part is one-signed
+    seeds = meets & (codes[quarters[0]] & codes[quarters[1]] & codes[quarters[2]]
+                     & codes[quarters[3]] == 1)
     xs, ys = xs.tolist(), ys.tolist()
 
     diag = math.hypot(x1 - x0, y1 - y0)
     cell = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
     dedup_dist = max(1e-12, 1e-5 * diag)
 
-    corners = [values[q] for q in quarters]
-    seeds = meets
-    for v in corners:
-        seeds = seeds & np.isfinite(v)
-    for part in ([v.real for v in corners], [v.imag for v in corners]):
-        low = np.minimum(np.minimum(part[0], part[1]), np.minimum(part[2], part[3]))
-        high = np.maximum(np.maximum(part[0], part[1]), np.maximum(part[2], part[3]))
-        seeds &= (low <= 0.0) & (high >= 0.0)
     candidates = [complex(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
                   for j, i in np.argwhere(seeds).tolist()]
 

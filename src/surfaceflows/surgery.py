@@ -307,7 +307,12 @@ def numeric_connected_sum(
     inside with outside; field2 is pulled back through it and crossfaded
     into field1 across the transition zone.  The returned chart carries the
     zeros found strictly inside the tube annulus and the total boundary
-    winding (outer circle minus inner circle).  A disc whose centre is not
+    winding (outer circle minus inner circle).  When both fields carry
+    ``on_array``, so does the composite: an array wholly outside the band
+    (rho >= 1 + width / 2, such as the outer tube circle) evaluates field1
+    alone, one wholly inside it (rho <= 1 - width / 2, such as the inner
+    circle) the pulled-back field2 alone, and any other array both fields,
+    with the scalar form's values bit for bit.  A disc whose centre is not
     finite or whose radius is not positive and finite raises ValueError
     naming it, ``disc1`` or ``disc2``.
     """
@@ -341,13 +346,18 @@ def numeric_connected_sum(
         zeta = z - c1
         size = np.hypot(zeta.real, zeta.imag)  # abs(zeta) bit for bit, unlike np.abs
         rho = size / r1
-        near = field1.on_array(z)
+        # the scalar form's branches, tested in its order; a one-sided array
+        # (a tube boundary circle) evaluates its side only
+        if (rho >= 1.0 + half).all():
+            return field1.on_array(z)
         with np.errstate(divide="ignore", invalid="ignore"):  # the disc centre swaps to infinity
             far = pulled_back(field2.on_array, zeta)
         far[size < 1e-9 * r1] = np.nan  # where the scalar form raises NearPole
+        if (rho <= 1.0 - half).all():
+            return far
+        near = field1.on_array(z)
         beta = _ramp(np.minimum(np.maximum((rho - (1.0 - half)) / tube.width, 0.0), 1.0))
         band = (1.0 - beta) * far + beta * near
-        # the scalar form's branches, tested in its order
         return np.where(rho >= 1.0 + half, near, np.where(rho <= 1.0 - half, far, band))
 
     if all(getattr(f, "on_array", None) is not None for f in (field1, field2)):
