@@ -780,8 +780,11 @@ def rectify(field, p: complex, box: float) -> FlowBoxChart:
     normal = 1j * fp / speed0
     t_span = box / speed0
     s_values = tuple(np.linspace(-box, box, RECTIFY_GRID).tolist())
-    t_values = tuple(np.linspace(-t_span, t_span, RECTIFY_GRID).tolist())
     mid = RECTIFY_GRID // 2  # t_values[mid] is 0.0
+    # the backward lines stop at -t for each forward time t: the negative half
+    # is the positive half negated (np.linspace is not symmetric in the last bit)
+    forward = np.linspace(-t_span, t_span, RECTIFY_GRID)[mid:]
+    t_values = tuple(np.concatenate((-forward[:0:-1], forward)).tolist())
 
     grid = np.empty((RECTIFY_GRID, RECTIFY_GRID), dtype=complex)  # rows by s, columns by t
     grid[:, mid] = zs = p + np.array(s_values) * normal

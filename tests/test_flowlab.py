@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from surfaceflows import flowlab
@@ -1139,6 +1139,19 @@ class TestRectify:
         for s, row in zip(chart.s_values, chart.points):
             for t, z in zip(chart.t_values, row):
                 assert z == pytest.approx(0.3 + 0.2j + 1j * s + t, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.01, 0.3), st.floats(0.2, 5.0))
+    @example(0.1, 1.0)  # np.linspace(-0.1, 0.1, 9) is not symmetric about 0
+    def test_backward_times_are_the_forward_times_negated(self, box, speed):
+        # the backward lines stop at -t for each forward t, so the negative
+        # times must be the positive ones negated, bit for bit
+        chart = rectify(PlanarField("custom", lambda z: complex(speed, 0.0)), 0.3 + 0.2j, box)
+        t, mid = chart.t_values, RECTIFY_GRID // 2
+        forward = np.linspace(-box / speed, box / speed, RECTIFY_GRID)[mid:].tolist()
+        assert t[mid:] == tuple(forward) and math.copysign(1.0, t[mid]) == 1.0
+        for k in range(1, mid + 1):
+            assert t[mid - k] == -t[mid + k]
 
     def test_pendulum_regular_point(self):
         chart = rectify(PENDULUM, 0 + 1j, 0.1)
