@@ -540,9 +540,15 @@ def _cells_meeting(xs, ys, annulus) -> np.ndarray:
     and its farthest point at least r_inner away, both ends included.  The
     distances are compared squared, per axis in units of r_outer: the near
     sums must be at most 1 and the far sums at least (r_inner / r_outer)^2.
-    Scaling first keeps the squares of grids far from 1 (1e-300 or 1e300
-    wide) in range; a square that still overflows or underflows lies on the
-    side of the bound that its distance does, and is not warned about.
+    Each side of a comparison rounds at most three times, so each bound is
+    widened by 2^-49 (16 ulps): no cell that meets the closed annulus is
+    dropped (a 5-12-13 corner exactly on r_outer would be, unwidened), and
+    one that misses it is admitted only within about 16 ulps.  Scaling keeps
+    the squares in range on grids of any scale, 1e-300 or 1e300 wide.  A
+    square that still overflows (a distance far past r_outer) or underflows
+    (one below about 1e-154 r_outer) does so without a warning; only an
+    r_inner below that size can then admit a cell that lies wholly inside
+    it.
     """
     centre, r_inner, r_outer = annulus
     near, far = [], []
@@ -551,8 +557,8 @@ def _cells_meeting(xs, ys, annulus) -> np.ndarray:
             lo, hi = t[:-1] - c, t[1:] - c
             near.append(np.square(np.maximum(np.maximum(lo, -hi), 0.0) / r_outer))
             far.append(np.square(np.maximum(np.abs(lo), np.abs(hi)) / r_outer))
-        return ((near[0][:, None] + near[1] <= 1.0)
-                & (far[0][:, None] + far[1] >= (r_inner / r_outer) ** 2))
+        return ((near[0][:, None] + near[1] <= 1.0 + 2.0 ** -49)
+                & (far[0][:, None] + far[1] >= (1.0 - 2.0 ** -49) * (r_inner / r_outer) ** 2))
 
 
 def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], list[dict]]:
@@ -565,8 +571,9 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
     -0.0 or 0.0 corner brackets), seeds a damped Newton refinement.  The
     test is one AND per cell: each corner gets a code, bit 0 set when its
     value is finite and bits 1-4 when Re > 0, Re < 0, Im > 0 and Im < 0,
-    and a cell brackets exactly when the AND of its four codes is 1.  A run that comes within the dedup distance of a zero already
-    converged stops there and returns that zero, and converged locations are
+    and a cell brackets exactly when the AND of its four codes is 1.  A
+    run that comes within the dedup distance of a zero already converged
+    stops there and returns that zero, and converged locations are
     deduplicated.  A candidate that diverges or leaves the region is
     reported in ``dropped`` with a reason; so is a run whose Newton zero
     estimate is not evaluable, such as one converging onto a removable zero
@@ -599,11 +606,9 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
     values = _values(field, grid[needed])  # row-major
     # one code per corner: bit 0 finite, bits 1-4 Re > 0, Re < 0, Im > 0, Im < 0
     codes = np.zeros((n + 1, n + 1), np.uint8)
-    bit = np.uint8(1)
-    codes[needed] = (np.isfinite(values) | (values.real > 0.0) * (bit << 1)
-                     | (values.real < 0.0) * (bit << 2) | (values.imag > 0.0) * (bit << 3)
-                     | (values.imag < 0.0) * (bit << 4))
-    # a cell brackets when all four corners are finite and neither part is one-signed
+    codes[needed] = (np.isfinite(values) | (values.real > 0.0) * np.uint8(2)
+                     | (values.real < 0.0) * np.uint8(4) | (values.imag > 0.0) * np.uint8(8)
+                     | (values.imag < 0.0) * np.uint8(16))
     seeds = meets & (codes[quarters[0]] & codes[quarters[1]] & codes[quarters[2]]
                      & codes[quarters[3]] == 1)
     xs, ys = xs.tolist(), ys.tolist()

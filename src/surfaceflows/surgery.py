@@ -308,13 +308,13 @@ def numeric_connected_sum(
     into field1 across the transition zone.  The returned chart carries the
     zeros found strictly inside the tube annulus and the total boundary
     winding (outer circle minus inner circle).  When both fields carry
-    ``on_array``, so does the composite: an array wholly outside the band
-    (rho >= 1 + width / 2, such as the outer tube circle) evaluates field1
-    alone, one wholly inside it (rho <= 1 - width / 2, such as the inner
-    circle) the pulled-back field2 alone, and any other array both fields,
-    with the scalar form's values bit for bit.  A disc whose centre is not
-    finite or whose radius is not positive and finite raises ValueError
-    naming it, ``disc1`` or ``disc2``.
+    ``on_array``, so does the composite.  With rho = |z - c1| / r1, an array
+    whose every point has rho >= 1 + width / 2 (such as the outer tube
+    circle) evaluates field1 alone, one whose every point has rho <= 1 -
+    width / 2 (the inner circle) the pulled-back field2 alone, and any other
+    array both fields; a point gets the same value in any array.  A disc
+    whose centre is not finite or whose radius is not positive and finite
+    raises ValueError naming it, ``disc1`` or ``disc2``.
     """
     c1, r1 = _disc(disc1, "disc1")
     c2, r2 = _disc(disc2, "disc2")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -99,12 +100,12 @@ def record_only(field, start, step_cap, known, within):
     raise NewtonDiverged("recorded")
 
 
-def grid_starts(values, region, n):
+def grid_starts(values, region, n, annulus=None):
     """The Newton starts the zero scan seeds on a grid of node values, in order."""
     field, _, _ = grid_field(values, region, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flowlab, "newton_refine", record_only)
-        _, dropped = locate_zeros(field, region, n)
+        _, dropped = locate_zeros(field, region, n, annulus)
     return [complex(*d["start"]) for d in dropped]
 
 
@@ -134,6 +135,13 @@ NODE_VALUES = st.one_of(
 )
 
 
+NODE_GRIDS = st.integers(8, 10).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(NODE_VALUES, min_size=(n + 1) ** 2, max_size=(n + 1) ** 2)
+    )
+)
+
+
 def counting(field):
     """``field``, and the list of the points it is evaluated at, in order."""
     seen = []
@@ -160,6 +168,19 @@ def cells_meeting(xs, ys, annulus, slack):
             if near <= r_outer + slack and far >= r_inner - slack:
                 cells.append((j, i))
     return cells
+
+
+def hypot_cells_meeting(xs, ys, annulus):
+    """Reference mask: ``cells_meeting`` with slack 0, from 2-D np.hypot
+    arrays."""
+    centre, r_inner, r_outer = annulus
+    near, far = [], []
+    for t, c in ((ys, centre.imag), (xs, centre.real)):
+        lo, hi = t[:-1] - c, t[1:] - c
+        near.append(np.maximum(np.maximum(lo, -hi), 0.0))
+        far.append(np.maximum(np.abs(lo), np.abs(hi)))
+    return ((np.hypot(near[0][:, None], near[1]) <= r_outer)
+            & (np.hypot(far[0][:, None], far[1]) >= r_inner))
 
 
 ANNULI = st.tuples(
@@ -881,19 +902,30 @@ class TestFindZeros:
         assert grid_starts(values, region, n) == []
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(8, 10).flatmap(
-            lambda n: st.tuples(
-                st.just(n), st.lists(NODE_VALUES, min_size=(n + 1) ** 2, max_size=(n + 1) ** 2)
-            )
-        )
-    )
+    @given(NODE_GRIDS)
     def test_seeds_match_a_per_cell_loop(self, grid):
         n, flat = grid
         values = [flat[j * (n + 1):(j + 1) * (n + 1)] for j in range(n + 1)]
         region = (-1.0, 2.0, -0.5, 1.5)
         _, xs, ys = grid_field(values, region, n)
         assert grid_starts(values, region, n) == reference_starts(values, xs, ys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(NODE_GRIDS, ANNULI)
+    def test_annulus_seeds_match_a_per_cell_loop(self, grid, annulus):
+        n, flat = grid
+        values = [flat[j * (n + 1):(j + 1) * (n + 1)] for j in range(n + 1)]
+        region = (-1.0, 2.0, -0.5, 1.5)
+        _, xs, ys = grid_field(values, region, n)
+        meeting = cells_meeting(xs, ys, annulus, 0.0)
+        # a cell within 1e-9 of the annulus boundary may fall either way: the
+        # scan compares squared distances, the reference hypots
+        assume(cells_meeting(xs, ys, annulus, 1e-9) == meeting
+               == cells_meeting(xs, ys, annulus, -1e-9))
+        middles = {complex(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+                   for j, i in meeting}
+        want = [z for z in reference_starts(values, xs, ys) if z in middles]
+        assert grid_starts(values, region, n, annulus) == want
 
     @settings(max_examples=60, deadline=None)
     @given(ANNULI, fields_with_zeros(), st.integers(8, 24))
@@ -914,6 +946,51 @@ class TestFindZeros:
         assert len(set(seen)) == len(seen)
         assert required <= set(seen) <= allowed
         assert seen == sorted(seen, key=lambda z: (z.imag, z.real))  # row-major
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e170, 1e300])
+    @pytest.mark.parametrize("holed", [False, True], ids=["disc", "annulus"])
+    def test_annulus_mask_matches_hypot_at_any_scale(self, scale, holed):
+        # squares of distances 1e-170 or 1e170 wide underflow or overflow
+        # unless they are scaled first; no RuntimeWarning may escape
+        rng = np.random.default_rng([round(math.log10(scale)) + 300, holed])
+        for _ in range(40):
+            n = int(rng.integers(8, 65))
+            x0, y0 = rng.uniform(-1.0, 0.0, 2)
+            x1, y1 = x0 + rng.uniform(0.5, 2.0), y0 + rng.uniform(0.5, 2.0)
+            xs, ys = np.linspace(x0, x1, n + 1) * scale, np.linspace(y0, y1, n + 1) * scale
+            r_outer = rng.uniform(0.05, 1.5)
+            # the region holds a point at each distance below 0.35 from the centre,
+            # so some cell meets the annulus
+            r_inner = rng.uniform(0.0, min(r_outer, 0.3)) if holed else 0.0
+            centre = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
+            annulus = (centre * scale, r_inner * scale, r_outer * scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = flowlab._cells_meeting(xs, ys, flowlab._annulus(annulus))
+            assert np.array_equal(got, hypot_cells_meeting(xs, ys, annulus))
+            assert got.any()
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1000, 1.0, 2.0 ** 1000])
+    @pytest.mark.parametrize("a, b, c", [(0.375, 0.5, 0.625), (50.0, 120.0, 130.0)],
+                             ids=["3-4-5", "5-12-13"])
+    def test_annulus_mask_is_closed(self, scale, a, b, c):
+        # right triangles exact in binary: the cell's nearest point (a, b)
+        # lies exactly r_outer = c from the centre, and its farthest point
+        # (-a, -b) exactly r_inner = c from it; both cells meet the closed
+        # annulus, and neither does once the bound moves by 1e-12
+        def meets(xs, ys, r_inner, r_outer):
+            annulus = (0j, r_inner * scale, r_outer * scale)
+            xs, ys = np.array(xs) * scale, np.array(ys) * scale
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return flowlab._cells_meeting(xs, ys, flowlab._annulus(annulus)).tolist()
+
+        outside, inside = [a, 2 * a], [b, 2 * b]
+        assert meets(outside, inside, 0.0, c) == [[True]]
+        assert meets(outside, inside, 0.0, c * (1 - 1e-12)) == [[False]]
+        hole = ([-a, 0.0], [-b, 0.0])
+        assert meets(*hole, c, 2 * c) == [[True]]
+        assert meets(*hole, c * (1 + 1e-12), 2 * c) == [[False]]
 
     @settings(max_examples=60, deadline=None)
     @given(ANNULI, fields_with_zeros(), st.integers(16, 24))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfaceflows import flowlab
-from surfaceflows.autovec import CANONICAL_KINDS, canonical_field
+from surfaceflows.autovec import CANONICAL_KINDS, PlanarField, canonical_field
 from surfaceflows.errors import (
     BlendDegenerate,
     DiscContainsZero,
@@ -283,6 +283,38 @@ class TestNumericConnectedSum:
         centre = [c1, c1 + 1e-12, c1 + 4e-10j, c1 - 3e-10 - 3e-10j]
         assert all(abs(z - c1) < 1e-9 * r1 for z in centre)
         assert_array_form_matches(chart.field, edges + centre)
+        # one-sided arrays (the outer edge alone, then the inner edge and the
+        # centre) take one field's branch only, and give each point the value
+        # the mixed array gave it, bit for bit
+        mixed = chart.field.on_array(np.array(edges + centre))
+        for points, want in ((edges[4:], mixed[4:8]), (edges[:4] + centre, np.r_[mixed[:4], mixed[8:]])):
+            assert_array_form_matches(chart.field, points)
+            np.testing.assert_array_equal(chart.field.on_array(np.array(points)), want)
+
+    @pytest.mark.parametrize("width", [0.25, 0.5])
+    def test_one_sided_arrays_evaluate_one_field(self, width):
+        # a tube boundary circle lies on one side of the blend band: its
+        # array reads only the field of that side
+        calls = []
+
+        def counted(kind, name):
+            f = canonical_field(kind)
+            return PlanarField(kind, f.func, on_array=lambda z: calls.append(name) or f.on_array(z))
+
+        c1, r1, half = 0.5 + 0.25j, 0.5, 0.5 * width
+        chart = numeric_connected_sum(counted("saddle", "field1"), (c1, r1),
+                                      counted("node", "field2"), (2.0 + 1.0j, 1.0),
+                                      TubeBlend(width))
+        circle = np.exp(2j * np.pi * np.arange(32) / 32)
+        axes = np.array([1, 1j, -1, -1j])  # dyadic: rho is exactly 1 - half or 1 + half
+        for points, sides in ((c1 + chart.r_outer * circle, ["field1"]),
+                              (c1 + r1 * (1.0 + half) * axes, ["field1"]),
+                              (c1 + chart.r_inner * circle, ["field2"]),
+                              (np.r_[c1 + r1 * (1.0 - half) * axes, c1], ["field2"]),
+                              (c1 + r1 * circle, ["field1", "field2"])):
+            calls.clear()
+            chart.field.on_array(points)
+            assert sorted(calls) == sides
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_scalar_fallback_gives_the_same_chart(self, seed):
