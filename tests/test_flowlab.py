@@ -985,9 +985,9 @@ class TestFindZeros:
                 warnings.simplefilter("error")
                 return flowlab._cells_meeting(xs, ys, flowlab._annulus(annulus)).tolist()
 
-        outside, inside = [a, 2 * a], [b, 2 * b]
-        assert meets(outside, inside, 0.0, c) == [[True]]
-        assert meets(outside, inside, 0.0, c * (1 - 1e-12)) == [[False]]
+        cell = ([a, 2 * a], [b, 2 * b])
+        assert meets(*cell, 0.0, c) == [[True]]
+        assert meets(*cell, 0.0, c * (1 - 1e-12)) == [[False]]
         hole = ([-a, 0.0], [-b, 0.0])
         assert meets(*hole, c, 2 * c) == [[True]]
         assert meets(*hole, c * (1 + 1e-12), 2 * c) == [[False]]

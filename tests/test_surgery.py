@@ -287,7 +287,8 @@ class TestNumericConnectedSum:
         # centre) take one field's branch only, and give each point the value
         # the mixed array gave it, bit for bit
         mixed = chart.field.on_array(np.array(edges + centre))
-        for points, want in ((edges[4:], mixed[4:8]), (edges[:4] + centre, np.r_[mixed[:4], mixed[8:]])):
+        for points, want in ((edges[4:], mixed[4:8]),
+                             (edges[:4] + centre, np.r_[mixed[:4], mixed[8:]])):
             assert_array_form_matches(chart.field, points)
             np.testing.assert_array_equal(chart.field.on_array(np.array(points)), want)
 
