@@ -140,9 +140,12 @@ def _flow(field, z0, targets, region=None):
     step, so the step may have jumped a pole.  The first step tries the
     whole way to the first target.  All lines take one shared step, as one
     ODE system under a componentwise error test (Hairer, Norsett & Wanner,
-    Solving ODEs I, II.4): it is taken when every line passes its own test,
-    the next size is the smallest that any line allows, and a line that
-    meets a point that is not evaluable or turns around halves it for all.
+    Solving ODEs I, II.4), and one step test serves one line or many, the
+    strictest line deciding: several lines first reduce to the smallest
+    tol / err, the largest err and |dz|, and whether any line turned.  So a
+    step is taken when every line passes, the next size is the smallest that
+    any line allows, and a line that meets a point that is not evaluable or
+    turns around halves it for all.
 
     With s = max(1, |target|) for the target being approached, the target
     counts as reached within 1e-15 * s, and a rejected step that leaves a
@@ -181,19 +184,15 @@ def _flow(field, z0, targets, region=None):
                 err = dz = np.full(z.shape, math.nan) if lines else math.nan
                 turned = False
             disp = abs(dz)
-            if lines:  # each line's own test; the strictest line sizes the next step
-                tol = FLOW_TOL * np.maximum(1.0, abs(z))
-                worst = disp.max()
-                room = min((tol / np.maximum(err, 1e-300)).min() ** 0.2,
-                           DEFAULT_MAX_DISP / max(worst, 1e-300))
-                finite, turned = math.isfinite(err.max()), np.any(turned)
-                ok = (err <= tol).all() and worst <= DEFAULT_MAX_DISP
+            # ratio >= 1 exactly when err <= tol; several lines reduce to the strictest
+            if lines:
+                ratio = (FLOW_TOL * np.maximum(1.0, abs(z)) / np.maximum(err, 1e-300)).min()
+                err, disp, turned = err.max(), disp.max(), np.any(turned)
             else:
-                tol = FLOW_TOL * max(1.0, abs(z))
-                room = min((tol / max(err, 1e-300)) ** 0.2, DEFAULT_MAX_DISP / max(disp, 1e-300))
-                finite = math.isfinite(err)
-                ok = err <= tol and disp <= DEFAULT_MAX_DISP
-            h = abs(step) * (min(2.0, max(0.1, 0.9 * room)) if finite else 0.5)
+                ratio = FLOW_TOL * max(1.0, abs(z)) / max(err, 1e-300)
+            room = min(ratio ** 0.2, DEFAULT_MAX_DISP / max(disp, 1e-300))
+            ok = ratio >= 1.0 and disp <= DEFAULT_MAX_DISP
+            h = abs(step) * (min(2.0, max(0.1, 0.9 * room)) if math.isfinite(err) else 0.5)
             if turned:  # F moved by more than |k1| in half a step: it may have jumped a pole
                 h, ok = min(h, 0.5 * abs(step)), False
             # NaN, from a failed or non-finite step, fails every comparison
@@ -441,13 +440,16 @@ def newton_refine(field, z0, step_cap, known=(), within=0.0):
     iteration polishes until the step is at most 1e-10 max(1, |z|), and
     takes that step unless it makes |F| larger.  After each accepted step
     an iterate within ``within`` of one of the ``known`` zeros returns that
-    zero: a run that reaches a zero found before stops there.  Raises
-    NewtonDiverged with the reason "start not evaluable" (F(z0) is not),
+    zero: a run that reaches a zero found before stops there.
+
+    One give-up rule: a run that cannot go on returns its current z once
+    |F| <= ZERO_TOL, and otherwise raises NewtonDiverged with its reason,
     "jacobian probe hit a pole", "singular jacobian", "zero estimate not
-    evaluable" or "damped step stalled" (each unless |F| <= ZERO_TOL
-    already, which returns z), or "iteration budget exhausted".  Raises
-    ValueError, before any evaluation, for a non-finite z0 or unless
-    ``step_cap`` > 0 (inf is no cap).
+    evaluable", "damped step stalled" or "iteration budget exhausted".  Any
+    other exception the field raises propagates.  Raises NewtonDiverged
+    ("start not evaluable") when F(z0) is not evaluable, and ValueError,
+    before any evaluation, for a non-finite z0 or unless ``step_cap`` > 0
+    (inf is no cap).
     """
     z = _finite_point(z0, "z0")
     if not step_cap > 0:
@@ -455,7 +457,6 @@ def newton_refine(field, z0, step_cap, known=(), within=0.0):
     fz = _value(field, z)
     if cmath.isnan(fz):
         raise NewtonDiverged("start not evaluable")
-    below_tol = False
     for _ in range(NEWTON_MAX_ITER):
         below_tol = abs(fz) <= ZERO_TOL
         h = 1e-7 * max(1.0, abs(z))
@@ -467,20 +468,16 @@ def newton_refine(field, z0, step_cap, known=(), within=0.0):
         else:
             probes = [_value(field, z + h), fz, _value(field, z + 1j * h), fz]
             width = h
-        if any(map(cmath.isnan, probes)):
-            if below_tol:
-                return z
-            raise NewtonDiverged("jacobian probe hit a pole")
         fxp, fxm, fyp, fym = probes
         j11 = (fxp.real - fxm.real) / width
         j12 = (fyp.real - fym.real) / width
         j21 = (fxp.imag - fxm.imag) / width
         j22 = (fyp.imag - fym.imag) / width
         det = j11 * j22 - j12 * j21
-        if not math.isfinite(det) or abs(det) < 1e-300:
-            if below_tol:
-                return z
-            raise NewtonDiverged("singular jacobian")
+        if not math.isfinite(det) or abs(det) < 1e-300:  # a NaN probe makes det NaN
+            pole = any(map(cmath.isnan, probes))
+            reason = "jacobian probe hit a pole" if pole else "singular jacobian"
+            break
         dx = -(j22 * fz.real - j12 * fz.imag) / det
         dy = -(-j21 * fz.real + j11 * fz.imag) / det
         delta = complex(dx, dy)
@@ -495,30 +492,30 @@ def newton_refine(field, z0, step_cap, known=(), within=0.0):
         capped = abs(delta) > step_cap
         if capped:
             delta *= step_cap / abs(delta)
-        lam = 1.0
-        accepted = False
+        lam, reason = 1.0, None
         while lam >= 1.0 / 1024.0:
             trial = z + lam * delta
             ftrial = _value(field, trial)
             if abs(ftrial) < abs(fz) or abs(ftrial) <= ZERO_TOL:
-                z, fz = trial, ftrial
-                accepted = True
                 break
             if lam == 1.0 and not capped and cmath.isnan(ftrial):
-                if below_tol:
-                    return z
-                raise NewtonDiverged("zero estimate not evaluable")
+                reason = "zero estimate not evaluable"
+                break
             lam *= 0.5
-        if not accepted:
-            if below_tol:
-                return z
-            raise NewtonDiverged("damped step stalled")
+        else:
+            reason = "damped step stalled"
+        if reason is not None:
+            break
+        z, fz = trial, ftrial
         for w in known:
             if abs(z - w) <= within:
                 return w
+    else:
+        reason = "iteration budget exhausted"
+    # the one give-up rule: a run that cannot go on returns z once |F| <= ZERO_TOL
     if abs(fz) <= ZERO_TOL:
         return z
-    raise NewtonDiverged("iteration budget exhausted")
+    raise NewtonDiverged(reason)
 
 
 def _annulus(annulus) -> tuple[complex, float, float]:
@@ -627,16 +624,13 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
         try:
             z = newton_refine(field, start, step_cap=2.0 * cell,
                               known=converged, within=dedup_dist)
-        except NewtonDiverged as exc:
+            if not (x0 - pad <= z.real <= x1 + pad and y0 - pad <= z.imag <= y1 + pad):
+                raise NewtonDiverged("left the region")
+            if annulus is not None and not annulus[1] <= abs(z - annulus[0]) <= annulus[2]:
+                raise NewtonDiverged("left the annulus")
+            converged.append(z)
+        except NewtonDiverged as exc:  # one drop path for every reason
             dropped.append({"start": [start.real, start.imag], "reason": str(exc)})
-            continue
-        if not (x0 - pad <= z.real <= x1 + pad and y0 - pad <= z.imag <= y1 + pad):
-            dropped.append({"start": [start.real, start.imag], "reason": "left the region"})
-            continue
-        if annulus is not None and not annulus[1] <= abs(z - annulus[0]) <= annulus[2]:
-            dropped.append({"start": [start.real, start.imag], "reason": "left the annulus"})
-            continue
-        converged.append(z)
 
     converged.sort(key=lambda z: (z.real, z.imag))
     zeros: list[complex] = []

@@ -306,8 +306,9 @@ def numeric_connected_sum(
     w = c2 + (r1 r2) / conj(z - c1), which reverses orientation and swaps
     inside with outside; field2 is pulled back through it and crossfaded
     into field1 across the transition zone.  The returned chart carries the
-    zeros found strictly inside the tube annulus and the total boundary
-    winding (outer circle minus inner circle).  When both fields carry
+    zeros ``find_zeros`` reports in the closed tube annulus, with its dropped
+    candidates, and the total boundary winding (outer circle minus inner
+    circle).  When both fields carry
     ``on_array``, so does the composite.  With rho = |z - c1| / r1, an array
     whose every point has rho >= 1 + width / 2 (such as the outer tube
     circle) evaluates field1 alone, one whose every point has rho <= 1 -
@@ -368,8 +369,6 @@ def numeric_connected_sum(
     span = r_outer * 1.02
     box = (c1.real - span, c1.real + span, c1.imag - span, c1.imag + span)
     scan = find_zeros(composite, box, TUBE_GRID, annulus=(c1, r_inner, r_outer))
-    in_tube = [z for z in scan if r_inner < abs(z.location - c1) < r_outer]
-    tube_scan = ZeroScan(zeros=in_tube, dropped=scan.dropped)
 
     try:
         w_out = winding_index(composite, c1, r_outer)
@@ -384,7 +383,7 @@ def numeric_connected_sum(
         disc_radius=r1,
         r_inner=r_inner,
         r_outer=r_outer,
-        zeros=tube_scan,
+        zeros=scan,
         boundary_winding=boundary,
         blend=tube,
     )
