@@ -447,9 +447,10 @@ class PlanarField:
 
 
 def pendulum_field(k: float) -> PlanarField:
-    """(theta, omega) -> (omega, -k sin theta) with k the gravity/length ratio."""
-    if not k > 0:
-        raise ValueError("k must be positive")
+    """(theta, omega) -> (omega, -k sin theta) with k the gravity/length ratio,
+    positive and finite (ValueError otherwise)."""
+    if not 0 < k < math.inf:
+        raise ValueError("k must be positive and finite")
 
     def f(z: complex) -> complex:
         return complex(z.imag, -k * math.sin(z.real))

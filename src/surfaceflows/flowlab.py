@@ -535,27 +535,30 @@ def _cells_meeting(xs, ys, annulus) -> np.ndarray:
 
     A cell meets it when its nearest point is within r_outer of the centre
     and its farthest point at least r_inner away, both ends included.  The
-    distances are compared squared, per axis in units of r_outer: the near
-    sums must be at most 1 and the far sums at least (r_inner / r_outer)^2.
-    Each side of a comparison rounds at most three times, so each bound is
-    widened by 2^-49 (16 ulps): no cell that meets the closed annulus is
-    dropped (a 5-12-13 corner exactly on r_outer would be, unwidened), and
-    one that misses it is admitted only within about 16 ulps.  Scaling keeps
-    the squares in range on grids of any scale, 1e-300 or 1e300 wide.  A
-    square that still overflows (a distance far past r_outer) or underflows
-    (one below about 1e-154 r_outer) does so without a warning; only an
-    r_inner below that size can then admit a cell that lies wholly inside
-    it.
+    distances are compared squared, per axis in units of the radius they
+    are held to: the near sums, in units of r_outer, must be at most 1, and
+    the far sums, in units of r_inner, at least 1 (r_inner = 0, a disc,
+    needs no far test).  Each side of a comparison rounds at most three
+    times, so each bound is widened by 2^-49 (16 ulps): no cell that meets
+    the closed annulus is dropped (a 5-12-13 corner exactly on r_outer would
+    be, unwidened), and one that misses it is admitted only within about 16
+    ulps.  Scaling keeps the squares in range on grids of any scale, 1e-300
+    or 1e300 wide, and for any ratio of the radii.  A square that still
+    overflows or underflows does so without a warning and on the right side
+    of its bound: a near or far distance far past its radius overflows, and
+    the sum fails the near test and passes the far one; one far inside its
+    radius underflows to 0, and the sum passes the near test and fails the
+    far one.
     """
     centre, r_inner, r_outer = annulus
-    near, far = [], []
+    axes = [(t[:-1] - c, t[1:] - c) for t, c in ((ys, centre.imag), (xs, centre.real))]
     with np.errstate(over="ignore", under="ignore"):
-        for t, c in ((ys, centre.imag), (xs, centre.real)):
-            lo, hi = t[:-1] - c, t[1:] - c
-            near.append(np.square(np.maximum(np.maximum(lo, -hi), 0.0) / r_outer))
-            far.append(np.square(np.maximum(np.abs(lo), np.abs(hi)) / r_outer))
-        return ((near[0][:, None] + near[1] <= 1.0 + 2.0 ** -49)
-                & (far[0][:, None] + far[1] >= (1.0 - 2.0 ** -49) * (r_inner / r_outer) ** 2))
+        near = [np.square(np.maximum(np.maximum(lo, -hi), 0.0) / r_outer) for lo, hi in axes]
+        meets = near[0][:, None] + near[1] <= 1.0 + 2.0 ** -49
+        if r_inner > 0.0:
+            far = [np.square(np.maximum(np.abs(lo), np.abs(hi)) / r_inner) for lo, hi in axes]
+            meets &= far[0][:, None] + far[1] >= 1.0 - 2.0 ** -49
+    return meets
 
 
 def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], list[dict]]:

@@ -907,8 +907,10 @@ class TestPlanarFields:
         assert f(complex(theta, 0.3)).imag == pytest.approx(-2.5 * math.sin(theta))
 
     def test_pendulum_requires_positive_k(self):
-        with pytest.raises(ValueError):
-            pendulum_field(0.0)
+        # and finite: an infinite k read (1+nanj) at 1j and -infj at 1
+        for k in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="k must be positive and finite"):
+                pendulum_field(k)
 
     def test_canonical_values(self):
         assert canonical_field("saddle")(1 + 1j) == 1 - 1j

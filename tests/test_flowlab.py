@@ -362,6 +362,9 @@ class TestIntegrate:
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
             Trajectory((0.0, 0.0), (0j, 1j), "time-limit")
+        for times, points in (((0.0, 1.0), (0j,)), ((0.0,), (0j, 1j)), ((), ())):
+            with pytest.raises(ValueError, match="equal-length and nonempty"):
+                Trajectory(times, points, "time-limit")
 
 
 class TestWinding:
@@ -411,6 +414,15 @@ class TestWinding:
         with pytest.raises(NonIntegerWinding, match=f"1/{WINDING_MAX_SAMPLES} of the loop wide"):
             winding_index(PlanarField("custom", vortex), 0j, 0.5)
         assert len(calls) == len(set(calls)) <= WINDING_MAX_SAMPLES
+
+    def test_a_phase_sum_off_a_whole_turn_is_not_rounded(self, monkeypatch):
+        # the settled arcs' turns telescope to a whole number of turns up to
+        # rounding, so only a tolerance below 0 makes the estimate too far
+        # from its nearest integer
+        assert winding_index(NODE, 0j, 0.5) == 1
+        monkeypatch.setattr(flowlab, "WINDING_INTEGER_TOL", -1.0)
+        with pytest.raises(NonIntegerWinding, match=r"estimate 1\.0000 is not near an integer"):
+            winding_index(NODE, 0j, 0.5)
 
     @pytest.mark.parametrize("angle", [0.3, 1.9, 3.7, 5.2])
     @pytest.mark.parametrize("side", [1, -1])
@@ -751,6 +763,20 @@ class TestNewtonRefine:
         assert newton_refine(field, z0, step_cap=2e-4) == z0
         assert len(seen) == 16
 
+    def test_a_field_s_own_newton_diverged_propagates(self):
+        # the give-up rule covers Newton's own reasons: below tolerance, a
+        # probe at which the field raises NewtonDiverged is not a pole
+        r = 0.25 - 0.5j
+        z0 = r + 5e-6
+
+        def field(z):
+            if z.real > z0.real + 5e-8:
+                raise NewtonDiverged("raised by the field")
+            return 1e-3 * (z - r)
+
+        with pytest.raises(NewtonDiverged, match="raised by the field"):
+            newton_refine(PlanarField("custom", field), z0, step_cap=1.0)
+
     @pytest.mark.parametrize("step_cap", [-1.0, 0.0, -0.0, math.nan, -math.inf])
     def test_step_cap_must_be_positive(self, step_cap):
         # a negative cap reversed every step, a zero one stalled, and NaN
@@ -992,6 +1018,31 @@ class TestFindZeros:
         assert meets(*hole, c, 2 * c) == [[True]]
         assert meets(*hole, c * (1 + 1e-12), 2 * c) == [[False]]
 
+    @pytest.mark.parametrize("r_inner, r_outer", [(1e-170, 1.0), (1e-300, 1.0),
+                                                  (1e-250, 1e-80), (1e-150, 1e300)])
+    def test_annulus_mask_with_a_tiny_hole_matches_hypot(self, r_inner, r_outer):
+        # below about 1e-154 r_outer the far squares, in units of r_outer,
+        # underflow to 0 like (r_inner / r_outer)^2 did, and admitted the
+        # cells wholly inside the hole; in units of r_inner they do not
+        xs = np.array([-1.5, -0.5, 0.5, 1.5]) * r_inner
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = flowlab._cells_meeting(xs, xs, flowlab._annulus((0j, r_inner, r_outer)))
+        assert got.tolist() == [[True, True, True], [True, False, True], [True, True, True]]
+        rng = np.random.default_rng(round(-math.log10(r_inner)))
+        for _ in range(40):
+            # cells at most 0.375 r_inner wide on a region around the hole
+            n = int(rng.integers(16, 65))
+            (x0, y0), (x1, y1) = rng.uniform(-3.0, -1.0, 2), rng.uniform(1.0, 3.0, 2)
+            xs, ys = np.linspace(x0, x1, n + 1) * r_inner, np.linspace(y0, y1, n + 1) * r_inner
+            annulus = (complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) * r_inner,
+                       r_inner, r_outer)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = flowlab._cells_meeting(xs, ys, flowlab._annulus(annulus))
+            assert np.array_equal(got, hypot_cells_meeting(xs, ys, annulus))
+            assert got.any() and not got.all()  # the hole holds whole cells
+
     @settings(max_examples=60, deadline=None)
     @given(ANNULI, fields_with_zeros(), st.integers(16, 24))
     def test_annulus_scan_matches_the_filtered_full_scan(self, annulus, case, n):
@@ -1050,6 +1101,18 @@ class TestFindZeros:
         assert len(found) == 2 and dropped == []
         for z in zeros:
             assert min(abs(z - w) for w in found) <= 1e-12
+
+    @pytest.mark.parametrize("zero, annulus, reason", [(3.0, None, "left the region"),
+                                                       (0.8, (0j, 0.0, 0.5), "left the annulus")])
+    def test_a_run_that_leaves_the_scan_is_dropped(self, zero, annulus, reason):
+        # the one seed is the cell around the pole at p, where F is about
+        # (p - zero) / (z - p); Newton runs from it down |F| to the zero,
+        # past the region's 5% pad or outside the annulus
+        p = 0.05 + 0.03j
+        field = PlanarField("custom", lambda z: (z - zero) / (z - p))
+        zeros, dropped = locate_zeros(field, (-1.0, 1.0, -1.0, 1.0), 16, annulus)
+        assert zeros == []
+        assert dropped == [{"start": [0.0625, 0.0625], "reason": reason}]
 
     @pytest.mark.parametrize("annulus", [(0j, 0.5, 0.5), (0j, -0.1, 0.5), (0j, 0.0, math.inf),
                                          (complex(math.nan, 0.0), 0.0, 0.5)])
@@ -1245,6 +1308,30 @@ class TestRectify:
     def test_equilibrium_rejected(self):
         with pytest.raises(EquilibriumInBox):
             rectify(PENDULUM, 0j, 0.1)
+
+    def test_equilibrium_on_the_chart_grid_rejected(self):
+        # (y - y0)^2 vanishes on the line through the top transversal point
+        # and is never negative, so no scan cell brackets it: the grid's own
+        # values are what find it
+        p, box = 0.3 + 0.2j, 0.1
+        y0 = p.imag + box
+        field = PlanarField("custom", lambda z: complex((z.imag - y0) ** 2, 0.0))
+        assert locate_zeros(field, (0.18, 0.42, 0.08, 0.32), 16) == ([], [])
+        with pytest.raises(EquilibriumInBox, match=r"\|field\| = 0 inside the requested box"):
+            rectify(field, p, box)
+
+    def test_degenerate_chart_jacobian_rejected(self):
+        # above y1 the field is vertical with real part 0.0 exactly, so the
+        # top two transversal points keep their x, p.x; at the transversal
+        # point between them both chart derivatives are vertical.  The
+        # field vanishes nowhere: its real part is positive below y1, its
+        # imaginary part above y2
+        p = 0.3 + 0.2j
+        y2, y1 = p.imag + 0.04, p.imag + 0.06
+        field = PlanarField("custom", lambda z: complex(max(0.0, y1 - z.imag),
+                                                        0.1 * max(0.0, z.imag - y2)))
+        with pytest.raises(EquilibriumInBox, match="degenerate chart jacobian"):
+            rectify(field, p, 0.1)
 
     def test_equilibrium_inside_box_rejected(self):
         # base point is regular, but the box reaches the saddle at (pi, 0)

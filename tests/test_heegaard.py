@@ -1,14 +1,18 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfaceflows import heegaard
 from surfaceflows.errors import TooManyEquilibria
+from surfaceflows.flowlab import locate_zeros
 from surfaceflows.heegaard import (
+    INTERIOR_HIT_TOL,
     MAX_SUBSET_INDICES,
     SPHERE_ZERO_TOL,
     AbelianGroup,
@@ -201,6 +205,11 @@ class TestFeasibleGenera:
         with pytest.raises(ValueError, match="must be"):
             IndexSet(indices, hyperbolic_count=hyperbolic)
 
+    @pytest.mark.parametrize("hyperbolic", [-1, 3])
+    def test_hyperbolic_count_beyond_the_indices_rejected(self, hyperbolic):
+        with pytest.raises(ValueError, match="hyperbolic count must lie between 0 and the index"):
+            IndexSet((1, -1), hyperbolic_count=hyperbolic)
+
     def test_numpy_indices_become_ints(self):
         s = IndexSet(np.array([1, -1, 2]), hyperbolic_count=np.int64(1))
         assert s.indices == (1, -1, 2) and s.hyperbolic_count == 1
@@ -257,6 +266,11 @@ class TestTwistWordHomology:
         assert len(word) == 6  # unit twists: 3 + 2 + 1
         assert len(parse_twist_word("")) == len(parse_twist_word("a1^0")) == 0
 
+    @pytest.mark.parametrize("token", ["c1", "a", "a1^", "a1^+2", "a1^2.5", "A1", "a1b1"])
+    def test_bad_twist_token_rejected(self, token):
+        with pytest.raises(ValueError, match=f"bad twist token '{re.escape(token)}'"):
+            parse_twist_word(f"a1 {token} b1")
+
     def test_huge_power_is_one_update(self):
         # T^k = I + k c w^T: a1^1000000 b1 is two letters, not a million
         word = parse_twist_word("a1^1000000 b1")
@@ -269,7 +283,19 @@ class TestTwistWordHomology:
     def test_group_text(self):
         assert str(AbelianGroup(0, (2, 12))) == "Z/2 + Z/12"
         assert str(AbelianGroup(2)) == "Z^2"
+        assert str(AbelianGroup(1)) == "Z"
+        assert str(AbelianGroup(1, (3,))) == "Z + Z/3"
         assert str(AbelianGroup(0)) == "0"
+
+    @pytest.mark.parametrize(
+        "rank, torsion, message",
+        [(-1, (), "rank must be nonnegative"), (0, (1,), "at least 2"), (0, (0,), "at least 2"),
+         (1, (2, -4), "at least 2"), (0, (2, 3), "divisibility chain"),
+         (0, (4, 2), "divisibility chain"), (2, (2, 4, 6), "divisibility chain")],
+    )
+    def test_group_rejects_a_negative_rank_or_bad_torsion(self, rank, torsion, message):
+        with pytest.raises(ValueError, match=message):
+            AbelianGroup(rank, torsion)
 
     @pytest.mark.parametrize(
         "rank, torsion",
@@ -534,6 +560,45 @@ class TestBallExtension:
         f = BallExtensionField(dipole_sphere_field())
         assert np.array_equal(f(np.zeros(3)), np.zeros(3))
 
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), 0.5])
+    def test_a_point_that_is_not_a_3_vector_is_rejected(self, x):
+        with pytest.raises(ValueError, match="x must be a 3-vector"):
+            BallExtensionField(rotation)(x)
+
+    def test_a_point_outside_the_unit_ball_is_rejected(self):
+        f = BallExtensionField(rotation)
+        f(np.array([0.0, 0.6, 0.8]) * (1.0 + 1e-13))  # within the 1e-12 slack
+        with pytest.raises(ValueError, match=r"\|x\| = 1.1 outside the unit ball"):
+            f(np.array([0.0, 0.66, 0.88]))
+
+    def test_scan_skips_the_origin_neighbourhood(self, monkeypatch):
+        # no sample comes within the real 1e-3 of the centre (odds ~1e-9
+        # each): widened to the whole ball, every sample is skipped
+        monkeypatch.setattr(heegaard, "ORIGIN_EXCLUSION", 1.0)
+        scan = interior_zero_scan(BallExtensionField(dipole_sphere_field()), 50, seed=3)
+        assert scan["samples"] == 50 and scan["checked"] == 0
+        assert scan["origin_exclusion"] == 1.0
+        assert scan["min_field_magnitude"] is None
+
+    def test_scan_reports_every_hit(self):
+        # |V| = r |0.5 - r| / 100 vanishes on the sphere of radius 1/2: about
+        # 3% of the samples fall within INTERIOR_HIT_TOL of it
+        def f(p):
+            return 0.01 * (0.5 - float(np.linalg.norm(p))) * p
+
+        scan = interior_zero_scan(f, 2000, seed=1)
+        hits = scan["hit_points"]
+        assert scan["checked"] == 2000 and scan["interior_hits"] == len(hits) > 20
+        for p in map(np.array, hits):
+            assert np.linalg.norm(f(p)) < INTERIOR_HIT_TOL
+            assert abs(np.linalg.norm(p) - 0.5) < 0.021
+        assert scan["min_field_magnitude"] < INTERIOR_HIT_TOL
+
+    @pytest.mark.parametrize("n", [-1, 2.5, math.nan])
+    def test_scan_rejects_a_bad_sample_count(self, n):
+        with pytest.raises(ValueError, match="sample count must be"):
+            interior_zero_scan(BallExtensionField(rotation), n)
+
 
 class TestSphereSurfaceZeros:
     def test_dipole_double_zero_reported_once(self):
@@ -601,8 +666,52 @@ class TestSphereSurfaceZeros:
         on_equator = [z for z in zeros if abs(z[2]) < 1e-9]
         assert on_equator and len(on_equator) == len(zeros) - 2
 
+    def test_each_chart_skips_the_zero_past_its_hemisphere(self):
+        # zeros +-p at latitude +-0.1 lie at |w| = 1.105 in one chart, inside
+        # its scan, and at |w| = 0.905 in the other; each chart checks the
+        # field only at the zero in its own unit disc
+        p = np.array([math.sqrt(0.99), 0.0, 0.1])
+        calls, marks, radii = [], [], []
+
+        def surface(u):
+            calls.append(u)
+            return p - (u @ p) * u
+
+        def recording(*args, **kwargs):
+            marks.append(len(calls))
+            found = locate_zeros(*args, **kwargs)
+            marks.append(len(calls))
+            radii.append(sorted(abs(w) for w in found[0]))
+            return found
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heegaard, "locate_zeros", recording)
+            zeros = sphere_surface_zeros(surface)
+        marks.append(len(calls))
+        for r in radii:
+            assert r == pytest.approx([math.sqrt(0.9 / 1.1), math.sqrt(1.1 / 0.9)], rel=1e-9)
+        assert [marks[2] - marks[1], marks[4] - marks[3]] == [1, 1]
+        assert len(zeros) == 2
+        for z in (p, -p):
+            assert min(np.linalg.norm(z - w) for w in zeros) < 1e-9
+
+    def test_a_chart_zero_where_the_field_has_a_normal_part_is_skipped(self):
+        # the chart sees only the tangent part, which vanishes at the poles;
+        # the field itself is 0.5 u there, far above SPHERE_ZERO_TOL
+        assert sphere_surface_zeros(lambda u: toward_north(u) + 0.5 * u) == []
+        assert len(sphere_surface_zeros(toward_north)) == 2
+
     def test_identically_zero_field_has_no_isolated_zeros(self):
         assert sphere_surface_zeros(zero_sphere_field()) == []
+
+    def test_dipole_is_constant_at_the_north_pole(self):
+        # the plane chart at infinity sees a constant field: (-2, 0, 0) at the
+        # pole itself, where the projection divides by zero, and near it
+        surf = dipole_sphere_field()
+        assert np.array_equal(surf(NORTH), [-2.0, 0.0, 0.0])
+        near = np.array([1e-4, 2e-4, 0.0])
+        near[2] = math.sqrt(1.0 - near @ near)
+        assert np.allclose(surf(near), [-2.0, 0.0, 0.0], rtol=0, atol=1e-3)
 
     def test_results_are_unit_vectors(self):
         for field in (dipole_sphere_field(), rotation, xy_gradient):

@@ -59,6 +59,13 @@ class TestBasicOps:
         with pytest.raises(PoleHit):
             apply(T2, -4.0)
 
+    def test_derivative_pole_hit(self):
+        # T2 = 1 / (z + 4): the derivative's denominator vanishes at -4 too
+        with pytest.raises(PoleHit, match="derivative evaluated within"):
+            derivative(T2, -4.0)
+        with pytest.raises(PoleHit):
+            derivative(T2, -4.0 + 1e-14j)
+
     def test_derivative_identity(self):
         assert derivative(IDENTITY, 1.3 - 0.2j) == 1.0
 

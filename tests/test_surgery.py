@@ -360,8 +360,14 @@ class TestSum3:
             sum3_check(Sum3Inventory((1, -1)), Sum3Inventory((1, -1)), removed=(1, 1))
 
     def test_missing_index(self):
-        with pytest.raises(MissingEquilibrium):
+        with pytest.raises(MissingEquilibrium, match="second inventory has no .* index -1"):
             sum3_check(Sum3Inventory((1, -1)), Sum3Inventory(()), removed=(1, -1))
+        with pytest.raises(MissingEquilibrium, match="first inventory has no .* index 2"):
+            sum3_check(Sum3Inventory((1, -1)), Sum3Inventory((2, -2)), removed=(2, -2))
+
+    def test_unknown_marker_rejected(self):
+        with pytest.raises(ValueError, match="unknown marker 'circle'"):
+            Sum3Inventory((1, -1), marker="circle")
 
     def test_nonzero_sum_rejected(self):
         with pytest.raises(ValueError):
@@ -392,6 +398,11 @@ class TestEquilibriumSpecInput:
         with pytest.raises(ValueError, match="must be"):
             EquilibriumSpec(n_e, n_h)
 
+    @pytest.mark.parametrize("n_e, n_h", [(-1, 0), (0, -2)])
+    def test_negative_counts_rejected(self, n_e, n_h):
+        with pytest.raises(ValueError, match="sector counts must be nonnegative"):
+            EquilibriumSpec(n_e, n_h)
+
     def test_whole_numbers_become_ints(self):
         spec = EquilibriumSpec(np.int64(2), 1.0)
         assert (spec.n_e, spec.n_h) == (2, 1)
@@ -404,6 +415,33 @@ class TestIntegerInputs:
         # 2.5 used to give chi = -3.0 and nan a nan chi
         with pytest.raises(ValueError, match="genus must be"):
             SurfaceInventory(genus, True)
+
+    def test_negative_genus_or_a_crosscap_free_nonorientable_surface_rejected(self):
+        with pytest.raises(ValueError, match="genus must be nonnegative"):
+            SurfaceInventory(-1, True)
+        with pytest.raises(ValueError, match="needs at least one crosscap"):
+            SurfaceInventory(0, False)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((SumMode.SPLIT, EquilibriumSpec(2, 2), EquilibriumSpec(2, 2), -1, 0), "nonnegative"),
+         ((SumMode.DUAL, EquilibriumSpec(2, 0), EquilibriumSpec(0, 2), 1, 0), "Split mode only"),
+         ((SumMode.NO_EQUILIBRIA, EquilibriumSpec(0, 0)), "NoEquilibria mode removes nothing"),
+         ((SumMode.NO_EQUILIBRIA, None, EquilibriumSpec(0, 0)), "removes nothing"),
+         ((SumMode.SAME_STRUCTURE, EquilibriumSpec(1, 1)), "SameStructure mode needs removed1"),
+         ((SumMode.DUAL, None, EquilibriumSpec(1, 1)), "Dual mode needs removed1 and removed2"),
+         ((SumMode.SPLIT, EquilibriumSpec(1, 2), EquilibriumSpec(1, 2), 2, 0), "exceed"),
+         ((SumMode.SPLIT, EquilibriumSpec(1, 2), EquilibriumSpec(1, 2), 0, 3), "exceed")],
+    )
+    def test_inconsistent_plan_rejected(self, args, message):
+        with pytest.raises(PlanMismatch, match=message):
+            SumPlan(*args)
+
+    @pytest.mark.parametrize("width", [0.0, -0.1, 0.61, math.nan])
+    def test_tube_width_outside_its_range_rejected(self, width):
+        with pytest.raises(ValueError, match=r"width must lie in \(0, 0.6\]"):
+            TubeBlend(width)
+        TubeBlend(0.6)
 
     def test_whole_genus_becomes_int(self):
         for genus in (np.int64(2), 2.0):
