@@ -308,14 +308,14 @@ def numeric_connected_sum(
     into field1 across the transition zone.  The returned chart carries the
     zeros ``find_zeros`` reports in the closed tube annulus, with its dropped
     candidates, and the total boundary winding (outer circle minus inner
-    circle).  When both fields carry
-    ``on_array``, so does the composite.  With rho = |z - c1| / r1, an array
-    whose every point has rho >= 1 + width / 2 (such as the outer tube
-    circle) evaluates field1 alone, one whose every point has rho <= 1 -
-    width / 2 (the inner circle) the pulled-back field2 alone, and any other
-    array both fields; a point gets the same value in any array.  A disc
-    whose centre is not finite or whose radius is not positive and finite
-    raises ValueError naming it, ``disc1`` or ``disc2``.
+    circle).  When both fields carry ``on_array``, so does the composite.
+    With rho = |z - c1| / r1, an array whose every point has rho >= 1 +
+    width / 2 (such as the outer tube circle) evaluates field1 alone, one
+    whose every point has rho <= 1 - width / 2 (the inner circle) the
+    pulled-back field2 alone, and any other array both fields; a point gets
+    the same value in any array.  A disc whose centre is not finite or
+    whose radius is not positive and finite raises ValueError naming it,
+    ``disc1`` or ``disc2``.
     """
     c1, r1 = _disc(disc1, "disc1")
     c2, r2 = _disc(disc2, "disc2")
