@@ -154,23 +154,14 @@ class SumPlan:
             raise PlanMismatch("split counts exceed removed1's sectors")
 
 
-def _remove_one(equilibria: list[EquilibriumSpec], spec: EquilibriumSpec, which: str):
+def _remove_one(items: list, item, message: str):
+    """Remove one occurrence of ``item`` from ``items``, or raise
+    MissingEquilibrium(message) if there is none; the 2-D and 3-D sums
+    share it."""
     try:
-        equilibria.remove(spec)
+        items.remove(item)
     except ValueError:
-        raise MissingEquilibrium(
-            f"{which} has no equilibrium with sectors ({spec.n_e}, {spec.n_h})"
-        ) from None
-
-
-def _summed_genus(inv1: SurfaceInventory, inv2: SurfaceInventory) -> tuple[int, bool]:
-    # Crosscap arithmetic: an orientable summand contributes two crosscaps
-    # per handle once any nonorientable piece is involved.
-    if inv1.orientable and inv2.orientable:
-        return inv1.genus + inv2.genus, True
-    cross1 = 2 * inv1.genus if inv1.orientable else inv1.genus
-    cross2 = 2 * inv2.genus if inv2.orientable else inv2.genus
-    return cross1 + cross2, False
+        raise MissingEquilibrium(message) from None
 
 
 def connect_inventories(
@@ -180,7 +171,10 @@ def connect_inventories(
 
     The result always satisfies the index-sum identity for
     chi = chi1 + chi2 - 2; each mode's removals/additions are arranged so
-    that the identity is an exact rational equality.
+    that the identity is an exact rational equality.  The sum is orientable
+    exactly when both summands are, and chi and orientability fix its
+    genus: (2 - chi) / 2 handles, or 2 - chi crosscaps.  Dual mode sums as
+    Split with its plan's counts, which SumPlan holds at (0, 0).
     """
     for name, inv in (("inv1", inv1), ("inv2", inv2)):
         if not inv.balanced:
@@ -193,10 +187,8 @@ def connect_inventories(
     if plan.mode is SumMode.NO_EQUILIBRIA:
         added = [hyperbolic_spec(), hyperbolic_spec()]
     else:
-        n11, n21 = {
-            SumMode.DUAL: (0, 0),
-            SumMode.SAME_STRUCTURE: (plan.removed1.n_e, plan.removed1.n_h),
-        }.get(plan.mode, (plan.n11, plan.n21))
+        n11, n21 = ((plan.removed1.n_e, plan.removed1.n_h) if plan.mode is SumMode.SAME_STRUCTURE
+                    else (plan.n11, plan.n21))
         required = EquilibriumSpec(
             n11 + plan.removed1.n_h - n21, n21 + plan.removed1.n_e - n11
         )
@@ -205,15 +197,16 @@ def connect_inventories(
                 f"{plan.mode.value} mode requires removed2 = ({required.n_e}, {required.n_h}), "
                 f"got ({plan.removed2.n_e}, {plan.removed2.n_h})"
             )
-        _remove_one(kept1, plan.removed1, "inv1")
-        _remove_one(kept2, plan.removed2, "inv2")
+        for name, kept, spec in (("inv1", kept1, plan.removed1), ("inv2", kept2, plan.removed2)):
+            _remove_one(kept, spec,
+                        f"{name} has no equilibrium with sectors ({spec.n_e}, {spec.n_h})")
         added = [elliptic_spec()] * n11 + [hyperbolic_spec()] * n21
 
-    genus, orientable = _summed_genus(inv1, inv2)
-    result = SurfaceInventory(
-        genus=genus, orientable=orientable, equilibria=tuple(kept1 + kept2 + added)
-    )
     target = inv1.chi + inv2.chi - 2
+    orientable = inv1.orientable and inv2.orientable
+    result = SurfaceInventory(
+        genus=(2 - target) // 2 if orientable else 2 - target, orientable=orientable,
+        equilibria=tuple(kept1 + kept2 + added))
     if result.chi != target or result.index_sum != target:
         raise AssertionError(
             f"bookkeeping failure: chi {result.chi}, index sum {result.index_sum}, "
@@ -435,10 +428,6 @@ def sum3_check(
         raise NotInverse(f"removed indices {ia} and {ib} do not cancel")
     rest_a = list(a.indices)
     rest_b = list(b.indices)
-    if ia not in rest_a:
-        raise MissingEquilibrium(f"first inventory has no equilibrium of index {ia}")
-    if ib not in rest_b:
-        raise MissingEquilibrium(f"second inventory has no equilibrium of index {ib}")
-    rest_a.remove(ia)
-    rest_b.remove(ib)
+    _remove_one(rest_a, ia, f"first inventory has no equilibrium of index {ia}")
+    _remove_one(rest_b, ib, f"second inventory has no equilibrium of index {ib}")
     return Sum3Inventory(indices=tuple(rest_a + rest_b), marker="none")

@@ -144,8 +144,13 @@ class TestConnectInventories:
     def test_missing_equilibrium(self):
         sphere = balanced(0, True, [])
         plan = SumPlan(SumMode.SAME_STRUCTURE, EquilibriumSpec(3, 1), EquilibriumSpec(3, 1))
-        with pytest.raises(MissingEquilibrium):
+        with pytest.raises(MissingEquilibrium,
+                           match=r"^inv1 has no equilibrium with sectors \(3, 1\)$"):
             connect_inventories(sphere, sphere, plan)
+        holder = balanced(0, True, [EquilibriumSpec(3, 1)])
+        with pytest.raises(MissingEquilibrium,
+                           match=r"^inv2 has no equilibrium with sectors \(3, 1\)$"):
+            connect_inventories(holder, sphere, plan)
 
     @pytest.mark.parametrize("n_e, n_h", [(0, 0), (0, 4), (2, 0), (3, 1), (1, 4)])
     def test_spec_index_is_the_sector_formula(self, n_e, n_h):
@@ -360,9 +365,11 @@ class TestSum3:
             sum3_check(Sum3Inventory((1, -1)), Sum3Inventory((1, -1)), removed=(1, 1))
 
     def test_missing_index(self):
-        with pytest.raises(MissingEquilibrium, match="second inventory has no .* index -1"):
+        with pytest.raises(MissingEquilibrium,
+                           match="^second inventory has no equilibrium of index -1$"):
             sum3_check(Sum3Inventory((1, -1)), Sum3Inventory(()), removed=(1, -1))
-        with pytest.raises(MissingEquilibrium, match="first inventory has no .* index 2"):
+        with pytest.raises(MissingEquilibrium,
+                           match="^first inventory has no equilibrium of index 2$"):
             sum3_check(Sum3Inventory((1, -1)), Sum3Inventory((2, -2)), removed=(2, -2))
 
     def test_unknown_marker_rejected(self):
