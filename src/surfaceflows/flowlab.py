@@ -381,8 +381,10 @@ def sector_index(n_e: int, n_h: int) -> Fraction:
     """1 + (elliptic - hyperbolic)/2 as an exact rational.
 
     A half-integer result (odd sector imbalance) is representable and left
-    to the caller to flag; it is not an error.
+    to the caller to flag; it is not an error.  The counts go through
+    ``exact_int``, so a whole float counts as its int.
     """
+    n_e, n_h = exact_int(n_e, "n_e"), exact_int(n_h, "n_h")
     if n_e < 0 or n_h < 0:
         raise ValueError("sector counts must be nonnegative")
     return Fraction(2 + n_e - n_h, 2)

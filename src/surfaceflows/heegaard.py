@@ -343,7 +343,9 @@ class BallExtensionField:
     the field is r * surface(u) + r (1 - r) * u: the tangential part
     vanishes at the centre (continuity there), and the normal push vanishes
     at the centre and on the boundary and points outward between them, so
-    the only interior equilibrium is the centre itself.
+    the only interior equilibrium is the centre itself.  A point that is
+    not a finite 3-vector in the closed unit ball (to 1e-12) raises
+    ValueError.
     """
 
     surface: Callable
@@ -352,6 +354,8 @@ class BallExtensionField:
         x = np.asarray(x, dtype=float)
         if x.shape != (3,):
             raise ValueError("x must be a 3-vector")
+        if not np.isfinite(x).all():
+            raise ValueError(f"x must be finite, got {x}")
         r = float(np.linalg.norm(x))
         if r > 1.0 + 1e-12:
             raise ValueError(f"|x| = {r:.6g} outside the unit ball")

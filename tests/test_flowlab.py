@@ -853,6 +853,8 @@ class TestExactInt:
 WHOLE_NUMBER_INPUTS = {
     "poincare_hopf_check chi": (lambda k: poincare_hopf_check([], k).chi, 2.0),
     "handle_equilibria genus": (handle_equilibria, 2.0),
+    "sector_index n_e": (lambda k: sector_index(k, 0), 2.0),
+    "sector_index n_h": (lambda k: sector_index(0, k), 2.0),
     "corollary_check p": (lambda k: corollary_check(IndexSet((1, -1), 2), k), 2.0),
     "find_zeros n": (lambda k: find_zeros(NODE, (-1, 1, -1, 1), k).zeros, 8.0),
     "enumerate_ball radius": (lambda k: len(enumerate_ball(GENUS2_GENERATORS, k)), 2.0),

@@ -565,6 +565,14 @@ class TestBallExtension:
         with pytest.raises(ValueError, match="x must be a 3-vector"):
             BallExtensionField(rotation)(x)
 
+    @pytest.mark.parametrize("x", [[math.nan, 0.0, 0.0], [0.0, math.nan, 0.0],
+                                   [0.0, 0.0, math.nan], [math.inf, 0.0, 0.0],
+                                   [0.0, -math.inf, 0.0]])
+    def test_a_point_that_is_not_finite_is_rejected(self, x):
+        # NaN fails the |x| > 1 test, so it needs its own check
+        with pytest.raises(ValueError, match="x must be finite"):
+            BallExtensionField(dipole_sphere_field())(x)
+
     def test_a_point_outside_the_unit_ball_is_rejected(self):
         f = BallExtensionField(rotation)
         f(np.array([0.0, 0.6, 0.8]) * (1.0 + 1e-13))  # within the 1e-12 slack
