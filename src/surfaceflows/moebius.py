@@ -285,7 +285,8 @@ class _CellIndex:
 
     Distinct elements of a discrete group sit far apart while duplicates
     agree to rounding error, so a coarse grid with neighbour probing is
-    enough.  Cells are 1000 * tol wide and centred on multiples of their
+    enough.  Rows match within ``tol`` = DEDUP_TOL in every coordinate, and
+    cells are ``h`` = 1000 * tol wide and centred on multiples of their
     width, so zeros and integers, frequent coordinates, sit mid-cell and a
     row usually touches one cell (a power-of-two width would put odd
     integers on cell edges).  Rows also match the negated row: the sign
@@ -299,9 +300,10 @@ class _CellIndex:
     a cell, and of any cell sharing its hash, form one contiguous span.
     """
 
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.h = max(tol * 1000.0, 1e-12)
+    tol = DEDUP_TOL
+    h = 1000.0 * DEDUP_TOL
+
+    def __init__(self):
         self.hashes = np.empty(0, dtype=np.uint64)
         self.rows = np.empty((0, 8))
 
@@ -415,7 +417,7 @@ def enumerate_ball(generators, radius: int) -> GroupBall:
     names = [((i, e),) for i in range(1, len(generators) + 1) for e in (1, -1)]
     undo = np.arange(len(alphabet)) ^ 1
 
-    index = _CellIndex(DEDUP_TOL)
+    index = _CellIndex()
     level = np.array([_IDENTITY], dtype=complex)
     index.add_new(level.view(float))
     words: list[tuple[tuple[int, int], ...]] = [()]

@@ -375,7 +375,7 @@ class TestCellIndex:
         return np.array([m for m in maps], dtype=complex).view(float)
 
     def test_finds_sign_flipped_duplicate(self):
-        index = moebius._CellIndex(moebius.DEDUP_TOL)
+        index = moebius._CellIndex()
         m = T1.normalized().coeffs()
         assert index.add_new(self.rows(m)).tolist() == [True]
         flipped = tuple(-x for x in m)
@@ -383,7 +383,7 @@ class TestCellIndex:
         assert index.add_new(self.rows(m, flipped, other)).tolist() == [False, False, True]
 
     def test_tolerance_is_the_match_radius(self):
-        index = moebius._CellIndex(moebius.DEDUP_TOL)
+        index = moebius._CellIndex()
         a, b, c, d = T3.normalized().coeffs()  # real matrix: its imaginary parts are exact zeros
         index.add_new(self.rows((a, b, c, d)))
         steps = (0.5, -0.5, 0.5j, -0.5j)
@@ -395,7 +395,7 @@ class TestCellIndex:
     def test_duplicate_across_a_cell_edge_is_merged(self, sign):
         # two rows 0.6 tol apart on either side of a cell edge: their cells
         # differ, so only the neighbour probe can merge them
-        index = moebius._CellIndex(moebius.DEDUP_TOL)
+        index = moebius._CellIndex()
         tol, edge = moebius.DEDUP_TOL, 7.5 * index.h
         below, above = (1.0, edge - 0.3 * tol, 0.0, 1.0), (1.0, edge + 0.3 * tol, 0.0, 1.0)
         cells = index._cells(self.rows(below, above))
@@ -405,7 +405,7 @@ class TestCellIndex:
         assert index.add_new(self.rows(twin, (1.0, edge + 3 * tol, 0.0, 1.0))).tolist() == [
             False, True]
         # and within one call, against a row stored earlier in the same call
-        fresh = moebius._CellIndex(moebius.DEDUP_TOL)
+        fresh = moebius._CellIndex()
         assert fresh.add_new(self.rows(below, twin)).tolist() == [True, False]
 
 
