@@ -155,9 +155,7 @@ class SumPlan:
 
 
 def _remove_one(items: list, item, message: str):
-    """Remove one occurrence of ``item`` from ``items``, or raise
-    MissingEquilibrium(message) if there is none; the 2-D and 3-D sums
-    share it."""
+    """Remove one ``item`` from ``items``, or raise MissingEquilibrium(message)."""
     try:
         items.remove(item)
     except ValueError:

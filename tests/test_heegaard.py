@@ -699,8 +699,8 @@ class TestSphereSurfaceZeros:
         assert radii == [pytest.approx([math.sqrt(0.9 / 1.1)], rel=1e-9)] * 2
         assert [marks[2] - marks[1], marks[4] - marks[3]] == [1, 1]
         # the cells of the 31 x 31 grid that meet the unit disc have 584
-        # corners, and the one Newton run adds a few dozen evaluations at
-        # most; the cells meeting the grid's whole |w| <= 1.25 disc have 864
+        # corners, and the one Newton run adds 15 evaluations; the cells
+        # meeting the grid's whole |w| <= 1.25 disc have 864 corners
         scans = [marks[1] - marks[0], marks[3] - marks[2]]
         assert all(584 <= n < 620 for n in scans)
         assert len(zeros) == 2
