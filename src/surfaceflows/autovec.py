@@ -66,7 +66,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import _NOT_EVALUABLE, DenominatorVanishes, NearPole
-from .moebius import GroupBall, MoebiusMap, apply, derivative, enumerate_ball, exact_int
+from .moebius import (
+    GroupBall,
+    MoebiusMap,
+    _finite_point,
+    apply,
+    derivative,
+    enumerate_ball,
+    exact_int,
+)
 
 POLE_GUARD = 1e-6
 DENOMINATOR_TOL = 1e-10
@@ -112,10 +120,7 @@ class AutomorphicField:
 
     def __post_init__(self):
         for name in ("numerator_pole", "denominator_pole"):
-            pole = complex(getattr(self, name))
-            if not (math.isfinite(pole.real) and math.isfinite(pole.imag)):
-                raise ValueError("seed pole must be finite")
-            object.__setattr__(self, name, pole)
+            object.__setattr__(self, name, _finite_point(getattr(self, name), "seed pole"))
         a, b, c, d = self.ball.coeffs.T
         # seed s folded into the top row: T(w) - s = ((a - s c) w + (b - s d)) / (c w + d)
         seeds = [(a - s * c, b - s * d) for s in (self.numerator_pole, self.denominator_pole)]

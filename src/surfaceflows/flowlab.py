@@ -35,7 +35,7 @@ from .errors import (
     PoleHit,
     ZeroOnContour,
 )
-from .moebius import MoebiusMap, apply, exact_int
+from .moebius import MoebiusMap, _finite_point, apply, exact_int, whole_at_least
 
 ZERO_TOL = 1e-8
 DEFAULT_MAX_DISP = 0.1
@@ -215,13 +215,6 @@ def _check_horizon(t_end: float) -> None:
         raise ValueError("t_end must be finite and nonzero")
 
 
-def _finite_point(z, name: str) -> complex:
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"{name} must be finite")
-    return z
-
-
 def _region(region) -> tuple[float, float, float, float]:
     """``region`` as floats (x0, x1, y0, y1), or ValueError unless the bounds
     are finite with x0 < x1 and y0 < y1."""
@@ -384,9 +377,7 @@ def sector_index(n_e: int, n_h: int) -> Fraction:
     to the caller to flag; it is not an error.  The counts go through
     ``exact_int``, so a whole float counts as its int.
     """
-    n_e, n_h = exact_int(n_e, "n_e"), exact_int(n_h, "n_h")
-    if n_e < 0 or n_h < 0:
-        raise ValueError("sector counts must be nonnegative")
+    n_e, n_h = whole_at_least(n_e, 0, "n_e"), whole_at_least(n_h, 0, "n_h")
     return Fraction(2 + n_e - n_h, 2)
 
 
@@ -591,9 +582,7 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
     if annulus is not None:
         annulus = _annulus(annulus)
     x0, x1, y0, y1 = _region(region)
-    n = exact_int(n, "grid resolution")
-    if n < 8:
-        raise ValueError("grid resolution must be at least 8")
+    n = whole_at_least(n, 8, "grid resolution")
     xs = np.linspace(x0, x1, n + 1)
     ys = np.linspace(y0, y1, n + 1)
     meets = np.ones((n, n), bool) if annulus is None else _cells_meeting(xs, ys, annulus)

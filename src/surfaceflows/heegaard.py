@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import TooManyEquilibria
-from .flowlab import ZERO_TOL, exact_int, locate_zeros
+from .flowlab import ZERO_TOL, locate_zeros
+from .moebius import exact_int, whole_at_least
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,7 @@ def feasible_genera(s: IndexSet) -> set[int]:
 
 def corollary_check(s: IndexSet, p: int) -> bool:
     """At least 2(p-1) hyperbolic points are needed at splitting genus p >= 1."""
-    p = exact_int(p, "p")
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    p = whole_at_least(p, 1, "p")
     return s.hyperbolic_count >= 2 * (p - 1)
 
 
@@ -111,9 +110,7 @@ class GluingMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        genus = exact_int(self.genus, "genus")
-        if genus < 1:
-            raise ValueError("genus must be positive")
+        genus = whole_at_least(self.genus, 1, "genus")
         rows = tuple(tuple(exact_int(x, "matrix entry") for x in row) for row in self.entries)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "entries", rows)
@@ -164,9 +161,7 @@ def compose_word(word, genus: int) -> GluingMatrix:
     exponent: one pass for a or b, three for g.  Each transvection is
     symplectic, so the product is checked once, as the result is built.
     """
-    genus = exact_int(genus, "genus")
-    if genus < 1:
-        raise ValueError("genus must be positive")
+    genus = whole_at_least(genus, 1, "genus")
     n = 2 * genus
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
     letters: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}  # per curve in word
@@ -288,15 +283,10 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        rank = exact_int(self.rank, "rank")
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        tor = tuple(exact_int(t, "torsion coefficient") for t in self.torsion)
+        rank = whole_at_least(self.rank, 0, "rank")
+        tor = tuple(whole_at_least(t, 2, "torsion coefficient") for t in self.torsion)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", tor)
-        for t in tor:
-            if t < 2:
-                raise ValueError("torsion coefficients must be at least 2")
         for t0, t1 in zip(tor, tor[1:]):
             if t1 % t0:
                 raise ValueError("torsion coefficients must form a divisibility chain")
@@ -368,10 +358,7 @@ class BallExtensionField:
 def handle_equilibria(genus: int) -> int:
     """Interior equilibria of the extended handlebody system: centre + one
     per handle."""
-    genus = exact_int(genus, "genus")
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    return 1 + genus
+    return 1 + whole_at_least(genus, 0, "genus")
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +488,7 @@ def interior_zero_scan(f: BallExtensionField, n: int, seed: int = 0) -> dict:
     is the one intended equilibrium); any remaining sample with
     |V| < INTERIOR_HIT_TOL counts as a hit and is reported.
     """
-    n = exact_int(n, "sample count")
-    if n < 0:
-        raise ValueError("sample count must be nonnegative")
+    n = whole_at_least(n, 0, "sample count")
     rng = np.random.default_rng(seed)
     hits: list[list[float]] = []
     min_mag = math.inf

@@ -11,6 +11,12 @@ assume freeness nor assert any particular relation.  Maps check their
 input when built; enumeration works on (N, 4) arrays of (a, b, c, d) rows,
 valid by construction as products of checked det-1 letters, and its array
 arithmetic reproduces the scalar tuple arithmetic bit for bit.
+
+The package's argument rules live here, one function each: ``exact_int``
+(a finite whole number, as an int), ``whole_at_least`` (one at least a
+given bound) and ``_finite_point`` (a complex with finite parts).  Every
+module checks its integer and point inputs through them, so each rule has
+one wording.
 """
 
 from __future__ import annotations
@@ -49,6 +55,22 @@ def exact_int(x, name: str) -> int:
     return i
 
 
+def whole_at_least(x, least: int, name: str) -> int:
+    """``exact_int(x, name)``, or ValueError when it is below ``least``."""
+    i = exact_int(x, name)
+    if i < least:
+        raise ValueError(f"{name} must be at least {least}, got {x!r}")
+    return i
+
+
+def _finite_point(z, name: str) -> complex:
+    """``z`` as a complex, or ValueError unless both its parts are finite."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} must be finite")
+    return z
+
+
 @dataclass(frozen=True)
 class MoebiusMap:
     """Fractional-linear map z -> (a z + b) / (c z + d), with a d - b c != 0."""
@@ -60,9 +82,7 @@ class MoebiusMap:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            value = complex(getattr(self, name))
-            if not cmath.isfinite(value):
-                raise ValueError(f"coefficient {name} = {value} is not finite")
+            value = _finite_point(getattr(self, name), f"coefficient {name}")
             object.__setattr__(self, name, value)
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         if scale == 0.0 or abs(self.det) <= 1e-14 * scale * scale:
@@ -405,9 +425,7 @@ def enumerate_ball(generators, radius: int) -> GroupBall:
     Raises BallTooLarge past BALL_CAP elements, ValueError on coefficient overflow.
     """
     generators = tuple(generators)
-    radius = exact_int(radius, "radius")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    radius = whole_at_least(radius, 0, "radius")
     # Letters carry det 1, so products stay det-1 to rounding error and
     # canonical representatives only need the sign fix (see _sign_fixed).
     # Letter 2i is g_(i+1) and letter 2i + 1 its inverse, so l ^ 1 undoes l.

@@ -30,15 +30,8 @@ from .errors import (
     PlanMismatch,
     ZeroOnContour,
 )
-from .flowlab import (
-    ZeroScan,
-    _finite_point,
-    exact_int,
-    find_zeros,
-    locate_zeros,
-    sector_index,
-    winding_index,
-)
+from .flowlab import ZeroScan, find_zeros, locate_zeros, sector_index, winding_index
+from .moebius import _finite_point, exact_int, whole_at_least
 
 # Zero-scan resolution of the numeric connected sum's tube chart; the disc
 # clearance scans use half of it.
@@ -53,11 +46,8 @@ class EquilibriumSpec:
     n_h: int
 
     def __post_init__(self):
-        n_e, n_h = exact_int(self.n_e, "n_e"), exact_int(self.n_h, "n_h")
-        if n_e < 0 or n_h < 0:
-            raise ValueError("sector counts must be nonnegative integers")
-        object.__setattr__(self, "n_e", n_e)
-        object.__setattr__(self, "n_h", n_h)
+        object.__setattr__(self, "n_e", whole_at_least(self.n_e, 0, "n_e"))
+        object.__setattr__(self, "n_h", whole_at_least(self.n_h, 0, "n_h"))
 
     @property
     def index(self) -> Fraction:
@@ -93,9 +83,7 @@ class SurfaceInventory:
     equilibria: tuple[EquilibriumSpec, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "genus", exact_int(self.genus, "genus"))
-        if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
+        object.__setattr__(self, "genus", whole_at_least(self.genus, 0, "genus"))
         if not self.orientable and self.genus == 0:
             raise ValueError("a nonorientable surface needs at least one crosscap")
         object.__setattr__(self, "equilibria", tuple(self.equilibria))

@@ -46,7 +46,9 @@ from surfaceflows.flowlab import (
     winding_on_path,
 )
 from surfaceflows.heegaard import (
+    AbelianGroup,
     BallExtensionField,
+    GluingMatrix,
     IndexSet,
     compose_word,
     corollary_check,
@@ -55,6 +57,7 @@ from surfaceflows.heegaard import (
     interior_zero_scan,
 )
 from surfaceflows.moebius import GroupWord, MoebiusMap, apply, derivative, enumerate_ball
+from surfaceflows.surgery import EquilibriumSpec, SurfaceInventory
 
 from conftest import DENOMINATOR_POLE, GENUS2_GENERATORS, NUMERATOR_POLE
 
@@ -880,6 +883,33 @@ def test_integer_inputs_go_through_exact_int(call, whole):
     assert call(whole) == call(int(whole))
     with pytest.raises(ValueError, match="must be an integer"):
         call(whole + 0.5)
+
+
+# each input checked by whole_at_least, with its name in the message and its bound
+LOWER_BOUNDS = {
+    "sector_index n_e": (lambda k: sector_index(k, 0), "n_e", 0),
+    "sector_index n_h": (lambda k: sector_index(0, k), "n_h", 0),
+    "locate_zeros n": (lambda k: locate_zeros(NODE, (-1, 1, -1, 1), k), "grid resolution", 8),
+    "corollary_check p": (lambda k: corollary_check(IndexSet((1, -1), 2), k), "p", 1),
+    "GluingMatrix genus": (lambda k: GluingMatrix(k, ((1, 0), (0, 1))), "genus", 1),
+    "compose_word genus": (lambda k: compose_word([], k), "genus", 1),
+    "AbelianGroup rank": (lambda k: AbelianGroup(k), "rank", 0),
+    "AbelianGroup torsion": (lambda k: AbelianGroup(0, (k,)), "torsion coefficient", 2),
+    "handle_equilibria genus": (handle_equilibria, "genus", 0),
+    "interior_zero_scan n": (
+        lambda k: interior_zero_scan(BallExtensionField(dipole_sphere_field()), k), "sample count", 0),
+    "enumerate_ball radius": (lambda k: enumerate_ball(GENUS2_GENERATORS, k), "radius", 0),
+    "EquilibriumSpec n_e": (lambda k: EquilibriumSpec(k, 0), "n_e", 0),
+    "EquilibriumSpec n_h": (lambda k: EquilibriumSpec(0, k), "n_h", 0),
+    "SurfaceInventory genus": (lambda k: SurfaceInventory(k, True), "genus", 0),
+}
+
+
+@pytest.mark.parametrize("call, name, least", LOWER_BOUNDS.values(), ids=LOWER_BOUNDS)
+def test_integer_inputs_below_their_bound_are_rejected(call, name, least):
+    call(least)
+    with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {least - 1}$"):
+        call(least - 1)
 
 
 class TestFindZeros:

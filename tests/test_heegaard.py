@@ -289,7 +289,7 @@ class TestTwistWordHomology:
 
     @pytest.mark.parametrize(
         "rank, torsion, message",
-        [(-1, (), "rank must be nonnegative"), (0, (1,), "at least 2"), (0, (0,), "at least 2"),
+        [(-1, (), "rank must be at least 0"), (0, (1,), "at least 2"), (0, (0,), "at least 2"),
          (1, (2, -4), "at least 2"), (0, (2, 3), "divisibility chain"),
          (0, (4, 2), "divisibility chain"), (2, (2, 4, 6), "divisibility chain")],
     )
@@ -374,7 +374,7 @@ class TestGluingMatrix:
 
     @pytest.mark.parametrize("genus", [0, -1])
     def test_rejects_genus_below_one(self, genus):
-        with pytest.raises(ValueError, match="genus must be positive"):
+        with pytest.raises(ValueError, match="genus must be at least 1"):
             GluingMatrix(genus, ())
 
     @pytest.mark.parametrize(
@@ -385,9 +385,9 @@ class TestGluingMatrix:
             ([("x1", 1)], 1, "bad curve id"),
             ([("a1", 1.5)], 1, "exponent"),
             ([("a1", 1), ("b1", 0)], 1, "exponent"),
-            ([], 0, "genus must be positive"),
-            ([("a1", 1)], 0, "genus must be positive"),
-            ([("a1", 1)], -1, "genus must be positive"),
+            ([], 0, "genus must be at least 1"),
+            ([("a1", 1)], 0, "genus must be at least 1"),
+            ([("a1", 1)], -1, "genus must be at least 1"),
             # each index range at its edges
             ([("a0", 1)], 3, "out of range"),
             ([("b4", 1)], 3, "out of range"),

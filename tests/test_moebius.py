@@ -109,7 +109,7 @@ class TestBasicOps:
     def test_non_finite_coefficient_rejected(self, slot, bad):
         coeffs = [1.0, 0.0, 0.0, 1.0]
         coeffs[slot] = bad
-        with pytest.raises(ValueError, match=f"coefficient {'abcd'[slot]} .* not finite"):
+        with pytest.raises(ValueError, match=f"coefficient {'abcd'[slot]} must be finite"):
             MoebiusMap(*coeffs)
 
     def test_normalized_has_unit_determinant(self):
@@ -358,7 +358,7 @@ class TestEnumeration:
             assert word_to_map(word, ball.generators).coeffs() == m.coeffs()
 
     def test_non_finite_generator_never_reaches_enumeration(self):
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="coefficient b must be finite"):
             enumerate_ball([MoebiusMap(1, math.nan, 0, 1)], 2)
 
     def test_coefficient_overflow_is_a_typed_error(self):

@@ -407,7 +407,7 @@ class TestEquilibriumSpecInput:
 
     @pytest.mark.parametrize("n_e, n_h", [(-1, 0), (0, -2)])
     def test_negative_counts_rejected(self, n_e, n_h):
-        with pytest.raises(ValueError, match="sector counts must be nonnegative"):
+        with pytest.raises(ValueError, match="n_[eh] must be at least 0"):
             EquilibriumSpec(n_e, n_h)
 
     def test_whole_numbers_become_ints(self):
@@ -424,7 +424,7 @@ class TestIntegerInputs:
             SurfaceInventory(genus, True)
 
     def test_negative_genus_or_a_crosscap_free_nonorientable_surface_rejected(self):
-        with pytest.raises(ValueError, match="genus must be nonnegative"):
+        with pytest.raises(ValueError, match="genus must be at least 0"):
             SurfaceInventory(-1, True)
         with pytest.raises(ValueError, match="needs at least one crosscap"):
             SurfaceInventory(0, False)
