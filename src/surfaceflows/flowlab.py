@@ -82,7 +82,8 @@ class Trajectory:
     """Sampled orbit with its termination reason.
 
     Times are strictly monotone in the integration direction (increasing
-    for forward runs, decreasing for reverse ones).
+    for forward runs, decreasing for reverse ones); each consecutive pair
+    must hold that ordering, so a NaN time raises ValueError.
     """
 
     times: tuple[float, ...]
@@ -95,7 +96,7 @@ class Trajectory:
         if len(self.times) > 1:
             forward = self.times[1] > self.times[0]
             for t0, t1 in zip(self.times, self.times[1:]):
-                if (t1 <= t0) if forward else (t1 >= t0):
+                if not ((t1 > t0) if forward else (t1 < t0)):
                     raise ValueError("times must be strictly monotone")
 
     @property
@@ -707,10 +708,15 @@ class PoincareHopfReport:
 
 
 def poincare_hopf_check(zeros, chi: int) -> PoincareHopfReport:
-    """Compare the sum of winding indices against a target characteristic."""
+    """Compare the sum of winding indices against a target characteristic.
+
+    Raises ValueError unless every location is finite (``_finite_point``)
+    and no two lie within 1e-12 of each other.
+    """
     chi = exact_int(chi, "chi")
     records = list(zeros)
     for i, r in enumerate(records):
+        _finite_point(r.location, "zero location")
         for other in records[i + 1:]:
             if abs(r.location - other.location) < 1e-12:
                 raise ValueError("zeros must be pairwise distinct")

@@ -128,8 +128,10 @@ def curve_class(curve: str, genus: int) -> tuple[int, ...]:
     """Homology class of a standard twist curve in the fixed basis.
 
     a_i and b_i are the handle curves; g_i (defined for i < genus) chains
-    consecutive handles with class b_i - b_{i+1}.
+    consecutive handles with class b_i - b_{i+1}.  The genus goes through
+    ``exact_int``, so a whole float counts as its int.
     """
+    genus = exact_int(genus, "genus")
     m = _CURVE_RE.match(curve.strip()) if isinstance(curve, str) else None
     if not m:
         raise ValueError(f"bad curve id {curve!r}; expected like 'a1', 'b2', 'g1'")

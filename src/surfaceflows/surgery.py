@@ -402,13 +402,16 @@ def sum3_check(
     With ``removed`` None the excised cells contain no equilibria: the
     identified boundary spheres carry a circular singular set, resolved as
     a circle of equilibria or (with ``twist``) a limit cycle.  Otherwise
-    ``removed`` names one index from each inventory; they must be
-    inverse to each other, and the result drops exactly that pair.
+    ``removed`` names one index from each inventory, two in all (else
+    ValueError); they must be inverse to each other, and the result drops
+    exactly that pair.
     """
     if removed is None:
         marker = "limit-cycle" if twist else "circle-of-equilibria"
         return Sum3Inventory(indices=a.indices + b.indices, marker=marker)
 
+    if len(removed) != 2:
+        raise ValueError(f"removed must hold two indices, got {removed!r}")
     ia, ib = exact_int(removed[0], "removed index"), exact_int(removed[1], "removed index")
     if ia + ib != 0:
         raise NotInverse(f"removed indices {ia} and {ib} do not cancel")

@@ -33,6 +33,7 @@ from surfaceflows.flowlab import (
     WINDING_MAX_SAMPLES,
     WINDING_START,
     Trajectory,
+    ZeroRecord,
     covariance_check,
     exact_int,
     find_zeros,
@@ -52,6 +53,7 @@ from surfaceflows.heegaard import (
     IndexSet,
     compose_word,
     corollary_check,
+    curve_class,
     dipole_sphere_field,
     handle_equilibria,
     interior_zero_scan,
@@ -368,6 +370,10 @@ class TestIntegrate:
         for times, points in (((0.0, 1.0), (0j,)), ((0.0,), (0j, 1j)), ((), ())):
             with pytest.raises(ValueError, match="equal-length and nonempty"):
                 Trajectory(times, points, "time-limit")
+        # NaN fails every comparison, so it must fail the ordering itself
+        for times in ((0.0, math.nan, 1.0), (0.0, 1.0, math.nan), (1.0, math.nan, 0.0)):
+            with pytest.raises(ValueError, match="strictly monotone"):
+                Trajectory(times, (0j, 1j, 2j), "time-limit")
 
 
 class TestWinding:
@@ -862,6 +868,7 @@ WHOLE_NUMBER_INPUTS = {
     "find_zeros n": (lambda k: find_zeros(NODE, (-1, 1, -1, 1), k).zeros, 8.0),
     "enumerate_ball radius": (lambda k: len(enumerate_ball(GENUS2_GENERATORS, k)), 2.0),
     "compose_word genus": (lambda k: compose_word([("a1", 1)], k).entries, 2.0),
+    "curve_class genus": (lambda k: curve_class("g1", k), 2.0),
     "interior_zero_scan n": (
         lambda k: interior_zero_scan(BallExtensionField(dipole_sphere_field()), k), 2.0),
     # repr, so that a whole float kept as a float shows
@@ -1268,6 +1275,14 @@ class TestPoincareHopf:
         scan = find_zeros(SADDLE, (-1, 1, -1, 1), 16)
         with pytest.raises(ValueError):
             poincare_hopf_check(list(scan) + list(scan), chi=-2)
+
+    @pytest.mark.parametrize("location", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_a_location_that_is_not_finite_is_rejected(self, location):
+        # a NaN location passed the audit, and two of them passed as distinct
+        for records in ([ZeroRecord(location, 1, 0.0)],
+                        [ZeroRecord(location, 1, 0.0), ZeroRecord(location, 1, 0.0)]):
+            with pytest.raises(ValueError, match="^zero location must be finite$"):
+                poincare_hopf_check(records, chi=len(records))
 
     def test_report_dict(self):
         report = poincare_hopf_check([], chi=2)

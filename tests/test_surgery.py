@@ -391,6 +391,12 @@ class TestSum3:
         with pytest.raises(ValueError, match="removed index must be"):
             sum3_check(Sum3Inventory((1, -1)), Sum3Inventory((1, -1)), removed=removed)
 
+    @pytest.mark.parametrize("removed", [(), (1,), (1, -1, 7)])
+    def test_removed_must_hold_two_indices(self, removed):
+        # (1, -1, 7) ignored the 7, and (1,) raised IndexError
+        with pytest.raises(ValueError, match=r"^removed must hold two indices, got \("):
+            sum3_check(Sum3Inventory((1, -1)), Sum3Inventory((1, -1)), removed=removed)
+
     def test_numpy_indices_accepted(self):
         a = Sum3Inventory(np.array([2, -2, 1, -1]))
         assert a.indices == (2, -2, 1, -1)
