@@ -14,9 +14,12 @@ side's median and quartiles, the change's relative move, how many pairs
 the change won (ties count for neither side), whether the move stays
 within the metric's bound, and whether a gain may be claimed: the change
 wins at least nine tenths of the pairs and the medians differ, in its
-favour, by more than the parent's interquartile range.  The last line of
-standard output is one JSON object with every run's metrics and the
-summaries.  The exit code is nonzero when any run was not correct or had
+favour, by more than the parent's interquartile range.  A metric is
+unresolved where the parent's interquartile range is wider than the
+bound times the parent's median, unless every change run reads better
+than every parent run; its bound column then reads UNRESOLVED in place
+of ok or WORSE.  The last line of standard output is one JSON object
+with every run's metrics and the summaries.  The exit code is nonzero when any run was not correct or had
 failed operations.
 """
 
@@ -42,12 +45,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """The gain rule and the bound on one metric, from its values in pair
-    order: parent[i] and change[i] were measured in pair i."""
+    """The gain rule, the bound and whether the parent's spread resolves the
+    bound on one metric, from its values in pair order: parent[i] and
+    change[i] were measured in pair i."""
     lower = better == "lower"
     pq, cq = quartiles(parent), quartiles(change)
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     gain = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
+    beats_every_run = max(change) < min(parent) if lower else min(change) > max(parent)
     return {
         "parent": pq,
         "change": cq,
@@ -55,6 +60,7 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "wins": wins,
         "pairs": len(parent),
         "within_bound": -gain <= bound * abs(pq[1]),
+        "resolved": pq[2] - pq[0] <= bound * abs(pq[1]) or beats_every_run,
         "gain_holds": wins >= 0.9 * len(parent) and gain > pq[2] - pq[0],
     }
 
@@ -97,7 +103,7 @@ def main(argv=None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     summaries = {}
     print(f"{'metric':<28} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} "
-          f"{'move':>8} {'wins':>6}  bound  gain")
+          f"{'move':>8} {'wins':>6}  {'bound':<10}  gain")
     every_run = runs["parent"] + runs["change"]
     for name in every_run[0]["metrics"] if every_run else ():
         spec = next((m for m in metrics if m["name"] == name.rsplit(".", 1)[-1]), None)
@@ -107,10 +113,11 @@ def main(argv=None) -> int:
                           for side in ("parent", "change"))
         s = summaries[name] = summarize(parent, change, spec["better"], spec["bound"])
         label = name if "." in name else f"{args.workload}.{name}"
+        verdict = ("ok" if s["within_bound"] else "WORSE") if s["resolved"] else "UNRESOLVED"
         print(f"{label:<28} {'%.4g [%.4g, %.4g]' % (s['parent'][1], s['parent'][0], s['parent'][2]):>32} "
               f"{'%.4g [%.4g, %.4g]' % (s['change'][1], s['change'][0], s['change'][2]):>32} "
               f"{s['change_pct']:>+7.2f}% {s['wins']:>3}/{s['pairs']:<2}  "
-              f"{'ok   ' if s['within_bound'] else 'WORSE'}  {'holds' if s['gain_holds'] else 'no'}")
+              f"{verdict:<10}  {'holds' if s['gain_holds'] else 'no'}")
     bad = [f"{side} pair {i}" for side in runs for i, run in enumerate(runs[side])
            if not run["correct"] or run["failed"]]
     for what in bad:

@@ -60,6 +60,44 @@ def test_the_bound_is_relative_to_the_parent_median(worse, within):
     assert s["within_bound"] is within and s["wins"] == 0
 
 
+@pytest.mark.parametrize("bound, resolved", [(0.1, False), (0.2, True), (0.25, True)])
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(bound, resolved):
+    # the parent's IQR of 2 against bound * median = 1, 2 and 2.5
+    s = bench_pairs.summarize(PARENT, [p + 0.1 for p in PARENT], "lower", bound)
+    assert s["resolved"] is resolved and s["within_bound"]
+
+
+@pytest.mark.parametrize("better, change, resolved", [
+    ("lower", [7.9] * 10, True), ("lower", [7.9] * 9 + [8.0], False),
+    ("higher", [12.1] * 10, True), ("higher", [12.1] * 9 + [12.0], False),
+])
+def test_a_change_that_beats_every_parent_run_is_resolved(better, change, resolved):
+    # PARENT runs from 8 to 12; a tie with its best run does not beat it
+    s = bench_pairs.summarize(PARENT, change, better, 0.1)
+    assert s["resolved"] is resolved
+
+
+def test_an_unresolved_metric_is_printed_so(monkeypatch, capsys, tmp_path):
+    spread = {11: 1.0, 12: 2.0, 13: 3.0}
+
+    def run_once(checkout, workload, seed, seconds):
+        value = spread[seed] if checkout.name == "parent" else 2.0
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"solve_s": {"value": value, "unit": "s"},
+                            "peak_rss_mb": {"value": 50.0, "unit": "MB"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "twist-h1", "--pairs", "3", "--seed", "11"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[1].startswith("twist-h1.solve_s") and " UNRESOLVED " in out[1]
+    assert out[2].startswith("twist-h1.peak_rss_mb") and " ok " in out[2]
+    summaries = json.loads(out[-1])["summaries"]
+    assert summaries["solve_s"]["resolved"] is False
+    assert summaries["peak_rss_mb"]["resolved"] is True
+
+
 def test_pairs_alternate_and_a_failed_run_fails_the_script(monkeypatch, capsys, tmp_path):
     calls = []
 
