@@ -108,7 +108,9 @@ class AutomorphicField:
     The series' seeds are 1/(z - numerator_pole) and 1/(z - denominator_pole),
     with the poles given in the summation coordinates.  ``conjugation`` is
     the change-of-variables map of the stabilized evaluation (None when the
-    series are summed in the given coordinates).
+    series are summed in the given coordinates).  A seed pole that is not
+    finite raises ValueError("seed pole must be finite") through
+    ``_finite_point``.
     """
 
     ball: GroupBall

@@ -376,7 +376,8 @@ def sector_index(n_e: int, n_h: int) -> Fraction:
 
     A half-integer result (odd sector imbalance) is representable and left
     to the caller to flag; it is not an error.  The counts go through
-    ``exact_int``, so a whole float counts as its int.
+    ``whole_at_least`` with bound 0, so a whole float counts as its int and
+    a negative count raises ValueError("n_e must be at least 0, ...").
     """
     n_e, n_h = whole_at_least(n_e, 0, "n_e"), whole_at_least(n_h, 0, "n_h")
     return Fraction(2 + n_e - n_h, 2)
@@ -577,8 +578,10 @@ def locate_zeros(field, region, n: int, annulus=None) -> tuple[list[complex], li
     scan to the closed annulus r_inner <= |z - centre| <= r_outer (r_inner =
     0 is a disc): only the corners of cells that meet it are evaluated, only
     those cells seed, and a zero outside it is dropped ("left the annulus").
-    Non-finite bounds, an empty rectangle, n < 8, or an annulus without a
-    finite centre and 0 <= r_inner < r_outer < inf raise ValueError.
+    Non-finite bounds, an empty rectangle, an n that is not a whole number
+    of at least 8 ("grid resolution must be at least 8, ..."), or an annulus
+    without a finite centre and 0 <= r_inner < r_outer < inf raise
+    ValueError.
     """
     if annulus is not None:
         annulus = _annulus(annulus)

@@ -79,7 +79,11 @@ def feasible_genera(s: IndexSet) -> set[int]:
 
 
 def corollary_check(s: IndexSet, p: int) -> bool:
-    """At least 2(p-1) hyperbolic points are needed at splitting genus p >= 1."""
+    """At least 2(p-1) hyperbolic points are needed at splitting genus p >= 1.
+
+    ``p`` goes through ``whole_at_least``: ValueError("p must be at least 1,
+    ...") below 1.
+    """
     p = whole_at_least(p, 1, "p")
     return s.hyperbolic_count >= 2 * (p - 1)
 
@@ -104,7 +108,11 @@ def _is_symplectic(rows) -> bool:
 
 @dataclass(frozen=True)
 class GluingMatrix:
-    """Integer symplectic matrix acting on the surface's first homology."""
+    """Integer symplectic matrix acting on the surface's first homology.
+
+    The genus is a whole number of at least 1 (``whole_at_least``), and the
+    entries are whole numbers (``exact_int``); ValueError otherwise.
+    """
 
     genus: int
     entries: tuple[tuple[int, ...], ...]
@@ -162,6 +170,7 @@ def compose_word(word, genus: int) -> GluingMatrix:
     support.  So a letter costs O(genus) integer operations whatever its
     exponent: one pass for a or b, three for g.  Each transvection is
     symplectic, so the product is checked once, as the result is built.
+    A genus below 1 raises ValueError("genus must be at least 1, ...").
     """
     genus = whole_at_least(genus, 1, "genus")
     n = 2 * genus
@@ -279,7 +288,12 @@ def smith_diagonal(matrix) -> list[int]:
 
 @dataclass(frozen=True)
 class AbelianGroup:
-    """Finitely generated abelian group as rank plus divisibility-ordered torsion."""
+    """Finitely generated abelian group as rank plus divisibility-ordered torsion.
+
+    The rank, checked first, is a whole number of at least 0 and each
+    torsion coefficient one of at least 2 (``whole_at_least``); ValueError
+    otherwise, as for a torsion chain that does not divide.
+    """
 
     rank: int
     torsion: tuple[int, ...] = ()
@@ -359,7 +373,8 @@ class BallExtensionField:
 
 def handle_equilibria(genus: int) -> int:
     """Interior equilibria of the extended handlebody system: centre + one
-    per handle."""
+    per handle.  A genus below 0 raises ValueError("genus must be at least
+    0, ...")."""
     return 1 + whole_at_least(genus, 0, "genus")
 
 
@@ -488,7 +503,9 @@ def interior_zero_scan(f: BallExtensionField, n: int, seed: int = 0) -> dict:
 
     Points inside ORIGIN_EXCLUSION of the centre are skipped (the centre
     is the one intended equilibrium); any remaining sample with
-    |V| < INTERIOR_HIT_TOL counts as a hit and is reported.
+    |V| < INTERIOR_HIT_TOL counts as a hit and is reported.  ``n`` is a
+    whole number of at least 0 (ValueError("sample count must be at least
+    0, ...") otherwise).
     """
     n = whole_at_least(n, 0, "sample count")
     rng = np.random.default_rng(seed)

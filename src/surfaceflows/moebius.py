@@ -73,7 +73,12 @@ def _finite_point(z, name: str) -> complex:
 
 @dataclass(frozen=True)
 class MoebiusMap:
-    """Fractional-linear map z -> (a z + b) / (c z + d), with a d - b c != 0."""
+    """Fractional-linear map z -> (a z + b) / (c z + d), with a d - b c != 0.
+
+    A coefficient that is not finite raises ValueError("coefficient a must
+    be finite") through ``_finite_point``; a singular tuple raises
+    ValueError too.
+    """
 
     a: complex
     b: complex
@@ -422,7 +427,8 @@ def enumerate_ball(generators, radius: int) -> GroupBall:
     per element, and a block's temporaries are a few (m, 8) arrays for
     its m candidates.
 
-    Raises BallTooLarge past BALL_CAP elements, ValueError on coefficient overflow.
+    Raises BallTooLarge past BALL_CAP elements, ValueError on coefficient
+    overflow or for a radius below 0 ("radius must be at least 0, ...").
     """
     generators = tuple(generators)
     radius = whole_at_least(radius, 0, "radius")

@@ -40,7 +40,11 @@ TUBE_GRID = 64
 
 @dataclass(frozen=True)
 class EquilibriumSpec:
-    """Sector-structured equilibrium: n_e elliptic and n_h hyperbolic sectors."""
+    """Sector-structured equilibrium: n_e elliptic and n_h hyperbolic sectors.
+
+    Each count is a whole number of at least 0 (``whole_at_least``), so a
+    negative one raises ValueError("n_e must be at least 0, ...").
+    """
 
     n_e: int
     n_h: int
@@ -75,7 +79,8 @@ class SurfaceInventory:
     """Per-surface equilibrium ledger.
 
     ``genus`` counts handles when orientable and crosscaps otherwise, so
-    chi is 2 - 2g or 2 - g respectively.
+    chi is 2 - 2g or 2 - g respectively.  It is a whole number of at least
+    0 (``whole_at_least``), and at least 1 when nonorientable.
     """
 
     genus: int
