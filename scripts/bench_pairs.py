@@ -19,8 +19,8 @@ unresolved where the parent's interquartile range is wider than the
 bound times the parent's median, unless every change run reads better
 than every parent run; its bound column then reads UNRESOLVED in place
 of ok or WORSE.  The last line of standard output is one JSON object
-with every run's metrics and the summaries.  The exit code is nonzero when any run was not correct or had
-failed operations.
+with every run's metrics and the summaries.  The exit code is nonzero
+when any run was not correct or had failed operations.
 """
 
 from __future__ import annotations

@@ -83,7 +83,8 @@ class Trajectory:
 
     Times are strictly monotone in the integration direction (increasing
     for forward runs, decreasing for reverse ones); each consecutive pair
-    must hold that ordering, so a NaN time raises ValueError.
+    must hold that ordering, so a NaN time among two or more raises
+    ValueError.
     """
 
     times: tuple[float, ...]

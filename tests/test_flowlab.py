@@ -904,7 +904,8 @@ LOWER_BOUNDS = {
     "AbelianGroup torsion": (lambda k: AbelianGroup(0, (k,)), "torsion coefficient", 2),
     "handle_equilibria genus": (handle_equilibria, "genus", 0),
     "interior_zero_scan n": (
-        lambda k: interior_zero_scan(BallExtensionField(dipole_sphere_field()), k), "sample count", 0),
+        lambda k: interior_zero_scan(BallExtensionField(dipole_sphere_field()), k),
+        "sample count", 0),
     "enumerate_ball radius": (lambda k: enumerate_ball(GENUS2_GENERATORS, k), "radius", 0),
     "EquilibriumSpec n_e": (lambda k: EquilibriumSpec(k, 0), "n_e", 0),
     "EquilibriumSpec n_h": (lambda k: EquilibriumSpec(0, k), "n_h", 0),
